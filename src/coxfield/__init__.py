@@ -12,7 +12,7 @@ from .observables import (EstimationError, OrderParameterEstimate,
                           local_field, true_overlaps)
 from .prox import (ElasticNetPenalty, g, g_ddot, g_dot, moreau_ddot_g,
                    moreau_dot_g, prox_enet, prox_enet_dot, prox_g)
-from .rs import (OrderParameters, RsInconsistencyError, RsLambda,
+from .rs import (OrderParameters, RsInconsistencyError,
                  RsNonConvergenceError, RsPopulation, enet_prior_moments,
                  rs_residuals_general, rs_rhs_enet, sample_population,
                  sample_prior, solve_lambda, solve_rs, solve_rs_path)
@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ElasticNetPenalty", "EstimationError", "ExperimentConfig",
     "FitDivergedError", "FitResult", "GeneratorSpec", "OrderParameterEstimate",
-    "OrderParameters", "RsInconsistencyError", "RsLambda",
-    "RsNonConvergenceError", "RsPopulation", "SignalSpec", "SolverConfig",
-    "StepHazard", "SurvivalDataset", "enet_prior_moments", "estimate_from_amp",
+    "OrderParameters", "RsInconsistencyError", "RsNonConvergenceError",
+    "RsPopulation", "SignalSpec", "SolverConfig", "StepHazard",
+    "SurvivalDataset", "enet_prior_moments", "estimate_from_amp",
     "estimate_from_cd", "estimate_tau_cd", "field_residual_moments", "fit_amp",
     "fit_cd", "g", "g_ddot", "g_dot", "generate_dataset", "harrell_c",
     "lambert_w0", "lambert_w0_exp", "local_field", "moreau_ddot_g",

@@ -9,11 +9,12 @@ writes its artifacts to --output.  Exit codes: 0 success, 1 usage error,
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import PAPER_SCALE, ExperimentConfig, run_experiment
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty
@@ -158,7 +159,10 @@ def _cmd_rs_solve(args):
                 fh.write(f"{alpha!r},{vals},1\n")
     n_ok = sum(1 for point in points if point is not None)
     _emit({"command": "rs-solve", "output": args.output, "alphas": alphas,
-           "converged_points": n_ok})
+           "converged_points": n_ok,
+           "iterations": [None if point is None
+                          else point[0].diagnostics["iterations"]
+                          for point in points]})
     return 0 if n_ok else 2
 
 
@@ -211,12 +215,10 @@ def _cmd_experiment(args):
     else:
         cfg = ExperimentConfig()
     if args.paper_scale:
-        raw = cfg.to_jsonable()
-        raw["gen"] = cfg.gen
-        raw["pen_grid"] = cfg.pen_grid
-        raw["solver_cfg"] = cfg.solver_cfg
-        raw.update(p=2000, repetitions=20, nu=0.005)
-        cfg = ExperimentConfig(**raw)
+        # the preset's fields replace the config's, every other field stays
+        kept = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                if f.name not in PAPER_SCALE}
+        cfg = ExperimentConfig.paper_scale(**kept)
     if args.output:
         cfg.output_dir = args.output
     report = run_experiment(cfg)
@@ -283,7 +285,8 @@ def build_parser():
     exp = sub.add_parser("experiment", help="run a repetition experiment")
     exp.add_argument("--config", default=None, help="config JSON")
     exp.add_argument("--paper-scale", action="store_true",
-                     help="p = 2000 with 20 repetitions")
+                     help="paper-scale preset: " + ", ".join(
+                         f"{k} = {v}" for k, v in PAPER_SCALE.items()))
     exp.add_argument("--output", default=None, help="output directory")
     exp.set_defaults(func=_cmd_experiment)
     return parser

@@ -26,6 +26,8 @@ from .survival import harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 _EST_FIELDS = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")
+# the fields `ExperimentConfig.paper_scale` sets
+PAPER_SCALE = {"p": 2000, "repetitions": 20, "nu": 0.005}
 
 
 @dataclass
@@ -88,11 +90,9 @@ class ExperimentConfig:
 
     @staticmethod
     def paper_scale(**overrides):
-        """Paper-scale preset: p = 2000, 20 repetitions."""
-        overrides.setdefault("p", 2000)
-        overrides.setdefault("repetitions", 20)
-        overrides.setdefault("nu", 0.005)
-        return ExperimentConfig(**overrides)
+        """Paper-scale preset: p = 2000, 20 repetitions, nu = 0.005
+        (`PAPER_SCALE`); `overrides` win over the preset."""
+        return ExperimentConfig(**{**PAPER_SCALE, **overrides})
 
     @staticmethod
     def from_json(path):

@@ -11,7 +11,6 @@ for validation on synthetic data.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class EstimationError(ValueError):
@@ -152,6 +151,9 @@ def estimate_tau_cd(data, fit, pen, zeta):
                 raise EstimationError(
                     "no sign change for tau: zeta * k = "
                     f"{zeta * k:.3f} exceeds the curvature-average supremum")
+    # imported here: scipy.optimize adds ~20 MB to every process that
+    # imports coxfield, and only this estimator needs it
+    from scipy.optimize import brentq
     tau_n = brentq(f, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
     tau_hat_n = tau_n / (k - pen.eta * tau_n)
     return float(tau_n), float(tau_hat_n)

@@ -8,14 +8,18 @@ elastic-net closed forms (Gaussian tail/density); the data-side
 expectations are population averages.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from .prox import prox_enet, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
+from .survival import SortedRiskSets
 from .synthgen import _sample_times_given_eta
-from .survival import nelson_aalen
+
+# sup-norm bound on the undamped hazard-map residual at a returned hazard
+_HAZARD_TOL = 1e-8
 
 
 class RsInconsistencyError(RuntimeError):
@@ -23,16 +27,24 @@ class RsInconsistencyError(RuntimeError):
 
 
 class RsNonConvergenceError(RuntimeError):
-    """A fixed-point loop exhausted its iteration budget."""
+    """A fixed-point loop ran out of iterations; carries their number and
+    the last undamped hazard and (joint loop only) scalar residuals."""
 
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
+    def __init__(self, message, iterations, hazard_residual,
+                 scalar_residual=None):
+        scalar = ("" if scalar_residual is None
+                  else f", scalar residual {scalar_residual:.3e}")
+        super().__init__(f"{message} after {iterations} iterations "
+                         f"(hazard residual {hazard_residual:.3e}{scalar})")
+        self.iterations = iterations
+        self.hazard_residual = hazard_residual
+        self.scalar_residual = scalar_residual
 
 
 @dataclass
 class OrderParameters:
-    """The six RS scalars."""
+    """The six RS scalars, with `solve_rs` diagnostics kept out of
+    comparisons."""
 
     w: float
     v: float
@@ -40,6 +52,7 @@ class OrderParameters:
     w_hat: float
     v_hat: float
     tau_hat: float
+    diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_array(self):
         return np.array([self.w, self.v, self.tau,
@@ -66,27 +79,15 @@ class RsPopulation:
         return self.t.shape[0]
 
     def _sorted(self):
+        # (this population in ascending time order, its risk sets), cached
         cached = getattr(self, "_sorted_cache", None)
         if cached is None:
-            cached = _SortedPopulation(self)
+            order = np.argsort(self.t, kind="stable")
+            srt = RsPopulation(self.z0[order], self.q[order],
+                               self.delta[order], self.t[order], self.theta0)
+            cached = (srt, SortedRiskSets(srt.t, srt.delta))
             object.__setattr__(self, "_sorted_cache", cached)
         return cached
-
-
-@dataclass(frozen=True)
-class RsLambda:
-    """Piecewise-constant cumulative hazard at the sorted population times."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def evaluate(self, t):
-        idx = np.searchsorted(self.times, t, side="right")
-        padded = np.concatenate([[0.0], self.values])
-        out = padded[idx]
-        return float(out) if np.ndim(t) == 0 else out
-
-    __call__ = evaluate
 
 
 def sample_population(gen, theta0, n_pop=5000, seed=0):
@@ -100,62 +101,32 @@ def sample_population(gen, theta0, n_pop=5000, seed=0):
     return RsPopulation(z0=z0, q=q, delta=delta, t=t, theta0=theta0)
 
 
-class _SortedPopulation:
-    """Population pre-sorted by time, with risk-set bookkeeping."""
-
-    def __init__(self, pop):
-        order = np.argsort(pop.t, kind="stable")
-        self.t = pop.t[order]
-        self.delta = pop.delta[order]
-        self.u_base = order  # permutation into the original arrays
-        self.n = pop.size
-        # first index of each tie group (ties have measure zero for the
-        # continuous generator but are handled exactly anyway)
-        self.first = np.searchsorted(self.t, self.t, side="left")
-        self.last = np.searchsorted(self.t, self.t, side="right") - 1
-
-    def lambda_map(self, xi, lam_unused=None):
-        # one application of the functional fixed-point map:
-        # S(t_i) = mean_j Theta(t_j - t_i) e^{xi_j};
-        # Lambda(t_i) = mean_j Theta(t_i - t_j) delta_j / S(t_j)
-        expxi = np.exp(xi)
-        suffix = np.cumsum(expxi[::-1])[::-1]
-        s_at = suffix[self.first] / self.n
-        contrib = self.delta / s_at / self.n
-        return np.cumsum(contrib)[self.last]
-
-
-def solve_lambda(pop, w, v, tau, damping=0.5, tol=1e-8, max_iter=500, init=None):
+def solve_lambda(pop, w, v, tau, damping=0.5, tol=_HAZARD_TOL, max_iter=500):
     """Solve the self-consistent cumulative-hazard equations at (w, v, tau).
 
-    Damped fixed-point iteration over the population-discretized pair
-    (Lambda, S); stops when the sup-norm of the *undamped* map residual
-    falls below tol, so the returned hazard satisfies the first hazard
-    equation to that accuracy.
-
-    Returns an RsLambda on the sorted population times.
+    The hazard half of the `solve_rs` loop with the scalars held fixed:
+    damped iteration of the hazard map S(t_i) = mean_j Theta(t_j - t_i)
+    e^{xi_j}, Lambda(t_i) = mean_j Theta(t_i - t_j) delta_j / S(t_j) (the
+    Nelson-Aalen estimator at linear predictors xi) at xi = prox_g(w Z0
+    + v Q, Lambda, Delta, tau), started from its value at the raw field.
+    Stops when the sup-norm of the *undamped* map residual falls below
+    tol and returns that iterate as a StepHazard, so it satisfies the
+    first hazard equation to that accuracy.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sp = pop._sorted()
-    u = (w * pop.z0 + v * pop.q)[sp.u_base]
-    if init is not None:
-        lam = np.asarray(init, dtype=float).copy()
-    else:
-        # tau-free initialization: population Nelson-Aalen at the raw field
-        hz = nelson_aalen(sp.t, sp.delta, u)
-        lam = hz.evaluate(sp.t)
+    sp, risk = pop._sorted()
+    u = w * sp.z0 + v * sp.q
+    lam = risk.hazard(u)
     residual = np.inf
     for _ in range(max_iter):
-        xi = prox_g(u, lam, sp.delta, tau)
-        lam_new = sp.lambda_map(xi)
+        lam_new = risk.hazard(prox_g(u, lam, sp.delta, tau))
         residual = np.max(np.abs(lam_new - lam))
         if residual <= tol:
-            # return the pre-update iterate: it is the one whose undamped
-            # map residual was just verified
-            return RsLambda(times=sp.t, values=lam)
+            return risk.step_hazard(lam)
         lam = (1.0 - damping) * lam + damping * lam_new
-    raise RsNonConvergenceError("hazard fixed point did not converge", residual)
+    raise RsNonConvergenceError("hazard fixed point did not converge",
+                                max_iter, residual)
 
 
 def enet_prior_moments(w_hat, v_hat, tau_hat, pen, nu):
@@ -187,8 +158,9 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
 
     Prior side (from w_hat, v_hat, tau_hat, in closed form): proposed
     w, tau, and v via the second moment of phi.  Data side (population
-    averages of xi at the current w, v, tau and the hazard `lam`):
-    proposed w_hat, tau_hat, v_hat.  Pure function of its inputs.
+    averages of xi at the current w, v, tau and the hazard `lam`, any
+    callable cumulative hazard such as a StepHazard): proposed w_hat,
+    tau_hat, v_hat.  Pure function of its inputs.
 
     Raises
     ------
@@ -198,6 +170,12 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
     """
     u = op.w * pop.z0 + op.v * pop.q
     xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
+    return _rhs_from_xi(op, pop, u, xi, pen, nu, zeta)
+
+
+def _rhs_from_xi(op, pop, u, xi, pen, nu, zeta):
+    # the six right-hand sides given the proximal points xi of the field
+    # u = w Z0 + v Q, both in the order of `pop`
     e_z0xi = np.mean(pop.z0 * xi)
     e_qxi = np.mean(pop.q * xi)
     e_sq = np.mean((xi - u) ** 2)
@@ -221,45 +199,56 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
                            tau_hat=float(tau_hat_new))
 
 
-_DEFAULT_INIT = OrderParameters(w=0.5, v=0.5, tau=1.0,
-                                w_hat=0.5, v_hat=0.5, tau_hat=1.0)
+# (w, v, tau, w_hat, v_hat, tau_hat); w and w_hat are scaled by theta0
+_DEFAULT_INIT = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0])
 
 
 def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
              tol=1e-6, max_iter=500, init=None, pop=None):
-    """Solve the six RS equations by damped fixed-point iteration.
+    """Solve the six RS equations and the hazard equations jointly.
 
-    Alternates the functional hazard solve with one evaluation of the
-    right-hand sides; converged when the sup-change of the six scalars
-    falls below tol.  Pass `pop` to reuse one population across calls
-    (common random numbers along a regularization path).
+    One damped fixed-point loop over (order parameters, hazard) on the
+    time-sorted population: each step computes xi = prox_g(w Z0 + v Q,
+    Lambda, Delta, tau) once, applies the hazard map to it once, takes
+    the six right-hand sides from the same xi, and damps scalars and
+    hazard together.  Stops when the undamped hazard residual is at most
+    1e-8 and the undamped scalar change at most `tol` (sup-norms), and
+    returns that verified iterate; `max_iter` counts joint steps.  Pass
+    `pop` to reuse one population across calls (common random numbers
+    along a regularization path).
 
-    Returns
-    -------
-    (OrderParameters, RsLambda)
+    Returns (OrderParameters, StepHazard); the order parameters'
+    `diagnostics` hold the joint `iterations`, the final
+    `hazard_residual` and `scalar_residual`, and `seconds`.
     """
+    start = perf_counter()
     if pop is None:
         pop = sample_population(gen, theta0, n_pop, seed)
-    op = init or OrderParameters(w=_DEFAULT_INIT.w * theta0, v=_DEFAULT_INIT.v,
-                                 tau=_DEFAULT_INIT.tau,
-                                 w_hat=_DEFAULT_INIT.w_hat * theta0,
-                                 v_hat=_DEFAULT_INIT.v_hat,
-                                 tau_hat=_DEFAULT_INIT.tau_hat)
-    lam_values = None
-    residual = np.inf
-    for _ in range(max_iter):
-        lam = solve_lambda(pop, op.w, op.v, op.tau, damping=damping,
-                           init=lam_values)
-        lam_values = lam.values
-        prop = rs_rhs_enet(op, pop, lam, pen, nu, zeta)
-        residual = np.max(np.abs(prop.as_array() - op.as_array()))
-        op = OrderParameters.from_array((1.0 - damping) * op.as_array()
-                                        + damping * prop.as_array())
-        if residual <= tol:
-            lam = solve_lambda(pop, op.w, op.v, op.tau, damping=damping,
-                               init=lam_values)
-            return op, lam
-    raise RsNonConvergenceError("RS fixed point did not converge", residual)
+    x = (init.as_array() if init is not None
+         else _DEFAULT_INIT * (theta0, 1.0, 1.0, theta0, 1.0, 1.0))
+    if x[2] <= 0:
+        raise ValueError("tau must be positive")
+    sp, risk = pop._sorted()
+    # tau-free start: the population Nelson-Aalen hazard at the raw field
+    lam = risk.hazard(x[0] * sp.z0 + x[1] * sp.q)
+    haz_res = scal_res = np.inf
+    for it in range(1, max_iter + 1):
+        op = OrderParameters.from_array(x)
+        u = op.w * sp.z0 + op.v * sp.q
+        xi = prox_g(u, lam, sp.delta, op.tau)
+        lam_new = risk.hazard(xi)
+        prop = _rhs_from_xi(op, sp, u, xi, pen, nu, zeta).as_array()
+        haz_res = float(np.max(np.abs(lam_new - lam)))
+        scal_res = float(np.max(np.abs(prop - x)))
+        if haz_res <= _HAZARD_TOL and scal_res <= tol:
+            op.diagnostics = {"iterations": it, "hazard_residual": haz_res,
+                              "scalar_residual": scal_res,
+                              "seconds": perf_counter() - start}
+            return op, risk.step_hazard(lam)
+        x = (1.0 - damping) * x + damping * prop
+        lam = (1.0 - damping) * lam + damping * lam_new
+    raise RsNonConvergenceError("RS fixed point did not converge", max_iter,
+                                haz_res, scal_res)
 
 
 def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,

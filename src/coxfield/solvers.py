@@ -55,6 +55,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_epochs is not None and self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1 (None: default)")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -106,7 +108,7 @@ def fit_amp(data, pen, init=None, cfg=None):
     cfg : SolverConfig, optional
     """
     cfg = cfg or SolverConfig()
-    max_epochs = cfg.max_epochs or AMP_MAX_EPOCHS
+    max_epochs = AMP_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     d = cfg.damping
     X, T, D = data.design, data.times, data.events
     n, p = data.n, data.p
@@ -190,7 +192,7 @@ def fit_cd(data, pen, init=None, cfg=None):
     diagnostics["skipped_coordinates"]).
     """
     cfg = cfg or SolverConfig()
-    max_epochs = cfg.max_epochs or CD_MAX_EPOCHS
+    max_epochs = CD_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     X, T, D = data.design, data.times, data.events
     n, p = data.n, data.p
 

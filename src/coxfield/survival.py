@@ -6,7 +6,8 @@ its own observed time; all-censored data yield an identically-zero hazard
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,6 @@ class StepHazard:
 
     knots: np.ndarray
     jumps: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = np.ascontiguousarray(self.knots, dtype=float)
@@ -94,25 +94,51 @@ class StepHazard:
         jumps.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "jumps", jumps)
-        cum = np.concatenate([[0.0], np.cumsum(jumps)])
-        cum.setflags(write=False)
-        object.__setattr__(self, "_cum", cum)
 
     def evaluate(self, t):
         """Evaluate the cumulative hazard at time(s) t."""
         idx = np.searchsorted(self.knots, t, side="right")
-        out = self._cum[idx]
+        out = np.concatenate([[0.0], np.cumsum(self.jumps)])[idx]
         return float(out) if np.ndim(t) == 0 else out
 
     __call__ = evaluate
 
 
-def _risk_sums(times_sorted, weights_sorted):
-    # at-risk sums R(t_i) = sum_{j : t_j >= t_i} w_j on ascending-sorted
-    # input; ties share the suffix starting at the first index of the group
-    suffix = np.cumsum(weights_sorted[::-1])[::-1]
-    first = np.searchsorted(times_sorted, times_sorted, side="left")
-    return suffix[first]
+class SortedRiskSets:
+    """Risk sets {j : t_j >= t_i} of ascending times with 0/1 events (ties
+    share one).  Tie bounds and event times are found once, for loops that
+    evaluate many hazards on one sample; their step functions share knots."""
+
+    def __init__(self, times_sorted, events_sorted):
+        self.times = times_sorted
+        self.events = events_sorted
+        self._first = np.searchsorted(times_sorted, times_sorted, side="left")
+
+    @cached_property
+    def _last(self):
+        return np.searchsorted(self.times, self.times, side="right") - 1
+
+    @cached_property
+    def _knots(self):
+        # distinct event times and an index of a subject at each
+        ev = np.flatnonzero(self.events == 1.0)
+        knots, pos = np.unique(self.times[ev], return_index=True)
+        knots.setflags(write=False)
+        return knots, ev[pos]
+
+    def risk_sums(self, weights):
+        """R_i = sum_{j : t_j >= t_i} weights_j."""
+        return np.cumsum(weights[::-1])[::-1][self._first]
+
+    def hazard(self, lin_pred):
+        """Nelson-Aalen hazard at each time, weights e^lin_pred."""
+        return np.cumsum(self.events / self.risk_sums(np.exp(lin_pred)))[self._last]
+
+    def step_hazard(self, levels):
+        """The StepHazard through `levels`, a nondecreasing hazard at each
+        time that is constant over ties (as `hazard` returns)."""
+        knots, at = self._knots
+        return StepHazard(knots, np.diff(levels[at], prepend=0.0))
 
 
 def nelson_aalen(times, events, lin_pred):
@@ -138,7 +164,7 @@ def nelson_aalen(times, events, lin_pred):
     order = np.argsort(times, kind="stable")
     ts = times[order]
     ds = events[order]
-    risk = _risk_sums(ts, np.exp(lin_pred[order]))
+    risk = SortedRiskSets(ts, ds).risk_sums(np.exp(lin_pred[order]))
     ev = ds == 1.0
     ev_times = ts[ev]
     contrib = 1.0 / risk[ev]
@@ -167,7 +193,7 @@ def penalized_partial_likelihood(data, beta, pen):
     ds = data.events[order]
     lp = eta_lp[order]
     with np.errstate(over="ignore"):
-        risk = _risk_sums(ts, np.exp(lp))
+        risk = SortedRiskSets(ts, ds).risk_sums(np.exp(lp))
     ev = ds == 1.0
     with np.errstate(divide="ignore"):
         loss = np.sum(np.log(risk[ev] / data.n) - lp[ev])

@@ -7,6 +7,7 @@ import pytest
 
 from coxfield.cli import main
 from coxfield.experiment import ExperimentConfig, run_experiment
+from coxfield.solvers import SolverConfig
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -120,16 +121,20 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     assert rc == 0
     records = json.loads(out.read_text())
     assert len(records) == 3
+    capsys.readouterr()
 
     rs_csv = tmp_path / "rs.csv"
     rc = main(["rs-solve", "--zeta", "2", "--nu", "0.05", "--alpha-grid",
                "0.5,0.4", "--pop-size", "800", "--seed", "2",
                "--output", str(rs_csv)])
     assert rc == 0
-    capsys.readouterr()
+    summary = json.loads(capsys.readouterr().out)
     lines = rs_csv.read_text().splitlines()
     assert lines[0] == "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged"
     assert len(lines) == 3
+    converged = [line.endswith(",1") for line in lines[1:]]
+    assert [it is not None for it in summary["iterations"]] == converged
+    assert all(it >= 1 for it in summary["iterations"] if it is not None)
 
 
 def test_cli_experiment_subcommand(tmp_path, capsys):
@@ -143,6 +148,35 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     assert summary["grid_points"] == 2
     assert (tmp_path / "expdir" / "table.csv").exists()
     assert (tmp_path / "expdir" / "report.json").exists()
+
+
+def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
+    # the preset replaces p, repetitions and nu and keeps every other
+    # field, with and without --config; the experiment itself is not run
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return {"failures": []}
+
+    monkeypatch.setattr("coxfield.cli.run_experiment", fake_run)
+    out = str(tmp_path / "paper")
+    assert main(["experiment", "--paper-scale", "--output", out]) == 0
+    assert seen[-1] == ExperimentConfig(p=2000, repetitions=20, nu=0.005,
+                                        output_dir=out)
+    assert seen[-1] == ExperimentConfig.paper_scale(output_dir=out)
+    capsys.readouterr()
+
+    cfg = _tiny_config(tmp_path, solver_cfg=SolverConfig(max_epochs=50))
+    cfg_path = tmp_path / "cfg.json"
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg.to_jsonable(), fh)
+    assert main(["experiment", "--config", str(cfg_path), "--paper-scale",
+                 "--output", out]) == 0
+    want = cfg.to_jsonable()
+    want.update(p=2000, repetitions=20, nu=0.005, output_dir=out)
+    assert seen[-1].to_jsonable() == want
+    assert json.loads(capsys.readouterr().out)["repetitions"] == 20
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -4,9 +4,9 @@ from scipy.integrate import quad
 
 from coxfield.prox import ElasticNetPenalty, prox_enet, prox_enet_dot, prox_g
 from coxfield.rs import (OrderParameters, RsInconsistencyError,
-                         enet_prior_moments, rs_residuals_general,
-                         rs_rhs_enet, sample_population, sample_prior,
-                         solve_lambda, solve_rs, solve_rs_path)
+                         RsNonConvergenceError, enet_prior_moments,
+                         rs_residuals_general, rs_rhs_enet, sample_population,
+                         sample_prior, solve_lambda, solve_rs, solve_rs_path)
 from coxfield.scalar import std_normal_pdf
 from coxfield.survival import nelson_aalen
 from coxfield.synthgen import GeneratorSpec
@@ -36,8 +36,8 @@ def test_population_basics():
 def test_solve_lambda_monotone_and_nonnegative():
     pop = sample_population(GEN, 1.0, 3000, seed=2)
     lam = solve_lambda(pop, w=0.5, v=0.6, tau=1.2)
-    assert np.all(lam.values >= 0)
-    assert np.all(np.diff(lam.values) >= -1e-15)
+    assert np.all(lam.jumps >= 0)
+    assert np.all(np.diff(lam.evaluate(np.sort(pop.t))) >= 0)
     assert lam.evaluate(0.0) == 0.0
 
 
@@ -48,18 +48,22 @@ def test_solve_lambda_small_tau_reduces_to_nelson_aalen():
     assert np.max(np.abs(lam.evaluate(pop.t) - hz.evaluate(pop.t))) <= 1e-6
 
 
-def test_solve_lambda_self_consistency_oracle():
+def _hazard_oracle_gap(pop, w, v, tau, lam):
     # independent re-evaluation of both hazard equations by direct sums
-    pop = sample_population(GEN, 1.0, 600, seed=4)
-    w, v, tau = 0.4, 0.5, 1.1
-    lam = solve_lambda(pop, w, v, tau)
     u = w * pop.z0 + v * pop.q
     xi = prox_g(u, lam.evaluate(pop.t), pop.delta, tau)
     theta = pop.t[None, :] >= pop.t[:, None]        # Theta(t_j - t_i)
     s_at = (np.exp(xi)[None, :] * theta).mean(axis=1)
     lam_direct = ((pop.t[:, None] >= pop.t[None, :])
                   * pop.delta[None, :] / s_at[None, :]).mean(axis=1)
-    assert np.max(np.abs(lam_direct - lam.evaluate(pop.t))) <= 1e-8
+    return np.max(np.abs(lam_direct - lam.evaluate(pop.t)))
+
+
+def test_solve_lambda_self_consistency_oracle():
+    pop = sample_population(GEN, 1.0, 600, seed=4)
+    w, v, tau = 0.4, 0.5, 1.1
+    lam = solve_lambda(pop, w, v, tau)
+    assert _hazard_oracle_gap(pop, w, v, tau, lam) <= 1e-8
 
 
 def _quad_moments(w_hat, v_hat, tau_hat, pen, nu):
@@ -184,3 +188,51 @@ def test_solve_rs_path_warm_starts():
     assert all(pt is not None for pt in points)
     ws = [pt[0].w for pt in points]
     assert ws == sorted(ws)  # weaker penalty -> larger signal recovery here
+
+
+def test_solve_rs_returns_a_verified_fixed_point():
+    # the returned hazard solves the hazard equations at the returned
+    # scalars, and one more RHS evaluation barely moves the scalars
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3)]
+    n_pop, seed = 800, 2
+    points = solve_rs_path(pens, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
+                           n_pop=n_pop, seed=seed)
+    single = solve_rs(pens[0], nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
+                      n_pop=n_pop, seed=seed)
+    assert all(pt is not None for pt in points)
+    assert np.array_equal(single[0].as_array(), points[0][0].as_array())
+    pop = sample_population(GEN, 1.0, n_pop, seed=seed)
+    for pen, (op, lam) in zip(pens, points):
+        assert _hazard_oracle_gap(pop, op.w, op.v, op.tau, lam) <= 1e-8
+        prop = rs_rhs_enet(op, pop, lam, pen, nu=0.02, zeta=2.0)
+        assert np.max(np.abs(prop.as_array() - op.as_array())) <= 1e-5
+        diag = op.diagnostics
+        assert diag["iterations"] >= 1 and diag["seconds"] >= 0.0
+        assert diag["hazard_residual"] <= 1e-8
+        assert diag["scalar_residual"] <= 1e-6
+
+
+def test_solve_rs_nonconvergence_reports_residuals():
+    with pytest.raises(RsNonConvergenceError) as exc:
+        solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN, n_pop=500,
+                 seed=13, max_iter=3)
+    err = exc.value
+    assert err.iterations == 3
+    assert err.hazard_residual > 0.0 and err.scalar_residual > 1e-6
+    assert "after 3 iterations" in str(err)
+    with pytest.raises(RsNonConvergenceError) as exc:
+        solve_lambda(sample_population(GEN, 1.0, 500, seed=13), 0.4, 0.5, 1.1,
+                     max_iter=2)
+    assert exc.value.iterations == 2 and exc.value.scalar_residual is None
+    with pytest.raises(ValueError):
+        solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN, n_pop=500,
+                 seed=13, init=OrderParameters(0.5, 0.5, 0.0, 0.5, 0.5, 1.0))
+
+
+def test_order_parameters_diagnostics_stay_out_of_comparisons():
+    a = OrderParameters(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    b = OrderParameters.from_array(a.as_array())
+    b.diagnostics = {"iterations": 7}
+    assert a == b and a.diagnostics == {}
+    assert a.as_array().shape == (6,)

@@ -54,6 +54,23 @@ def test_lambert_exp_matches_direct():
     assert big + np.log(big) == pytest.approx(5000.0, rel=1e-13)
 
 
+def test_lambert_exp_mpmath_oracle():
+    # 50-digit reference on the range the Cox prox reaches and beyond;
+    # where W0 underflows to a subnormal only one unit in the last place
+    # is representable
+    import mpmath
+    ys = np.concatenate([np.linspace(-745.0, 5000.0, 1150),
+                         np.linspace(-40.0, 40.0, 321)])
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.lambertw(mpmath.exp(mpmath.mpf(y))))
+                        for y in ys])
+    got = lambert_w0_exp(ys)
+    tiny = np.nextafter(0.0, 1.0)
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref + tiny)
+    assert lambert_w0_exp(-np.inf) == 0.0
+    assert lambert_w0_exp(np.array([-np.inf]))[0] == 0.0
+
+
 def test_normal_trivials():
     assert std_normal_tail(0.0) == 0.5
     assert std_normal_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-15)

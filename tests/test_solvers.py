@@ -153,3 +153,14 @@ def test_solver_config_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
+
+
+def test_solver_config_max_epochs():
+    # zero used to fall through to the per-solver default
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            SolverConfig(max_epochs=bad)
+    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=12)
+    cfg = SolverConfig(max_epochs=1)
+    for fit in (fit_amp(data, PEN, cfg=cfg), fit_cd(data, PEN, cfg=cfg)):
+        assert fit.epochs == 1 and not fit.converged
