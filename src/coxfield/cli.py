@@ -9,7 +9,7 @@ writes its artifacts to --output.  Exit codes: 0 success, 1 usage error,
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -216,9 +216,7 @@ def _cmd_experiment(args):
         cfg = ExperimentConfig()
     if args.paper_scale:
         # the preset's fields replace the config's, every other field stays
-        kept = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                if f.name not in PAPER_SCALE}
-        cfg = ExperimentConfig.paper_scale(**kept)
+        cfg = replace(cfg, **PAPER_SCALE)
     if args.output:
         cfg.output_dir = args.output
     report = run_experiment(cfg)

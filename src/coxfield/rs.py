@@ -169,7 +169,7 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
         tau_hat denominator v - E[Q xi] is not positive.
     """
     u = op.w * pop.z0 + op.v * pop.q
-    xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
+    xi = prox_g(u, lam(pop.t), pop.delta, op.tau)
     return _rhs_from_xi(op, pop, u, xi, pen, nu, zeta)
 
 

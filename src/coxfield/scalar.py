@@ -87,9 +87,10 @@ def lambert_w0_exp(y):
     Solves w + log(w) = y by a fixed number of Fritsch-Shafer-Crowley
     steps (Fritsch, Shafer & Crowley, CACM 16, 1973) from a guess built on
     log(1 + e^y); relative error below 1e-14 for every finite y (one unit
-    in the last place where W0 is subnormal).  Overflow-safe for
-    arbitrarily large y; y = -inf maps to 0.  This is the kernel of the
-    Cox proximal map.
+    in the last place where W0 is subnormal).  Below y = -40, W0(e^y) =
+    e^y (1 - e^y + ...) equals e^y to rounding and is returned as such,
+    down to 0 at y = -inf.  Overflow-safe for arbitrarily large y.  This
+    is the kernel of the Cox proximal map.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = (y_arr.ndim == 0)
@@ -97,8 +98,8 @@ def lambert_w0_exp(y):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # log(1 + e^y) without overflow, then a global two-to-three-digit
         # approximation of W0 in terms of it
-        l1 = np.log1p(np.exp(np.minimum(y_arr, 36.0))) \
-            + np.maximum(y_arr - 36.0, 0.0)
+        ey = np.exp(np.minimum(y_arr, 36.0))
+        l1 = np.log1p(ey) + np.maximum(y_arr - 36.0, 0.0)
         w = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
         for _ in range(_FSC_STEPS):
             z = y_arr - np.log(w) - w
@@ -107,7 +108,7 @@ def lambert_w0_exp(y):
             # (q - z)/(q - 2z) written as 1 + z/(q - 2z): an overflowing q
             # then reduces the step to Newton's instead of inf/inf
             w = w * (1.0 + z / w1 * (1.0 + z / (q - 2.0 * z)))
-    w[y_arr == -np.inf] = 0.0
+        w = np.where(y_arr < -40.0, ey, w)
     return float(w[0]) if scalar else w
 
 

@@ -67,8 +67,12 @@ def test_lambert_exp_mpmath_oracle():
     got = lambert_w0_exp(ys)
     tiny = np.nextafter(0.0, 1.0)
     assert np.all(np.abs(got - ref) <= 1e-14 * ref + tiny)
+    # below -745.13 e^y underflows to 0; W0 stays finite and equals e^y
+    far = np.array([-745.2, -746.0, -800.0, -1e4, -1e300, -np.inf])
+    got = lambert_w0_exp(far)
+    assert np.all(np.isfinite(got)) and np.all(got == np.exp(far))
     assert lambert_w0_exp(-np.inf) == 0.0
-    assert lambert_w0_exp(np.array([-np.inf]))[0] == 0.0
+    assert lambert_w0_exp(-800.0) == 0.0
 
 
 def test_normal_trivials():
