@@ -45,7 +45,6 @@ def _gen_flags(sub):
 
 def _solver_flags(sub):
     sub.add_argument("--solver", choices=sorted(_SOLVERS), default="cd")
-    sub.add_argument("--alpha", type=float, required=True)
     sub.add_argument("--l1-ratio", type=float, default=0.75)
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--max-epochs", type=int, default=None)
@@ -243,19 +242,16 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit one penalized Cox model")
     fit.add_argument("--input", required=True)
+    fit.add_argument("--alpha", type=float, required=True)
     _solver_flags(fit)
     fit.add_argument("--output", required=True)
     fit.set_defaults(func=_cmd_fit)
 
     path = sub.add_parser("path", help="fit a warm-started penalty path")
     path.add_argument("--input", required=True)
-    path.add_argument("--solver", choices=sorted(_SOLVERS), default="cd")
     path.add_argument("--alpha-grid", required=True,
                       help="comma-separated decreasing alphas")
-    path.add_argument("--l1-ratio", type=float, default=0.75)
-    path.add_argument("--tol", type=float, default=1e-8)
-    path.add_argument("--max-epochs", type=int, default=None)
-    path.add_argument("--damping", type=float, default=0.5)
+    _solver_flags(path)
     path.add_argument("--output", required=True)
     path.set_defaults(func=_cmd_path)
 

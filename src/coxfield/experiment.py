@@ -5,13 +5,10 @@ and aggregated CSV emission.
 Repetition r uses seed base_seed + r, split into independent streams for
 the signal, the training set and the held-out test set; aggregation is an
 ordered reduction over repetition index, so identical configs produce
-byte-identical outputs.  COXFIELD_THREADS (default 1) caps the number of
-worker threads running repetitions concurrently.
+byte-identical outputs.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -188,13 +185,7 @@ def run_experiment(cfg):
     per grid point.  Per-point failures are recorded in the report and the
     run continues.  Writes table.csv and report.json to cfg.output_dir.
     """
-    workers = max(1, int(os.environ.get("COXFIELD_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rep_out = list(pool.map(lambda r: _run_repetition(cfg, r),
-                                    range(cfg.repetitions)))
-    else:
-        rep_out = [_run_repetition(cfg, r) for r in range(cfg.repetitions)]
+    rep_out = [_run_repetition(cfg, r) for r in range(cfg.repetitions)]
 
     rs_points = solve_rs_path(cfg.penalties, cfg.nu, cfg.theta0, cfg.zeta,
                               cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed,

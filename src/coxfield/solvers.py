@@ -12,11 +12,12 @@ step sizes (tau, tau_hat) needed for order-parameter estimation.
 """
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
 from .prox import cox_prox_bundle, prox_enet, prox_enet_dot, prox_g
-from .survival import nelson_aalen
+from .survival import SortedRiskSets, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 CD_MAX_EPOCHS = 100
@@ -26,7 +27,7 @@ class FitDivergedError(RuntimeError):
     """A solver iterate became non-finite."""
 
 
-def _all_censored_result(data, with_amp_state):
+def _all_censored_result(data, with_amp_state, t0):
     # no events: the loss is identically zero, the penalized minimizer is
     # the origin and the hazard vanishes; this is an exact fixed point of
     # both iterations
@@ -36,7 +37,18 @@ def _all_censored_result(data, with_amp_state):
         kwargs = {"xi": np.zeros(data.n), "tau": 1.0, "tau_hat": 1.0}
     return FitResult(beta_hat=np.zeros(data.p), hazard=hazard, converged=True,
                      epochs=1, final_err=0.0,
-                     diagnostics={"all_censored": True}, **kwargs)
+                     diagnostics={"stop_reason": "all_censored",
+                                  "seconds": perf_counter() - t0}, **kwargs)
+
+
+def _hazard_at_times(data):
+    """Map linear predictors to the Nelson-Aalen hazard at every observed
+    time (the values `nelson_aalen(...).evaluate(data.times)` gives); the
+    times are sorted once, for all epochs of a fit."""
+    order = np.argsort(data.times, kind="stable")
+    inverse = np.argsort(order)
+    rs = SortedRiskSets(data.times[order], data.events[order])
+    return lambda lin_pred: rs.hazard(lin_pred[order])[inverse]
 
 
 @dataclass
@@ -65,7 +77,10 @@ class SolverConfig:
 class FitResult:
     """Solver output: coefficients, fitted hazard, convergence diagnostics.
 
-    xi, tau, tau_hat are populated by the AMP solver only.
+    xi, tau, tau_hat are populated by the AMP solver only.  diagnostics
+    holds "stop_reason" ("tol", "max_epochs" or "all_censored"; "diverged"
+    with the "error" message on a diverged `reg_path` point) and the wall
+    time "seconds" of the fit.
     """
 
     beta_hat: np.ndarray
@@ -85,6 +100,11 @@ def _check_finite(epoch, **fields):
             raise FitDivergedError(
                 f"non-finite {name} at epoch {epoch}; the penalty is likely "
                 "too weak for a minimizer to exist")
+
+
+def _stop_diagnostics(converged, t0):
+    return {"stop_reason": "tol" if converged else "max_epochs",
+            "seconds": perf_counter() - t0}
 
 
 def fit_amp(data, pen, init=None, cfg=None):
@@ -107,6 +127,7 @@ def fit_amp(data, pen, init=None, cfg=None):
         Warm start (beta_hat, and xi/tau/tau_hat when present).
     cfg : SolverConfig, optional
     """
+    t0 = perf_counter()
     cfg = cfg or SolverConfig()
     max_epochs = AMP_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     d = cfg.damping
@@ -115,20 +136,20 @@ def fit_amp(data, pen, init=None, cfg=None):
     zeta = p / n
 
     if not np.any(D == 1.0):
-        return _all_censored_result(data, with_amp_state=True)
+        return _all_censored_result(data, with_amp_state=True, t0=t0)
 
+    hazard_at = _hazard_at_times(data)
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
         tau = float(init.tau) if init.tau is not None else 1.0
         tau_hat = float(init.tau_hat) if init.tau_hat is not None else 1.0
-        hazard = init.hazard
+        lamT = init.hazard.evaluate(T)
     else:
         beta = np.zeros(p)
         xi = np.zeros(n)
         tau = tau_hat = 1.0
-        hazard = nelson_aalen(T, D, np.zeros(n))
-    lamT = hazard.evaluate(T)
+        lamT = hazard_at(np.zeros(n))
 
     converged = False
     err = np.inf
@@ -137,8 +158,7 @@ def fit_amp(data, pen, init=None, cfg=None):
         epoch += 1
         # hazard refresh at the proximal points of the current field
         lin = prox_g(xi, lamT, D, tau)
-        hazard = nelson_aalen(T, D, lin)
-        lamT_new = hazard.evaluate(T)
+        lamT_new = hazard_at(lin)
         err2 = np.max(np.abs(lamT_new - lamT)) ** 2
         lamT = lamT_new
 
@@ -163,7 +183,9 @@ def fit_amp(data, pen, init=None, cfg=None):
         tau = tau_new
 
         err = np.sqrt(err2)
-        _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
+        # from finite iterates, a non-finite new one makes err non-finite
+        if not np.isfinite(err):
+            _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
         if err < cfg.tol:
             converged = True
             break
@@ -174,9 +196,10 @@ def fit_amp(data, pen, init=None, cfg=None):
     _, mdot, _ = cox_prox_bundle(xi, lamT, D, tau)
     beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
 
-    return FitResult(beta_hat=beta, hazard=hazard, converged=converged,
-                     epochs=epoch, final_err=float(err), xi=xi,
-                     tau=float(tau), tau_hat=float(tau_hat))
+    return FitResult(beta_hat=beta, hazard=nelson_aalen(T, D, lin),
+                     converged=converged, epochs=epoch, final_err=float(err),
+                     xi=xi, tau=float(tau), tau_hat=float(tau_hat),
+                     diagnostics=_stop_diagnostics(converged, t0))
 
 
 def fit_cd(data, pen, init=None, cfg=None):
@@ -191,18 +214,22 @@ def fit_cd(data, pen, init=None, cfg=None):
     Coordinates with zero curvature are skipped (counted in
     diagnostics["skipped_coordinates"]).
     """
+    t0 = perf_counter()
     cfg = cfg or SolverConfig()
     max_epochs = CD_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     X, T, D = data.design, data.times, data.events
     n, p = data.n, data.p
+    alpha, eta = pen.alpha, pen.eta
 
     if not np.any(D == 1.0):
-        return _all_censored_result(data, with_amp_state=False)
+        return _all_censored_result(data, with_amp_state=False, t0=t0)
 
+    hazard_at = _hazard_at_times(data)
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
-    hazard = nelson_aalen(T, D, X @ beta)
-    lamT = hazard.evaluate(T)
+    lp = X @ beta
+    lamT = hazard_at(lp)
     X2 = X * X
+    cols = [X[:, k] for k in range(p)]
 
     converged = False
     err = np.inf
@@ -210,11 +237,12 @@ def fit_cd(data, pen, init=None, cfg=None):
     skipped = 0
     while epoch < max_epochs:
         epoch += 1
-        lp = X @ beta
         wdiag = lamT * np.exp(lp)
-        score = X.T @ (wdiag - D)
-        curv = X2.T @ wdiag
-        phi = beta.copy()
+        # the sweep runs on Python floats: numpy scalar arithmetic would
+        # dominate it
+        score = (X.T @ (wdiag - D)).tolist()
+        curv = (X2.T @ wdiag).tolist()
+        phi = beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero
         r = np.zeros(n)
         for k in range(p):
@@ -222,26 +250,37 @@ def fit_cd(data, pen, init=None, cfg=None):
             if mkk <= 0.0:
                 skipped += 1
                 continue
-            xk = X[:, k]
-            psi_k = (xk @ r + mkk * phi[k] - score[k]) / mkk
-            new = prox_enet(psi_k, 1.0 / mkk, pen)
+            xk = cols[k]
+            psi_k = (float(xk @ r) + mkk * phi[k] - score[k]) / mkk
+            # prox_enet(psi_k, tauhat, pen), the same operations on floats
+            tauhat = 1.0 / mkk
+            thresh = alpha * tauhat
+            if psi_k > thresh:
+                new = (psi_k - thresh) / (1.0 + eta * tauhat)
+            elif psi_k < -thresh:
+                new = (psi_k + thresh) / (1.0 + eta * tauhat)
+            else:
+                # a signed zero, or NaN that the divergence check reports
+                new = psi_k * 0.0
             if new != phi[k]:
                 r -= wdiag * xk * (new - phi[k])
                 phi[k] = new
-        beta_new = phi
-        hazard = nelson_aalen(T, D, X @ beta_new)
-        lamT_new = hazard.evaluate(T)
+        beta_new = np.array(phi)
+        lp = X @ beta_new
+        lamT_new = hazard_at(lp)
         err = np.sqrt(np.max(np.abs(beta_new - beta)) ** 2
                       + np.max(np.abs(lamT_new - lamT)) ** 2)
         beta, lamT = beta_new, lamT_new
-        _check_finite(epoch, beta=beta, err=err)
+        if not np.isfinite(err):
+            _check_finite(epoch, beta=beta, err=err)
         if err < cfg.tol:
             converged = True
             break
 
-    return FitResult(beta_hat=beta, hazard=hazard, converged=converged,
-                     epochs=epoch, final_err=float(err),
-                     diagnostics={"skipped_coordinates": skipped})
+    return FitResult(beta_hat=beta, hazard=nelson_aalen(T, D, lp),
+                     converged=converged, epochs=epoch, final_err=float(err),
+                     diagnostics={"skipped_coordinates": skipped,
+                                  **_stop_diagnostics(converged, t0)})
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}
@@ -270,7 +309,8 @@ def reg_path(data, pen_grid, solver, cfg=None):
         except FitDivergedError as exc:
             res = FitResult(beta_hat=np.full(data.p, np.nan), hazard=None,
                             converged=False, epochs=0, final_err=np.nan,
-                            diagnostics={"error": str(exc)})
+                            diagnostics={"stop_reason": "diverged",
+                                         "error": str(exc)})
         else:
             init = res
         results.append(res)

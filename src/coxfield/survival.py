@@ -132,7 +132,14 @@ class SortedRiskSets:
 
     def hazard(self, lin_pred):
         """Nelson-Aalen hazard at each time, weights e^lin_pred."""
-        return np.cumsum(self.events / self.risk_sums(np.exp(lin_pred)))[self._last]
+        risk = self.risk_sums(np.exp(lin_pred))
+        levels = np.cumsum(self.events / risk)
+        if np.isnan(levels[-1]):
+            # censored times add nothing, also where every weight at risk
+            # underflowed and 0/0 = NaN would poison the later levels
+            levels = np.cumsum(np.divide(self.events, risk, where=self.events == 1.0,
+                                         out=np.zeros_like(risk)))
+        return levels[self._last]
 
     def step_hazard(self, levels):
         """The StepHazard through `levels`, a nondecreasing hazard at each

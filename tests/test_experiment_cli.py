@@ -96,6 +96,8 @@ def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
     assert fit_summary["converged"]
     rec = json.loads(fit_json.read_text())
     assert {"beta_hat", "hazard", "tau", "tau_hat", "diagnostics"} <= set(rec)
+    assert rec["diagnostics"]["stop_reason"] == "tol"
+    assert rec["diagnostics"]["seconds"] > 0.0
     assert len(rec["hazard"]["knots"]) == len(rec["hazard"]["jumps"])
 
     est_json = tmp_path / "est.json"
@@ -121,6 +123,7 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     assert rc == 0
     records = json.loads(out.read_text())
     assert len(records) == 3
+    assert all(r["diagnostics"]["stop_reason"] == "tol" for r in records)
     capsys.readouterr()
 
     rs_csv = tmp_path / "rs.csv"

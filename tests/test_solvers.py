@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from coxfield import solvers
 from coxfield.prox import ElasticNetPenalty, prox_g
-from coxfield.solvers import (FitDivergedError, SolverConfig, fit_amp, fit_cd,
-                              reg_path)
+from coxfield.solvers import (FitDivergedError, FitResult, SolverConfig,
+                              fit_amp, fit_cd, reg_path)
 from coxfield.survival import SurvivalDataset, nelson_aalen
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
-from oracles import ppl_gradient, prox_gradient_minimizer
+from oracles import (ppl_gradient, prox_gradient_minimizer, reference_amp,
+                     reference_cd)
 
 
 def _instance(p, zeta, nu, seed, theta0=1.0):
@@ -33,6 +35,8 @@ def test_all_censored_fixed_point():
         assert res.converged and res.epochs <= 2
         assert np.array_equal(res.beta_hat, np.zeros(data.p))
         assert res.hazard.knots.size == 0
+        assert res.diagnostics["stop_reason"] == "all_censored"
+        assert res.diagnostics["seconds"] >= 0.0
 
 
 def test_tiny_instances_match_oracle():
@@ -54,6 +58,8 @@ def test_cd_kkt_residual():
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
     res = fit_cd(data, PEN)
     assert res.converged
+    assert res.diagnostics["stop_reason"] == "tol"
+    assert res.diagnostics["seconds"] > 0.0
     grad = ppl_gradient(data, res.beta_hat)
     beta = res.beta_hat
     nz = beta != 0
@@ -67,6 +73,8 @@ def test_amp_fixed_point_identity():
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=4)
     res = fit_amp(data, PEN)
     assert res.converged
+    assert res.diagnostics["stop_reason"] == "tol"
+    assert res.diagnostics["seconds"] > 0.0
     lamT = res.hazard.evaluate(data.times)
     lhs = prox_g(res.xi, lamT, data.events, res.tau)
     assert np.max(np.abs(lhs - data.design @ res.beta_hat)) <= 10 * 1e-8
@@ -164,3 +172,69 @@ def test_solver_config_max_epochs():
     cfg = SolverConfig(max_epochs=1)
     for fit in (fit_amp(data, PEN, cfg=cfg), fit_cd(data, PEN, cfg=cfg)):
         assert fit.epochs == 1 and not fit.converged
+        assert fit.diagnostics["stop_reason"] == "max_epochs"
+
+
+def test_reg_path_records_divergence(monkeypatch):
+    data, _ = _instance(p=30, zeta=2.0, nu=0.1, seed=9)
+
+    def diverge(data, pen, init=None, cfg=None):
+        raise FitDivergedError("non-finite beta at epoch 3")
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", diverge)
+    (res,) = reg_path(data, [PEN], "cd")
+    assert not res.converged and res.hazard is None
+    assert res.diagnostics == {"stop_reason": "diverged",
+                               "error": "non-finite beta at epoch 3"}
+
+
+@pytest.mark.parametrize("fit, scale", [(fit_cd, 1e3), (fit_amp, 1e6)])
+def test_divergence_names_the_field(fit, scale):
+    # a far-off start overflows the at-risk weights; only err is tested
+    # each epoch, the message still names the first non-finite field
+    data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
+    init = FitResult(beta_hat=np.full(data.p, scale), hazard=fit_cd(data, PEN).hazard,
+                     converged=True, epochs=1, final_err=0.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            FitDivergedError, match=r"^non-finite beta at epoch \d+; the penalty"):
+        fit(data, PEN, init=init)
+
+
+def _with_tied_times(data):
+    # one decimal: most event times are shared by several subjects
+    return SurvivalDataset(np.round(data.times, 1) + 0.1, data.events,
+                           data.design)
+
+
+@pytest.mark.parametrize("solver, reference", [("cd", reference_cd),
+                                               ("amp", reference_amp)])
+def test_solvers_reproduce_reference_loops(solver, reference):
+    # the solvers sort the times once per fit and run the CD sweep on
+    # floats; the reference loops call nelson_aalen every epoch and
+    # prox_enet per coordinate.  Untied times: the same arithmetic, bit
+    # for bit (AMP's hazard is nelson_aalen at its final proximal points).
+    # Tied times: tied contributions are summed in another order.
+    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
+    tied = _with_tied_times(data)
+    assert np.unique(tied.times).size < tied.n // 2
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.42, 0.37, 0.32)]
+    for d, tol in ((data, 0.0), (tied, 1e-13)):
+        init = None
+        for pen, fit in zip(pens, reg_path(d, pens, solver)):
+            ref = reference(d, pen, init=init)
+            init = ref
+            assert fit.converged and ref.converged
+            assert fit.epochs == ref.epochs
+            assert np.array_equal(fit.hazard.knots, ref.hazard.knots)
+            pairs = [(fit.beta_hat, ref.beta_hat),
+                     (fit.hazard.jumps, ref.hazard.jumps),
+                     (fit.final_err, ref.final_err)]
+            if solver == "amp":
+                pairs += [(fit.xi, ref.xi), (fit.tau, ref.tau),
+                          (fit.tau_hat, ref.tau_hat)]
+            for got, want in pairs:
+                if tol == 0.0:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(np.subtract(got, want))) <= tol

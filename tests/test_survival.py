@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coxfield.prox import ElasticNetPenalty
-from coxfield.survival import (StepHazard, SurvivalDataset, harrell_c,
-                               nelson_aalen, nelson_aalen_dataset,
+from coxfield.survival import (SortedRiskSets, StepHazard, SurvivalDataset,
+                               harrell_c, nelson_aalen, nelson_aalen_dataset,
                                penalized_partial_likelihood, rscv_c_index,
                                rscv_predictors)
 from oracles import prox_gradient_minimizer
@@ -99,6 +99,22 @@ def test_nelson_aalen_tied_event_times():
     # both subjects at t=1 see all three at risk
     assert hz.evaluate(1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert hz.evaluate(2.0) == pytest.approx(2.0 / 3.0 + 1.0, rel=1e-15)
+
+
+def test_sorted_risk_sets_hazard_where_weights_underflow():
+    # e^-800 = 0: the censored subjects 7 and 8 have an empty risk sum
+    # (0/0 if they were divided through) and must leave the hazard as is;
+    # the first event with an empty risk sum gets an infinite jump
+    times = np.arange(1.0, 9.0)
+    events = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    rs = SortedRiskSets(times, events)
+    for cut in (5, 4):
+        lp = np.where(np.arange(8) >= cut, -800.0, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = nelson_aalen(times, events, lp).evaluate(times)
+            got = rs.hazard(lp)
+        assert np.array_equal(got, want)
+        assert not np.any(np.isnan(got)) and np.isinf(got[-1])
 
 
 def test_nelson_aalen_shift_covariance():
