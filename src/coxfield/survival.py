@@ -113,15 +113,18 @@ class SortedRiskSets:
         self.times = times_sorted
         self.events = events_sorted
         self._first = np.searchsorted(times_sorted, times_sorted, side="left")
+        self._event_idx = np.flatnonzero(events_sorted == 1.0)
 
     @cached_property
-    def _last(self):
-        return np.searchsorted(self.times, self.times, side="right") - 1
+    def _events_upto(self):
+        # events at or before each time, its ties included
+        last = np.searchsorted(self.times, self.times, side="right")
+        return np.searchsorted(self._event_idx, last)
 
     @cached_property
     def _knots(self):
         # distinct event times and an index of a subject at each
-        ev = np.flatnonzero(self.events == 1.0)
+        ev = self._event_idx
         knots, pos = np.unique(self.times[ev], return_index=True)
         knots.setflags(write=False)
         return knots, ev[pos]
@@ -132,14 +135,10 @@ class SortedRiskSets:
 
     def hazard(self, lin_pred):
         """Nelson-Aalen hazard at each time, weights e^lin_pred."""
-        risk = self.risk_sums(np.exp(lin_pred))
-        levels = np.cumsum(self.events / risk)
-        if np.isnan(levels[-1]):
-            # censored times add nothing, also where every weight at risk
-            # underflowed and 0/0 = NaN would poison the later levels
-            levels = np.cumsum(np.divide(self.events, risk, where=self.events == 1.0,
-                                         out=np.zeros_like(risk)))
-        return levels[self._last]
+        # only events add 1/R_i: a censored time whose whole risk set
+        # underflowed (R_i = 0) adds no 0/0 = NaN to the later levels
+        steps = 1.0 / self.risk_sums(np.exp(lin_pred))[self._event_idx]
+        return np.concatenate(([0.0], np.cumsum(steps)))[self._events_upto]
 
     def step_hazard(self, levels):
         """The StepHazard through `levels`, a nondecreasing hazard at each
