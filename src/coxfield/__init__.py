@@ -21,8 +21,8 @@ from .scalar import (lambert_w0, lambert_w0_exp, soft_threshold,
 from .solvers import (FitDivergedError, FitResult, SolverConfig, fit_amp,
                       fit_cd, reg_path)
 from .survival import (StepHazard, SurvivalDataset, harrell_c, nelson_aalen,
-                       nelson_aalen_dataset, penalized_partial_likelihood,
-                       rscv_c_index, rscv_predictors)
+                       penalized_partial_likelihood, rscv_c_index,
+                       rscv_predictors)
 from .synthgen import (GeneratorSpec, SignalSpec, generate_dataset,
                        sample_design, sample_observations, sample_signal)
 
@@ -37,7 +37,7 @@ __all__ = [
     "estimate_from_cd", "estimate_tau_cd", "field_residual_moments", "fit_amp",
     "fit_cd", "g", "g_ddot", "g_dot", "generate_dataset", "harrell_c",
     "lambert_w0", "lambert_w0_exp", "local_field", "moreau_ddot_g",
-    "moreau_dot_g", "nelson_aalen", "nelson_aalen_dataset",
+    "moreau_dot_g", "nelson_aalen",
     "penalized_partial_likelihood", "prox_enet", "prox_enet_dot", "prox_g",
     "reg_path", "rs_residuals_general", "rs_rhs_enet", "rscv_c_index",
     "rscv_predictors", "run_experiment", "sample_design",

@@ -77,7 +77,7 @@ def _load_fit(path):
     with open(path, "r", encoding="utf-8") as fh:
         rec = json.load(fh)
     hazard = StepHazard(np.array(rec["hazard"]["knots"]),
-                        np.array(rec["hazard"]["jumps"]))
+                        np.cumsum(rec["hazard"]["jumps"]))
     pen = ElasticNetPenalty(**rec["penalty"])
     fit = FitResult(beta_hat=np.array(rec["beta_hat"]), hazard=hazard,
                     converged=rec["diagnostics"]["converged"],

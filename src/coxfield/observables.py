@@ -55,9 +55,16 @@ def local_field(data, beta_hat, hazard, tau, tau_hat):
     standard deviation v_hat.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
-    lp = data.design @ beta_hat
-    gd = hazard.evaluate(data.times) * np.exp(lp) - data.events
+    _, _, gd = _cox_gradients(data, beta_hat, hazard)
     return beta_hat - tau_hat * (data.design.T @ gd)
+
+
+def _cox_gradients(data, beta_hat, hazard):
+    # linear predictor lp, curvature g_ddot = Lambda(T) e^lp and gradient
+    # g_dot = g_ddot - Delta of the Cox loss at the fit
+    lp = data.design @ beta_hat
+    gdd = hazard.evaluate(data.times) * np.exp(lp)
+    return lp, gdd, gdd - data.events
 
 
 def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
@@ -65,10 +72,7 @@ def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
         raise EstimationError("all-censored data: order parameters undefined")
     beta_hat = np.asarray(beta_hat, dtype=float)
     n, p = data.n, data.p
-    lp = data.design @ beta_hat
-    lamT = hazard.evaluate(data.times)
-    gd = lamT * np.exp(lp) - data.events
-    gdd = lamT * np.exp(lp)
+    lp, gdd, gd = _cox_gradients(data, beta_hat, hazard)
 
     v_hat_sq = tau_hat ** 2 * np.mean(gd ** 2) / zeta
     v_hat_alt = float(np.sqrt(tau_hat ** 2 * np.mean(gdd) / zeta))
@@ -132,8 +136,7 @@ def estimate_tau_cd(data, fit, pen, zeta):
     k = np.count_nonzero(beta_hat) / data.p
     if k == 0.0:
         raise EstimationError("null model: tau_hat undefined")
-    lp = data.design @ beta_hat
-    gdd = fit.hazard.evaluate(data.times) * np.exp(lp)
+    _, gdd, _ = _cox_gradients(data, beta_hat, fit.hazard)
 
     def f(t):
         return zeta * (k - pen.eta * t) - np.mean(t * gdd / (1.0 + t * gdd))

@@ -9,13 +9,14 @@ expectations are population averages.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
 from .prox import prox_enet, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
-from .survival import SortedRiskSets
+from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
 
 # sup-norm bound on the undamped hazard-map residual at a returned hazard
@@ -66,7 +67,8 @@ class OrderParameters:
 @dataclass(frozen=True)
 class RsPopulation:
     """Monte Carlo population (Z0, Q, Delta, T) with (Delta, T) | Z0 drawn
-    from the survival generator at linear predictor theta0 * Z0."""
+    from the survival generator at linear predictor theta0 * Z0, in any
+    order (`sample_population` draws it in time order)."""
 
     z0: np.ndarray
     q: np.ndarray
@@ -78,27 +80,25 @@ class RsPopulation:
     def size(self):
         return self.t.shape[0]
 
-    def _sorted(self):
-        # (this population in ascending time order, its risk sets), cached
-        cached = getattr(self, "_sorted_cache", None)
-        if cached is None:
-            order = np.argsort(self.t, kind="stable")
-            srt = RsPopulation(self.z0[order], self.q[order],
-                               self.delta[order], self.t[order], self.theta0)
-            cached = (srt, SortedRiskSets(srt.t, srt.delta))
-            object.__setattr__(self, "_sorted_cache", cached)
-        return cached
+    @cached_property
+    def risk_sets(self):
+        """The population's risk sets, shared by every solve on it (so the
+        hazards of one population share their knots)."""
+        return RiskSets(self.t, self.delta)
 
 
 def sample_population(gen, theta0, n_pop=5000, seed=0):
-    """Draw an i.i.d. RS population of size n_pop (at least 100)."""
+    """Draw an i.i.d. RS population of size n_pop (at least 100), in
+    ascending time order."""
     if n_pop < 100:
         raise ValueError("population size must be at least 100")
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal(n_pop)
     q = rng.standard_normal(n_pop)
     t, delta = _sample_times_given_eta(theta0 * z0, gen, rng)
-    return RsPopulation(z0=z0, q=q, delta=delta, t=t, theta0=theta0)
+    order = np.argsort(t, kind="stable")
+    return RsPopulation(z0=z0[order], q=q[order], delta=delta[order],
+                        t=t[order], theta0=theta0)
 
 
 def solve_lambda(pop, w, v, tau, damping=0.5, tol=_HAZARD_TOL, max_iter=500):
@@ -115,12 +115,12 @@ def solve_lambda(pop, w, v, tau, damping=0.5, tol=_HAZARD_TOL, max_iter=500):
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sp, risk = pop._sorted()
-    u = w * sp.z0 + v * sp.q
+    risk = pop.risk_sets
+    u = w * pop.z0 + v * pop.q
     lam = risk.hazard(u)
     residual = np.inf
     for _ in range(max_iter):
-        lam_new = risk.hazard(prox_g(u, lam, sp.delta, tau))
+        lam_new = risk.hazard(prox_g(u, lam, pop.delta, tau))
         residual = np.max(np.abs(lam_new - lam))
         if residual <= tol:
             return risk.step_hazard(lam)
@@ -207,15 +207,15 @@ def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
              tol=1e-6, max_iter=500, init=None, pop=None):
     """Solve the six RS equations and the hazard equations jointly.
 
-    One damped fixed-point loop over (order parameters, hazard) on the
-    time-sorted population: each step computes xi = prox_g(w Z0 + v Q,
-    Lambda, Delta, tau) once, applies the hazard map to it once, takes
-    the six right-hand sides from the same xi, and damps scalars and
-    hazard together.  Stops when the undamped hazard residual is at most
-    1e-8 and the undamped scalar change at most `tol` (sup-norms), and
-    returns that verified iterate; `max_iter` counts joint steps.  Pass
-    `pop` to reuse one population across calls (common random numbers
-    along a regularization path).
+    One damped fixed-point loop over (order parameters, hazard): each
+    step computes xi = prox_g(w Z0 + v Q, Lambda, Delta, tau) once,
+    applies the hazard map to it once, takes the six right-hand sides
+    from the same xi, and damps scalars and hazard together.  Stops when
+    the undamped hazard residual is at most 1e-8 and the undamped scalar
+    change at most `tol` (sup-norms), and returns that verified iterate;
+    `max_iter` counts joint steps.  Pass `pop` to reuse one population
+    and its risk sets across calls (common random numbers along a
+    regularization path).
 
     Returns (OrderParameters, StepHazard); the order parameters'
     `diagnostics` hold the joint `iterations`, the final
@@ -228,16 +228,16 @@ def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
          else _DEFAULT_INIT * (theta0, 1.0, 1.0, theta0, 1.0, 1.0))
     if x[2] <= 0:
         raise ValueError("tau must be positive")
-    sp, risk = pop._sorted()
+    risk = pop.risk_sets
     # tau-free start: the population Nelson-Aalen hazard at the raw field
-    lam = risk.hazard(x[0] * sp.z0 + x[1] * sp.q)
+    lam = risk.hazard(x[0] * pop.z0 + x[1] * pop.q)
     haz_res = scal_res = np.inf
     for it in range(1, max_iter + 1):
         op = OrderParameters.from_array(x)
-        u = op.w * sp.z0 + op.v * sp.q
-        xi = prox_g(u, lam, sp.delta, op.tau)
+        u = op.w * pop.z0 + op.v * pop.q
+        xi = prox_g(u, lam, pop.delta, op.tau)
         lam_new = risk.hazard(xi)
-        prop = _rhs_from_xi(op, sp, u, xi, pen, nu, zeta).as_array()
+        prop = _rhs_from_xi(op, pop, u, xi, pen, nu, zeta).as_array()
         haz_res = float(np.max(np.abs(lam_new - lam)))
         scal_res = float(np.max(np.abs(prop - x)))
         if haz_res <= _HAZARD_TOL and scal_res <= tol:
@@ -269,9 +269,9 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
         if inits is not None and inits[i] is not None:
             start = inits[i]
         try:
-            op, lam = solve_rs(pen, nu, theta0, zeta, gen, seed=seed,
-                               damping=damping, tol=tol, max_iter=max_iter,
-                               init=start, pop=pop)
+            op, lam = solve_rs(pen, nu, theta0, zeta, gen, damping=damping,
+                               tol=tol, max_iter=max_iter, init=start,
+                               pop=pop)
         except (RsInconsistencyError, RsNonConvergenceError):
             results.append(None)
         else:

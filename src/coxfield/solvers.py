@@ -17,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .prox import cox_prox_bundle, prox_enet, prox_enet_dot, prox_g
-from .survival import SortedRiskSets, nelson_aalen
+from .survival import RiskSets, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 CD_MAX_EPOCHS = 100
@@ -39,16 +39,6 @@ def _all_censored_result(data, with_amp_state, t0):
                      epochs=1, final_err=0.0,
                      diagnostics={"stop_reason": "all_censored",
                                   "seconds": perf_counter() - t0}, **kwargs)
-
-
-def _hazard_at_times(data):
-    """Map linear predictors to the Nelson-Aalen hazard at every observed
-    time (the values `nelson_aalen(...).evaluate(data.times)` gives); the
-    times are sorted once, for all epochs of a fit."""
-    order = np.argsort(data.times, kind="stable")
-    inverse = np.argsort(order)
-    rs = SortedRiskSets(data.times[order], data.events[order])
-    return lambda lin_pred: rs.hazard(lin_pred[order])[inverse]
 
 
 @dataclass
@@ -138,7 +128,8 @@ def fit_amp(data, pen, init=None, cfg=None):
     if not np.any(D == 1.0):
         return _all_censored_result(data, with_amp_state=True, t0=t0)
 
-    hazard_at = _hazard_at_times(data)
+    # the times are sorted once, for every epoch and the returned hazard
+    rs = RiskSets(T, D)
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -149,7 +140,7 @@ def fit_amp(data, pen, init=None, cfg=None):
         beta = np.zeros(p)
         xi = np.zeros(n)
         tau = tau_hat = 1.0
-        lamT = hazard_at(np.zeros(n))
+        lamT = rs.hazard(np.zeros(n))
 
     converged = False
     err = np.inf
@@ -158,7 +149,7 @@ def fit_amp(data, pen, init=None, cfg=None):
         epoch += 1
         # hazard refresh at the proximal points of the current field
         lin = prox_g(xi, lamT, D, tau)
-        lamT_new = hazard_at(lin)
+        lamT_new = rs.hazard(lin)
         err2 = np.max(np.abs(lamT_new - lamT)) ** 2
         lamT = lamT_new
 
@@ -196,7 +187,7 @@ def fit_amp(data, pen, init=None, cfg=None):
     _, mdot, _ = cox_prox_bundle(xi, lamT, D, tau)
     beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
 
-    return FitResult(beta_hat=beta, hazard=nelson_aalen(T, D, lin),
+    return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
                      converged=converged, epochs=epoch, final_err=float(err),
                      xi=xi, tau=float(tau), tau_hat=float(tau_hat),
                      diagnostics=_stop_diagnostics(converged, t0))
@@ -224,10 +215,11 @@ def fit_cd(data, pen, init=None, cfg=None):
     if not np.any(D == 1.0):
         return _all_censored_result(data, with_amp_state=False, t0=t0)
 
-    hazard_at = _hazard_at_times(data)
+    # the times are sorted once, for every epoch and the returned hazard
+    rs = RiskSets(T, D)
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
-    lamT = hazard_at(lp)
+    lamT = rs.hazard(lp)
     X2 = X * X
     cols = [X[:, k] for k in range(p)]
 
@@ -267,7 +259,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                 phi[k] = new
         beta_new = np.array(phi)
         lp = X @ beta_new
-        lamT_new = hazard_at(lp)
+        lamT_new = rs.hazard(lp)
         err = np.sqrt(np.max(np.abs(beta_new - beta)) ** 2
                       + np.max(np.abs(lamT_new - lamT)) ** 2)
         beta, lamT = beta_new, lamT_new
@@ -277,7 +269,7 @@ def fit_cd(data, pen, init=None, cfg=None):
             converged = True
             break
 
-    return FitResult(beta_hat=beta, hazard=nelson_aalen(T, D, lp),
+    return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
                      converged=converged, epochs=epoch, final_err=float(err),
                      diagnostics={"skipped_coordinates": skipped,
                                   **_stop_diagnostics(converged, t0)})

@@ -35,6 +35,8 @@ class SurvivalDataset:
             raise ValueError("times must be finite and positive")
         if not np.all((events == 0.0) | (events == 1.0)):
             raise ValueError("events must be 0/1")
+        if not np.all(np.isfinite(design)):
+            raise ValueError("design must be finite")
         for arr in (times, events, design):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -74,77 +76,92 @@ class StepHazard:
     """Right-continuous nondecreasing step function for a cumulative hazard.
 
     `knots` are strictly increasing jump locations (event times) and
-    `jumps` the nonnegative increments; the value at t is the sum of
-    jumps at knots <= t, zero before the first knot.
+    `values` the nonnegative, nondecreasing hazard at each knot; the value
+    at t is the value at the last knot <= t, zero before the first knot.
     """
 
     knots: np.ndarray
-    jumps: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
         knots = np.ascontiguousarray(self.knots, dtype=float)
-        jumps = np.ascontiguousarray(self.jumps, dtype=float)
-        if knots.shape != jumps.shape or knots.ndim != 1:
-            raise ValueError("knots and jumps must be 1-d of equal length")
+        values = np.ascontiguousarray(self.values, dtype=float)
+        if knots.shape != values.shape or knots.ndim != 1:
+            raise ValueError("knots and values must be 1-d of equal length")
         if knots.size and np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if np.any(jumps < 0):
-            raise ValueError("jumps must be nonnegative")
+        if np.any(np.diff(values, prepend=0.0) < 0):
+            raise ValueError("values must be nonnegative and nondecreasing")
         knots.setflags(write=False)
-        jumps.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def jumps(self):
+        """The increments of the hazard at the knots."""
+        return np.diff(self.values, prepend=0.0)
 
     def evaluate(self, t):
         """Evaluate the cumulative hazard at time(s) t."""
         idx = np.searchsorted(self.knots, t, side="right")
-        out = np.concatenate([[0.0], np.cumsum(self.jumps)])[idx]
+        out = np.concatenate(([0.0], self.values))[idx]
         return float(out) if np.ndim(t) == 0 else out
 
     __call__ = evaluate
 
 
-class SortedRiskSets:
-    """Risk sets {j : t_j >= t_i} of ascending times with 0/1 events (ties
-    share one).  Tie bounds and event times are found once, for loops that
-    evaluate many hazards on one sample; their step functions share knots."""
+class RiskSets:
+    """Risk sets {j : t_j >= t_i} of a sample of times with 0/1 events
+    (ties share one), in any order.  The sample is sorted once and its
+    index maps composed once, for loops that evaluate many hazards on it:
+    arrays go in and come out in the sample's own order, and the step
+    functions share one knots array."""
 
-    def __init__(self, times_sorted, events_sorted):
-        self.times = times_sorted
-        self.events = events_sorted
-        self._first = np.searchsorted(times_sorted, times_sorted, side="left")
-        self._event_idx = np.flatnonzero(events_sorted == 1.0)
-
-    @cached_property
-    def _events_upto(self):
-        # events at or before each time, its ties included
-        last = np.searchsorted(self.times, self.times, side="right")
-        return np.searchsorted(self._event_idx, last)
+    def __init__(self, times, events):
+        times = np.asarray(times, dtype=float)
+        self._order = np.argsort(times, kind="stable")
+        inverse = np.empty_like(self._order)
+        inverse[self._order] = np.arange(self._order.size)
+        self._times = times[self._order]
+        self._event_idx = np.flatnonzero(np.asarray(events)[self._order] == 1.0)
+        first = np.searchsorted(self._times, self._times, side="left")
+        last = np.searchsorted(self._times, self._times, side="right")
+        # the first sorted position of the risk set of each sample index
+        # and of each event, and the number of events at or before each
+        # time (its ties included), per sample index
+        self._first = first[inverse]
+        self._event_first = first[self._event_idx]
+        self._upto = np.searchsorted(self._event_idx, last)[inverse]
 
     @cached_property
     def _knots(self):
-        # distinct event times and an index of a subject at each
+        # distinct event times and the sample index of a subject at each
         ev = self._event_idx
-        knots, pos = np.unique(self.times[ev], return_index=True)
+        knots, pos = np.unique(self._times[ev], return_index=True)
         knots.setflags(write=False)
-        return knots, ev[pos]
+        return knots, self._order[ev[pos]]
+
+    def _tail_sums(self, weights):
+        # sums of the weights at the sorted positions i and after
+        return np.cumsum(weights[self._order][::-1])[::-1]
 
     def risk_sums(self, weights):
         """R_i = sum_{j : t_j >= t_i} weights_j."""
-        return np.cumsum(weights[::-1])[::-1][self._first]
+        return self._tail_sums(weights)[self._first]
 
     def hazard(self, lin_pred):
         """Nelson-Aalen hazard at each time, weights e^lin_pred."""
         # only events add 1/R_i: a censored time whose whole risk set
         # underflowed (R_i = 0) adds no 0/0 = NaN to the later levels
-        steps = 1.0 / self.risk_sums(np.exp(lin_pred))[self._event_idx]
-        return np.concatenate(([0.0], np.cumsum(steps)))[self._events_upto]
+        steps = 1.0 / self._tail_sums(np.exp(lin_pred))[self._event_first]
+        return np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
 
     def step_hazard(self, levels):
         """The StepHazard through `levels`, a nondecreasing hazard at each
         time that is constant over ties (as `hazard` returns)."""
         knots, at = self._knots
-        return StepHazard(knots, np.diff(levels[at], prepend=0.0))
+        return StepHazard(knots, levels[at])
 
 
 def nelson_aalen(times, events, lin_pred):
@@ -161,27 +178,12 @@ def nelson_aalen(times, events, lin_pred):
     lin_pred : ndarray, shape (n,)
         Linear predictors entering the at-risk weights exp(lin_pred).
     """
-    times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=float)
-    lin_pred = np.asarray(lin_pred, dtype=float)
     if not np.any(events == 1.0):
         warnings.warn("no events: returning identically-zero hazard")
         return StepHazard(np.empty(0), np.empty(0))
-    order = np.argsort(times, kind="stable")
-    ts = times[order]
-    ds = events[order]
-    risk = SortedRiskSets(ts, ds).risk_sums(np.exp(lin_pred[order]))
-    ev = ds == 1.0
-    ev_times = ts[ev]
-    contrib = 1.0 / risk[ev]
-    knots, inverse = np.unique(ev_times, return_inverse=True)
-    jumps = np.bincount(inverse, weights=contrib, minlength=knots.size)
-    return StepHazard(knots, jumps)
-
-
-def nelson_aalen_dataset(data, lin_pred):
-    """Nelson-Aalen estimator for a SurvivalDataset."""
-    return nelson_aalen(data.times, data.events, lin_pred)
+    rs = RiskSets(times, events)
+    return rs.step_hazard(rs.hazard(np.asarray(lin_pred, dtype=float)))
 
 
 def penalized_partial_likelihood(data, beta, pen):
@@ -193,14 +195,10 @@ def penalized_partial_likelihood(data, beta, pen):
     Overflowing linear predictors surface as +/- inf, not an exception.
     """
     beta = np.asarray(beta, dtype=float)
-    eta_lp = data.design @ beta
-    order = np.argsort(data.times, kind="stable")
-    ts = data.times[order]
-    ds = data.events[order]
-    lp = eta_lp[order]
+    lp = data.design @ beta
     with np.errstate(over="ignore"):
-        risk = SortedRiskSets(ts, ds).risk_sums(np.exp(lp))
-    ev = ds == 1.0
+        risk = RiskSets(data.times, data.events).risk_sums(np.exp(lp))
+    ev = data.events == 1.0
     with np.errstate(divide="ignore"):
         loss = np.sum(np.log(risk[ev] / data.n) - lp[ev])
     return loss + pen.alpha * np.sum(np.abs(beta)) \

@@ -5,9 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from coxfield.cli import main
+from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment
-from coxfield.solvers import SolverConfig
+from coxfield.prox import ElasticNetPenalty
+from coxfield.solvers import SolverConfig, reg_path
+from coxfield.survival import SurvivalDataset
+from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -196,7 +199,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     # numerical failure: estimation undefined on an all-censored dataset
     data_csv = tmp_path / "cens.csv"
     import warnings
-    from coxfield.survival import SurvivalDataset
     rng = np.random.default_rng(0)
     SurvivalDataset(rng.uniform(0.5, 1.0, 30), np.zeros(30),
                     rng.normal(0, 0.3, (30, 10))).to_csv(data_csv)
@@ -211,6 +213,42 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "e.json")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_non_finite_covariate(tmp_path, capsys):
+    # a NaN in the design is a usage error (exit 1), not a solver failure
+    rng = np.random.default_rng(1)
+    data_csv = tmp_path / "nan.csv"
+    SurvivalDataset(rng.uniform(0.5, 1.5, 30), np.ones(30),
+                    rng.normal(0, 0.3, (30, 4))).to_csv(data_csv)
+    lines = data_csv.read_text().splitlines()
+    row = lines[5].split(",")
+    row[3] = "nan"
+    lines[5] = ",".join(row)
+    data_csv.write_text("\n".join(lines) + "\n")
+    for solver in ("amp", "cd"):
+        rc = main(["fit", "--input", str(data_csv), "--solver", solver,
+                   "--alpha", "0.4", "--output", str(tmp_path / "f.json")])
+        assert rc == 1
+        assert "design must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["amp", "cd"])
+def test_fit_record_roundtrip_keeps_hazard(tmp_path, solver):
+    # the JSON stores the hazard's jumps; loading sums them back to the
+    # fitted values bit for bit
+    sig = SignalSpec(p=120, nu=0.05, theta0=1.0, seed=8)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=8)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.45, 0.35, 0.3)]
+    for pen, fit in zip(pens, reg_path(data, pens, solver)):
+        path = tmp_path / f"{solver}.json"
+        path.write_text(json.dumps(_fit_record(fit, pen)))
+        back, back_pen = _load_fit(path)
+        assert back_pen == pen
+        assert np.array_equal(back.beta_hat, fit.beta_hat)
+        assert np.array_equal(back.hazard.knots, fit.hazard.knots)
+        assert np.array_equal(back.hazard.values, fit.hazard.values)
 
 
 def test_console_script_installed():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from coxfield.prox import ElasticNetPenalty
-from coxfield.survival import (SortedRiskSets, StepHazard, SurvivalDataset,
-                               harrell_c, nelson_aalen, nelson_aalen_dataset,
+from coxfield.survival import (RiskSets, StepHazard, SurvivalDataset,
+                               harrell_c, nelson_aalen,
                                penalized_partial_likelihood, rscv_c_index,
                                rscv_predictors)
 from oracles import prox_gradient_minimizer
@@ -29,6 +29,9 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         SurvivalDataset(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]),
                         np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="design must be finite"):
+        SurvivalDataset(np.array([1.0, 2.0]), np.array([1.0, 0.0]),
+                        np.array([[0.1, np.nan], [0.2, 0.3]]))
 
 
 def test_csv_roundtrip(tmp_path):
@@ -44,7 +47,7 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_step_hazard_evaluation_semantics():
-    hz = StepHazard(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
+    hz = StepHazard(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
     assert hz.evaluate(0.999) == 0.0
     assert hz.evaluate(1.0) == 0.5      # knot included at t = knot
     assert hz.evaluate(1.5) == 0.5
@@ -57,6 +60,31 @@ def test_step_hazard_evaluation_semantics():
         StepHazard(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         StepHazard(np.array([1.0]), np.array([-0.1]))
+    # values are cumulative: decreasing ones are rejected, jumps derived
+    assert np.array_equal(hz.jumps, [0.5, 1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        StepHazard(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
+
+
+def test_risk_sets_any_order():
+    # a shuffled sample gives the sorted sample's risk sums and hazard,
+    # permuted, bit for bit (untied times), and the same step function
+    rng = np.random.default_rng(21)
+    n = 200
+    times = np.sort(rng.uniform(0.1, 3.0, n))
+    events = (rng.uniform(size=n) < 0.6).astype(float)
+    lp = rng.normal(0, 1, n)
+    perm = rng.permutation(n)
+    srt = RiskSets(times, events)
+    shuf = RiskSets(times[perm], events[perm])
+    assert np.array_equal(shuf.risk_sums(np.exp(lp[perm])),
+                          srt.risk_sums(np.exp(lp))[perm])
+    levels = srt.hazard(lp)
+    got = shuf.hazard(lp[perm])
+    assert np.array_equal(got, levels[perm])
+    a, b = srt.step_hazard(levels), shuf.step_hazard(got)
+    assert np.array_equal(a.knots, b.knots)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_nelson_aalen_two_subject_oracle():
@@ -101,13 +129,13 @@ def test_nelson_aalen_tied_event_times():
     assert hz.evaluate(2.0) == pytest.approx(2.0 / 3.0 + 1.0, rel=1e-15)
 
 
-def test_sorted_risk_sets_hazard_where_weights_underflow():
+def test_risk_sets_hazard_where_weights_underflow():
     # e^-800 = 0: the censored subjects 7 and 8 have an empty risk sum
     # (0/0 if they were divided through) and must leave the hazard as is;
     # the first event with an empty risk sum gets an infinite jump
     times = np.arange(1.0, 9.0)
     events = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-    rs = SortedRiskSets(times, events)
+    rs = RiskSets(times, events)
     for cut in (5, 4):
         lp = np.where(np.arange(8) >= cut, -800.0, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -217,7 +245,7 @@ def test_harrell_no_comparable_pairs():
 def test_rscv_predictors_trivials():
     data = _toy_dataset(seed=15)
     beta = np.array([0.5, -0.2, 0.1])
-    hz = nelson_aalen_dataset(data, data.design @ beta)
+    hz = nelson_aalen(data.times, data.events, data.design @ beta)
     lp = data.design @ beta
     assert np.allclose(rscv_predictors(data, beta, hz, 1e-300), lp, atol=1e-12)
     empty = StepHazard(np.empty(0), np.empty(0))
@@ -232,7 +260,7 @@ def test_rscv_score_equation_at_unpenalized_optimum():
     pen = ElasticNetPenalty.from_weights(0.0, 0.0)
     beta_star = prox_gradient_minimizer(data, pen, tol=1e-13)
     lp = data.design @ beta_star
-    hz = nelson_aalen_dataset(data, lp)
+    hz = nelson_aalen(data.times, data.events, lp)
     gd = hz.evaluate(data.times) * np.exp(lp) - data.events
     assert np.max(np.abs(data.design.T @ gd)) <= 1e-8
 
@@ -240,6 +268,6 @@ def test_rscv_score_equation_at_unpenalized_optimum():
 def test_rscv_c_index_matches_harrell_at_zero_tau():
     data = _toy_dataset(seed=17)
     beta = np.array([0.4, 0.3, -0.6])
-    hz = nelson_aalen_dataset(data, data.design @ beta)
+    hz = nelson_aalen(data.times, data.events, data.design @ beta)
     c_direct = harrell_c(data.times, data.events, data.design @ beta)
     assert rscv_c_index(data, beta, hz, 1e-300) == pytest.approx(c_direct, abs=1e-12)
