@@ -9,7 +9,7 @@ writes its artifacts to --output.  Exit codes: 0 success, 1 usage error,
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,7 @@ def _penalty(alpha, l1_ratio):
 
 def _fit_record(fit, pen):
     rec = {
-        "penalty": {"alpha": pen.alpha, "eta": pen.eta,
-                    "rho": pen.rho, "l1_ratio": pen.l1_ratio},
+        "penalty": asdict(pen),
         "beta_hat": None if fit.beta_hat is None else list(map(float, fit.beta_hat)),
         "hazard": None if fit.hazard is None else {
             "knots": list(map(float, fit.hazard.knots)),
@@ -97,10 +96,8 @@ def _cmd_generate(args):
     sidecar = out.with_suffix(".json")
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump({
-            "signal": {"p": sig.p, "nu": sig.nu, "theta0": sig.theta0,
-                       "seed": sig.seed, "s": sig.s},
-            "generator": {"phi0": gen.phi0, "rho0": gen.rho0, "tau1": gen.tau1,
-                          "tau2": gen.tau2, "zeta": gen.zeta},
+            "signal": {**asdict(sig), "s": sig.s},
+            "generator": asdict(gen),
             "beta0": list(map(float, beta0)),
         }, fh, indent=1)
     _emit({"command": "generate", "csv": str(out), "sidecar": str(sidecar),

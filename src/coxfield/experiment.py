@@ -9,7 +9,7 @@ byte-identical outputs.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from .survival import harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 _EST_FIELDS = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")
-# the fields `ExperimentConfig.paper_scale` sets
+_FIT_FIELDS = ("true_w", "true_v", "rscv", "test_c")
+# the paper-scale preset: dataclasses.replace(cfg, **PAPER_SCALE)
 PAPER_SCALE = {"p": 2000, "repetitions": 20, "nu": 0.005}
 
 
@@ -31,11 +32,12 @@ PAPER_SCALE = {"p": 2000, "repetitions": 20, "nu": 0.005}
 class ExperimentConfig:
     """Configuration for a full repetition experiment.
 
-    pen_grid is a list of (alpha, l1_ratio) pairs sorted by decreasing
-    alpha at fixed l1_ratio; solver is "amp", "cd" or "both"; pop_size is
-    the RS population size.  Desk-scale defaults (p=500, 10 repetitions,
-    pop_size 5000) run in minutes; the paper-scale variant (p=2000, 20
-    repetitions) is available through `paper_scale`.
+    pen_grid is a non-empty list of (alpha, l1_ratio) pairs, l1_ratio in
+    (0, 1], sorted by decreasing alpha at fixed l1_ratio; solver is "amp",
+    "cd" or "both"; pop_size is the RS population size.  Desk-scale
+    defaults (p=500, 10 repetitions, pop_size 5000) run in minutes; the
+    paper-scale variant (p=2000, 20 repetitions) is
+    `dataclasses.replace(cfg, **PAPER_SCALE)`.
     """
 
     zeta: float = 2.0
@@ -65,13 +67,14 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.solver not in ("amp", "cd", "both"):
             raise ValueError("solver must be amp, cd or both")
+        if not self.pen_grid:
+            raise ValueError("pen_grid must not be empty")
+        if any(not 0.0 < l1 <= 1.0 for _, l1 in self.pen_grid):
+            raise ValueError("pen_grid l1_ratio must lie in (0, 1]; drive "
+                             "ridge-only fits through the library API")
         alphas = [a for a, _ in self.pen_grid]
         if any(b > a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("pen_grid must be sorted by decreasing alpha")
-
-    @property
-    def n(self):
-        return int(round(self.p / self.zeta))
 
     @property
     def solvers(self):
@@ -79,44 +82,38 @@ class ExperimentConfig:
 
     @property
     def penalties(self):
-        if any(l1 <= 0 for _, l1 in self.pen_grid):
-            raise ValueError("pen_grid entries need l1_ratio > 0; drive "
-                             "ridge-only fits through the library API")
         return [ElasticNetPenalty.from_strength(a / l1, l1)
                 for a, l1 in self.pen_grid]
 
     @staticmethod
-    def paper_scale(**overrides):
-        """Paper-scale preset: p = 2000, 20 repetitions, nu = 0.005
-        (`PAPER_SCALE`); `overrides` win over the preset."""
-        return ExperimentConfig(**{**PAPER_SCALE, **overrides})
-
-    @staticmethod
     def from_json(path):
+        """Read a config written by `to_jsonable`; unknown keys, at the
+        top level or in gen or solver_cfg, raise ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = _known_keys(ExperimentConfig, json.load(fh), "config")
         gen_raw = raw.pop("gen", None)
         if gen_raw is not None:
+            gen_raw = _known_keys(GeneratorSpec, gen_raw, "gen")
             gen_raw.setdefault("zeta", raw.get("zeta", 2.0))
             raw["gen"] = GeneratorSpec(**gen_raw)
         if "pen_grid" in raw:
             raw["pen_grid"] = [tuple(pair) for pair in raw["pen_grid"]]
-        if "solver_cfg" in raw and raw["solver_cfg"] is not None:
-            raw["solver_cfg"] = SolverConfig(**raw["solver_cfg"])
+        if raw.get("solver_cfg") is not None:
+            raw["solver_cfg"] = SolverConfig(
+                **_known_keys(SolverConfig, raw["solver_cfg"], "solver_cfg"))
         return ExperimentConfig(**raw)
 
     def to_jsonable(self):
-        out = {k: getattr(self, k) for k in
-               ("zeta", "p", "nu", "theta0", "solver", "repetitions",
-                "base_seed", "pop_size", "output_dir", "rs_tol", "keep_raw")}
-        out["gen"] = {k: getattr(self.gen, k) for k in
-                      ("phi0", "rho0", "tau1", "tau2", "zeta")}
-        out["pen_grid"] = [list(pair) for pair in self.pen_grid]
-        if self.solver_cfg is not None:
-            out["solver_cfg"] = {"tol": self.solver_cfg.tol,
-                                 "max_epochs": self.solver_cfg.max_epochs,
-                                 "damping": self.solver_cfg.damping}
-        return out
+        return asdict(self)
+
+
+def _known_keys(cls, raw, where):
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return raw
 
 
 def _rep_seeds(base_seed, r):
@@ -125,7 +122,8 @@ def _rep_seeds(base_seed, r):
 
 
 def _run_repetition(cfg, r):
-    """All per-repetition work; returns one record per (grid point, solver)."""
+    """All per-repetition work: per solver, one record per grid point, and
+    the failures with their reasons, in solver then grid order."""
     train_seed, test_seed = _rep_seeds(cfg.base_seed, r)
     sig = SignalSpec(p=cfg.p, nu=cfg.nu, theta0=cfg.theta0,
                      seed=cfg.base_seed + r)
@@ -134,46 +132,72 @@ def _run_repetition(cfg, r):
     pens = cfg.penalties
     records = {}
     failures = []
+
+    def fail(i, solver, reason):
+        failures.append({"repetition": r, "grid_index": i, "solver": solver,
+                         "reason": reason})
+
     for solver in cfg.solvers:
         fits = reg_path(train, pens, solver, cfg=cfg.solver_cfg)
+        records[solver] = []
         for i, (pen, fit) in enumerate(zip(pens, fits)):
-            rec = {"converged": bool(fit.converged)}
-            if fit.converged:
-                est = None
+            rec = dict.fromkeys(("converged", "estimate") + _FIT_FIELDS)
+            rec["converged"] = bool(fit.converged)
+            records[solver].append(rec)
+            if not fit.converged:
+                fail(i, solver, "solver did not converge")
+                continue
+            est = None
+            try:
+                est = (estimate_from_amp(train, fit, cfg.zeta)
+                       if solver == "amp"
+                       else estimate_from_cd(train, fit, pen, cfg.zeta))
+                rec["estimate"] = est.as_array().tolist()
+            except EstimationError as exc:
+                fail(i, solver, f"estimate: {exc}")
+            rec["true_w"], rec["true_v"] = true_overlaps(fit.beta_hat, beta0)
+            tau_star = est.tau if est is not None else fit.tau
+            if tau_star is not None:
                 try:
-                    est = (estimate_from_amp(train, fit, cfg.zeta)
-                           if solver == "amp"
-                           else estimate_from_cd(train, fit, pen, cfg.zeta))
-                    rec["estimate"] = est
-                except EstimationError as exc:
-                    failures.append((r, i, solver, f"estimate: {exc}"))
-                w_true, v_true = true_overlaps(fit.beta_hat, beta0)
-                rec["true_w"], rec["true_v"] = w_true, v_true
-                tau_star = fit.tau if solver == "amp" else (
-                    est.tau if est is not None else None)
-                if tau_star is not None:
-                    try:
-                        rec["rscv"] = rscv_c_index(train, fit.beta_hat,
-                                                   fit.hazard, tau_star)
-                    except ValueError as exc:
-                        failures.append((r, i, solver, f"rscv: {exc}"))
-                try:
-                    rec["test_c"] = harrell_c(test.times, test.events,
-                                              test.design @ fit.beta_hat)
+                    rec["rscv"] = rscv_c_index(train, fit.beta_hat,
+                                               fit.hazard, tau_star)
                 except ValueError as exc:
-                    failures.append((r, i, solver, f"test_c: {exc}"))
-            else:
-                failures.append((r, i, solver, "solver did not converge"))
-            records[(i, solver)] = rec
+                    fail(i, solver, f"rscv: {exc}")
+            try:
+                rec["test_c"] = harrell_c(test.times, test.events,
+                                          test.design @ fit.beta_hat)
+            except ValueError as exc:
+                fail(i, solver, f"test_c: {exc}")
     return records, failures
 
 
 def _mean_sd(values):
+    """Mean, sd and count of the finite values; None and NaN are left out."""
     arr = np.array([v for v in values if v is not None and np.isfinite(v)])
     if arr.size == 0:
-        return np.nan, np.nan
+        return np.nan, np.nan, 0
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), sd
+    return float(arr.mean()), sd, arr.size
+
+
+def _aggregate(alpha, l1, rs, point):
+    """One table row from the RS point and the per-fit records of one grid
+    point, and the number of values behind each `_mean` column."""
+    row = {"alpha": alpha, "l1_ratio": l1, "rs_converged": int(rs is not None)}
+    rs_vals = rs[0].as_array() if rs is not None else [np.nan] * 6
+    row.update({f"rs_{f}": x for f, x in zip(_EST_FIELDS, rs_vals)})
+    counts = {}
+    for solver, recs in point.items():
+        row[f"{solver}_n_converged"] = sum(rec["converged"] for rec in recs)
+        ests = [rec["estimate"] for rec in recs if rec["estimate"] is not None]
+        values = {f"est_{f}": [est[j] for est in ests]
+                  for j, f in enumerate(_EST_FIELDS)}
+        values.update({f: [rec[f] for rec in recs] for f in _FIT_FIELDS})
+        for name, vals in values.items():
+            col = f"{solver}_{name}"
+            row[f"{col}_mean"], row[f"{col}_sd"], counts[f"{col}_mean"] = \
+                _mean_sd(vals)
+    return row, counts
 
 
 def run_experiment(cfg):
@@ -183,72 +207,31 @@ def run_experiment(cfg):
     starts, compute data-only estimates, true overlaps, RSCV and held-out
     concordance (test set of equal size); the RS equations are solved once
     per grid point.  Per-point failures are recorded in the report and the
-    run continues.  Writes table.csv and report.json to cfg.output_dir.
+    run continues.  The per-fit records, grouped by grid point and solver
+    in repetition order, give the table rows and, with keep_raw, the
+    report's "raw"; "counts" holds the number of values behind each mean.
+    Writes table.csv and report.json to cfg.output_dir.
     """
-    rep_out = [_run_repetition(cfg, r) for r in range(cfg.repetitions)]
-
+    reps = [_run_repetition(cfg, r) for r in range(cfg.repetitions)]
     rs_points = solve_rs_path(cfg.penalties, cfg.nu, cfg.theta0, cfg.zeta,
                               cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed,
                               tol=cfg.rs_tol)
-
-    columns = ["alpha", "l1_ratio", "rs_converged"]
-    columns += [f"rs_{f}" for f in _EST_FIELDS]
-    for solver in cfg.solvers:
-        columns.append(f"{solver}_n_converged")
-        for f in _EST_FIELDS:
-            columns += [f"{solver}_est_{f}_mean", f"{solver}_est_{f}_sd"]
-        for f in ("true_w", "true_v", "rscv", "test_c"):
-            columns += [f"{solver}_{f}_mean", f"{solver}_{f}_sd"]
-
-    rows = []
-    for i, (alpha, l1) in enumerate(cfg.pen_grid):
-        row = {"alpha": alpha, "l1_ratio": l1}
-        rs = rs_points[i]
-        row["rs_converged"] = int(rs is not None)
-        for j, f in enumerate(_EST_FIELDS):
-            row[f"rs_{f}"] = rs[0].as_array()[j] if rs is not None else np.nan
-        for solver in cfg.solvers:
-            recs = [out[0].get((i, solver), {}) for out in rep_out]
-            row[f"{solver}_n_converged"] = sum(
-                1 for rec in recs if rec.get("converged"))
-            ests = [rec.get("estimate") for rec in recs]
-            for j, f in enumerate(_EST_FIELDS):
-                vals = [e.as_array()[j] for e in ests if e is not None]
-                m, s = _mean_sd(vals)
-                row[f"{solver}_est_{f}_mean"] = m
-                row[f"{solver}_est_{f}_sd"] = s
-            for f in ("true_w", "true_v", "rscv", "test_c"):
-                m, s = _mean_sd([rec.get(f) for rec in recs])
-                row[f"{solver}_{f}_mean"] = m
-                row[f"{solver}_{f}_sd"] = s
-        rows.append(row)
-
-    failures = [f for out in rep_out for f in out[1]]
+    raw = [{solver: [records[solver][i] for records, _ in reps]
+            for solver in cfg.solvers} for i in range(len(cfg.pen_grid))]
+    rows, counts = zip(*(_aggregate(alpha, l1, rs, point) for (alpha, l1), rs,
+                         point in zip(cfg.pen_grid, rs_points, raw)))
     report = {
         "config": cfg.to_jsonable(),
-        "columns": columns,
-        "rows": rows,
-        "failures": [{"repetition": r, "grid_index": i, "solver": s,
-                      "reason": msg} for r, i, s, msg in failures],
+        "columns": list(rows[0]),
+        "rows": list(rows),
+        "counts": list(counts),
+        "failures": [f for _, fails in reps for f in fails],
     }
     if cfg.keep_raw:
-        raw = []
-        for i in range(len(cfg.pen_grid)):
-            point = {}
-            for solver in cfg.solvers:
-                recs = [out[0].get((i, solver), {}) for out in rep_out]
-                point[solver] = [{
-                    "converged": rec.get("converged", False),
-                    "estimate": (rec["estimate"].as_array().tolist()
-                                 if rec.get("estimate") is not None else None),
-                    "true_w": rec.get("true_w"), "true_v": rec.get("true_v"),
-                    "rscv": rec.get("rscv"), "test_c": rec.get("test_c"),
-                } for rec in recs]
-            raw.append(point)
         report["raw"] = raw
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_table_csv(out_dir / "table.csv", columns, rows)
+    write_table_csv(out_dir / "table.csv", report["columns"], rows)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, default=_json_default)
     return report

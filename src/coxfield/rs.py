@@ -251,14 +251,15 @@ def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
                                 haz_res, scal_res)
 
 
-def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
-                  damping=0.5, tol=1e-6, max_iter=500, inits=None):
+def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
+                  inits=None):
     """Solve the RS equations along a penalty grid with warm starts.
 
-    One population is drawn once and reused at every grid point.  Points
-    that fail (non-convergence or RS inconsistency) are returned as None.
-    `inits` optionally supplies a per-point starting OrderParameters
-    (e.g. a previously solved path on another population); otherwise each
+    One population is drawn once and reused at every grid point (solved
+    with `solve_rs`'s default damping and step limit).  Points that fail
+    (non-convergence or RS inconsistency) are returned as None.  `inits`
+    optionally supplies a per-point starting OrderParameters (e.g. a
+    previously solved path on another population); otherwise each
     point starts from the previous point's solution.
     """
     pop = sample_population(gen, theta0, n_pop, seed)
@@ -269,9 +270,8 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
         if inits is not None and inits[i] is not None:
             start = inits[i]
         try:
-            op, lam = solve_rs(pen, nu, theta0, zeta, gen, damping=damping,
-                               tol=tol, max_iter=max_iter, init=start,
-                               pop=pop)
+            op, lam = solve_rs(pen, nu, theta0, zeta, gen, tol=tol,
+                               init=start, pop=pop)
         except (RsInconsistencyError, RsNonConvergenceError):
             results.append(None)
         else:

@@ -31,8 +31,11 @@ def test_experiment_config_validation(tmp_path):
         _tiny_config(tmp_path, pen_grid=[(0.1, 0.75), (0.5, 0.75)])
     with pytest.raises(ValueError):
         _tiny_config(tmp_path, p=10)  # n < 10
-    cfg = ExperimentConfig.paper_scale(output_dir=str(tmp_path))
-    assert cfg.p == 2000 and cfg.repetitions == 20
+    # the grid is checked at construction, before anything runs
+    for grid in ([], [(0.5, 0.0)], [(0.5, -0.2)], [(0.5, 1.5)]):
+        with pytest.raises(ValueError, match="pen_grid"):
+            _tiny_config(tmp_path, pen_grid=grid)
+    assert _tiny_config(tmp_path, pen_grid=[(0.5, 1.0)]).penalties[0].eta == 0.0
 
 
 def test_run_experiment_table_and_determinism(tmp_path):
@@ -54,14 +57,100 @@ def test_run_experiment_table_and_determinism(tmp_path):
 
 
 def test_experiment_config_json_roundtrip(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config(tmp_path, gen=GeneratorSpec(phi0=0.3, zeta=2.0),
+                       solver_cfg=SolverConfig(tol=1e-7, max_epochs=50),
+                       keep_raw=True)
     path = tmp_path / "cfg.json"
     with open(path, "w") as fh:
         json.dump(cfg.to_jsonable(), fh)
-    back = ExperimentConfig.from_json(path)
-    assert back.pen_grid == cfg.pen_grid
-    assert back.gen == cfg.gen
-    assert back.pop_size == cfg.pop_size
+    assert ExperimentConfig.from_json(path) == cfg
+
+
+@pytest.mark.parametrize("where", ["top", "gen", "solver_cfg"])
+def test_experiment_config_rejects_unknown_keys(tmp_path, where):
+    raw = _tiny_config(tmp_path, solver_cfg=SolverConfig()).to_jsonable()
+    (raw if where == "top" else raw[where])["bogus_key"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="bogus_key"):
+        ExperimentConfig.from_json(path)
+
+
+def test_cli_experiment_misspelled_key(tmp_path, capsys):
+    # a usage error (exit 1) naming the key, not a TypeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"repetitons": 3}))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "repetitons" in capsys.readouterr().err
+    path.write_text(json.dumps({"gen": [2.0]}))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "gen must be a JSON object" in capsys.readouterr().err
+
+
+def test_run_experiment_failures_match_records(tmp_path):
+    # every unconverged fit has exactly one failure at its place, listed
+    # by repetition, then solver, then grid point; the means it leaves
+    # out show in the counts
+    cfg = _tiny_config(tmp_path, solver_cfg=SolverConfig(max_epochs=3),
+                       pen_grid=[(0.5, 0.75), (0.35, 0.75), (0.25, 0.75)],
+                       repetitions=3, keep_raw=True)
+    report = run_experiment(cfg)
+    unconverged = [(r, i, solver)
+                   for i, point in enumerate(report["raw"])
+                   for solver, recs in point.items()
+                   for r, rec in enumerate(recs) if not rec["converged"]]
+    assert unconverged
+    failed = [(f["repetition"], f["grid_index"], f["solver"])
+              for f in report["failures"]
+              if f["reason"] == "solver did not converge"]
+    assert sorted(failed) == sorted(unconverged)
+    assert len(set(failed)) == len(failed)
+    order = [(r, cfg.solvers.index(solver), i) for r, i, solver in
+             ((f["repetition"], f["grid_index"], f["solver"])
+              for f in report["failures"])]
+    assert order == sorted(order)
+    for (r, i, solver) in unconverged:
+        rec = report["raw"][i][solver][r]
+        assert rec == {"converged": False, "estimate": None, "true_w": None,
+                       "true_v": None, "rscv": None, "test_c": None}
+    for row, count, point in zip(report["rows"], report["counts"],
+                                 report["raw"]):
+        for solver, recs in point.items():
+            n_conv = sum(rec["converged"] for rec in recs)
+            assert row[f"{solver}_n_converged"] == n_conv
+            assert count[f"{solver}_test_c_mean"] == n_conv
+
+
+def test_report_counts_the_values_behind_each_mean(tmp_path):
+    cfg = _tiny_config(tmp_path, keep_raw=True,
+                       pen_grid=[(5.0, 0.75), (2.0, 0.75), (0.3, 0.75)])
+    report = run_experiment(cfg)
+    assert len(report["counts"]) == len(report["rows"])
+    mean_cols = [c for c in report["columns"] if c.endswith("_mean")]
+    dropped = 0
+    for row, count, point in zip(report["rows"], report["counts"],
+                                 report["raw"]):
+        assert list(count) == mean_cols
+        for solver, recs in point.items():
+            ests = [rec["estimate"] for rec in recs
+                    if rec["estimate"] is not None]
+            for j, f in enumerate(("w", "v", "tau", "w_hat", "v_hat",
+                                   "tau_hat")):
+                vals = [est[j] for est in ests if np.isfinite(est[j])]
+                assert count[f"{solver}_est_{f}_mean"] == len(vals)
+                dropped += len(recs) - len(vals)
+                if vals:
+                    assert row[f"{solver}_est_{f}_mean"] == np.mean(vals)
+                else:
+                    assert np.isnan(row[f"{solver}_est_{f}_mean"])
+            for f in ("true_w", "true_v", "rscv", "test_c"):
+                vals = [rec[f] for rec in recs if rec[f] is not None]
+                assert count[f"{solver}_{f}_mean"] == len(vals)
+    # the strong penalties give null fits: invalid AMP estimates (NaN)
+    # and no CD estimate at all, which the counts record
+    assert dropped > 0
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert on_disk["counts"] == report["counts"]
 
 
 def test_experiment_elbow_shape(tmp_path):
@@ -170,7 +259,6 @@ def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
     assert main(["experiment", "--paper-scale", "--output", out]) == 0
     assert seen[-1] == ExperimentConfig(p=2000, repetitions=20, nu=0.005,
                                         output_dir=out)
-    assert seen[-1] == ExperimentConfig.paper_scale(output_dir=out)
     capsys.readouterr()
 
     cfg = _tiny_config(tmp_path, solver_cfg=SolverConfig(max_epochs=50))
