@@ -9,7 +9,7 @@ byte-identical outputs.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,32 +87,57 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        """Read a config written by `to_jsonable`; unknown keys, at the
-        top level or in gen or solver_cfg, raise ValueError."""
+        """Read a config written by `to_jsonable`; unknown keys and values
+        of the wrong type, at the top level or in gen or solver_cfg, raise
+        ValueError naming the key."""
         with open(path, "r", encoding="utf-8") as fh:
-            raw = _known_keys(ExperimentConfig, json.load(fh), "config")
+            raw = _checked(ExperimentConfig, json.load(fh), "config")
         gen_raw = raw.pop("gen", None)
         if gen_raw is not None:
-            gen_raw = _known_keys(GeneratorSpec, gen_raw, "gen")
+            gen_raw = _checked(GeneratorSpec, gen_raw, "gen")
             gen_raw.setdefault("zeta", raw.get("zeta", 2.0))
             raw["gen"] = GeneratorSpec(**gen_raw)
         if "pen_grid" in raw:
+            if not all(isinstance(pair, list) and len(pair) == 2
+                       and all(_matches(x, float) for x in pair)
+                       for pair in raw["pen_grid"]):
+                raise ValueError("config key 'pen_grid' must be a list of "
+                                 "[alpha, l1_ratio] number pairs")
             raw["pen_grid"] = [tuple(pair) for pair in raw["pen_grid"]]
         if raw.get("solver_cfg") is not None:
             raw["solver_cfg"] = SolverConfig(
-                **_known_keys(SolverConfig, raw["solver_cfg"], "solver_cfg"))
+                **_checked(SolverConfig, raw["solver_cfg"], "solver_cfg"))
         return ExperimentConfig(**raw)
 
     def to_jsonable(self):
         return asdict(self)
 
 
-def _known_keys(cls, raw, where):
+def _matches(value, ftype):
+    """Whether a JSON value can fill a field of type ftype: a bool is no
+    number, an int may stand for a float; a dataclass field is checked on
+    its own."""
+    for t in getattr(ftype, "__args__", (ftype,)):
+        if is_dataclass(t):
+            return True
+        if isinstance(value, bool) == (t is bool) and isinstance(
+                value, (int, float) if t is float else t):
+            return True
+    return False
+
+
+def _checked(cls, raw, where):
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for key, value in raw.items():
+        if not _matches(value, types[key]):
+            name = getattr(types[key], "__name__", str(types[key]))
+            raise ValueError(f"{where} key {key!r} must be {name}, "
+                             f"not {json.dumps(value)}")
     return raw
 
 
@@ -133,9 +158,9 @@ def _run_repetition(cfg, r):
     records = {}
     failures = []
 
-    def fail(i, solver, reason):
+    def fail(i, solver, reason, **extra):
         failures.append({"repetition": r, "grid_index": i, "solver": solver,
-                         "reason": reason})
+                         "reason": reason, **extra})
 
     for solver in cfg.solvers:
         fits = reg_path(train, pens, solver, cfg=cfg.solver_cfg)
@@ -145,7 +170,8 @@ def _run_repetition(cfg, r):
             rec["converged"] = bool(fit.converged)
             records[solver].append(rec)
             if not fit.converged:
-                fail(i, solver, "solver did not converge")
+                fail(i, solver, "solver did not converge",
+                     stop_reason=fit.diagnostics["stop_reason"])
                 continue
             est = None
             try:
@@ -153,6 +179,9 @@ def _run_repetition(cfg, r):
                        if solver == "amp"
                        else estimate_from_cd(train, fit, pen, cfg.zeta))
                 rec["estimate"] = est.as_array().tolist()
+                if not (est.w_valid and est.v_valid):
+                    fail(i, solver, f"invalid estimate: w_valid={est.w_valid}, "
+                                    f"v_valid={est.v_valid}")
             except EstimationError as exc:
                 fail(i, solver, f"estimate: {exc}")
             rec["true_w"], rec["true_v"] = true_overlaps(fit.beta_hat, beta0)

@@ -20,7 +20,18 @@ from .prox import cox_prox_bundle, prox_enet, prox_enet_dot, prox_g
 from .survival import RiskSets, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
+# AMP stall handling: a stall is an err that has not fallen to
+# AMP_STALL_DROP times its value AMP_STALL_WINDOW epochs before; each stall
+# multiplies the damping by AMP_DAMPING_CUT, and a stall that would take it
+# below AMP_DAMPING_FLOOR ends the fit as "stalled"
+AMP_STALL_WINDOW = 50
+AMP_STALL_DROP = 0.5
+AMP_DAMPING_CUT = 0.5
+AMP_DAMPING_FLOOR = 0.1
 CD_MAX_EPOCHS = 100
+# CD extrapolates from its last CD_ANDERSON_K + 1 iterates every
+# CD_ANDERSON_K epochs (0 runs the plain sweeps)
+CD_ANDERSON_K = 5
 
 
 class FitDivergedError(RuntimeError):
@@ -68,9 +79,12 @@ class FitResult:
     """Solver output: coefficients, fitted hazard, convergence diagnostics.
 
     xi, tau, tau_hat are populated by the AMP solver only.  diagnostics
-    holds "stop_reason" ("tol", "max_epochs" or "all_censored"; "diverged"
-    with the "error" message on a diverged `reg_path` point) and the wall
-    time "seconds" of the fit.
+    holds "stop_reason" ("tol", "max_epochs", "stalled" (AMP) or
+    "all_censored"; "diverged" with the "error" message on a diverged
+    `reg_path` point) and the wall time "seconds" of the fit.  AMP adds
+    "err_history" (err after each epoch) and "damping_cuts" ([epoch,
+    damping] after each cut); CD adds "skipped_coordinates",
+    "extrapolations_tried" and "extrapolations_kept".
     """
 
     beta_hat: np.ndarray
@@ -92,9 +106,23 @@ def _check_finite(epoch, **fields):
                 "too weak for a minimizer to exist")
 
 
-def _stop_diagnostics(converged, t0):
-    return {"stop_reason": "tol" if converged else "max_epochs",
-            "seconds": perf_counter() - t0}
+def _stop_diagnostics(stop_reason, t0):
+    return {"stop_reason": stop_reason, "seconds": perf_counter() - t0}
+
+
+def _anderson_mix(iterates):
+    """Anderson extrapolation of the iterates x_0, ..., x_K of a fixed-point
+    map: sum_i c_i x_i over x_1, ..., x_K with the weights c (sum c = 1)
+    that minimize ||U c||, U the differences x_i - x_{i-1}.  None when the
+    weights are not finite."""
+    x = np.array(iterates)
+    u = np.diff(x, axis=0)
+    try:
+        z = np.linalg.solve(u @ u.T, np.ones(len(u)))
+    except np.linalg.LinAlgError:
+        return None
+    c = z / np.sum(z)
+    return c @ x[1:] if np.all(np.isfinite(c)) else None
 
 
 def fit_amp(data, pen, init=None, cfg=None):
@@ -105,9 +133,13 @@ def fit_amp(data, pen, init=None, cfg=None):
     coefficients through the elastic-net prox, and the step size tau; the
     error is the square root of the summed squared sup-norm deltas.
     Damping `cfg.damping` is applied to the (xi, beta, tau, tau_hat)
-    updates.  May legitimately fail to converge at weak regularization;
-    this is reported through `converged`, while non-finite iterates raise
-    FitDivergedError.
+    updates.  When err has not halved over AMP_STALL_WINDOW epochs the
+    damping is halved (diagnostics["damping_cuts"]); a stall that would
+    take it below AMP_DAMPING_FLOOR stops the fit with stop_reason
+    "stalled".  Fits that never stall are unaffected.  diagnostics
+    ["err_history"] holds err after each epoch.  May legitimately fail to
+    converge at weak regularization; this is reported through
+    `converged`, while non-finite iterates raise FitDivergedError.
 
     Parameters
     ----------
@@ -142,8 +174,12 @@ def fit_amp(data, pen, init=None, cfg=None):
         tau = tau_hat = 1.0
         lamT = rs.hazard(np.zeros(n))
 
-    converged = False
+    stop_reason = "max_epochs"
     err = np.inf
+    err_history = []
+    damping_cuts = []
+    # stalls are judged against the errs from this epoch on
+    window_start = 1
     epoch = 0
     while epoch < max_epochs:
         epoch += 1
@@ -174,12 +210,21 @@ def fit_amp(data, pen, init=None, cfg=None):
         tau = tau_new
 
         err = np.sqrt(err2)
+        err_history.append(float(err))
         # from finite iterates, a non-finite new one makes err non-finite
         if not np.isfinite(err):
             _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
         if err < cfg.tol:
-            converged = True
+            stop_reason = "tol"
             break
+        if (epoch - window_start >= AMP_STALL_WINDOW and err > AMP_STALL_DROP
+                * err_history[epoch - 1 - AMP_STALL_WINDOW]):
+            if d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
+                stop_reason = "stalled"
+                break
+            d *= AMP_DAMPING_CUT
+            damping_cuts.append([epoch, d])
+            window_start = epoch
 
     # one undamped prox application so the reported coefficients carry the
     # exact zeros of the soft threshold (the damped iterate only reaches
@@ -188,9 +233,12 @@ def fit_amp(data, pen, init=None, cfg=None):
     beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
 
     return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
-                     converged=converged, epochs=epoch, final_err=float(err),
-                     xi=xi, tau=float(tau), tau_hat=float(tau_hat),
-                     diagnostics=_stop_diagnostics(converged, t0))
+                     converged=stop_reason == "tol", epochs=epoch,
+                     final_err=float(err), xi=xi, tau=float(tau),
+                     tau_hat=float(tau_hat),
+                     diagnostics={"err_history": err_history,
+                                  "damping_cuts": damping_cuts,
+                                  **_stop_diagnostics(stop_reason, t0)})
 
 
 def fit_cd(data, pen, init=None, cfg=None):
@@ -202,8 +250,14 @@ def fit_cd(data, pen, init=None, cfg=None):
     refreshes the hazard with the Nelson-Aalen estimator.  Only the
     curvature diagonal and per-coordinate row actions are ever formed.
 
-    Coordinates with zero curvature are skipped (counted in
-    diagnostics["skipped_coordinates"]).
+    One epoch is a map on the coefficients.  Every CD_ANDERSON_K epochs
+    the last CD_ANDERSON_K + 1 iterates are Anderson-extrapolated, and the
+    extrapolated point replaces the iterate only where it lowers the
+    penalized partial likelihood (diagnostics["extrapolations_tried"] and
+    ["extrapolations_kept"]); the fixed point, and so the fit within the
+    tolerance, is that of the plain sweeps, and the coefficients returned
+    are those of a sweep.  Coordinates with zero curvature are skipped
+    (counted in diagnostics["skipped_coordinates"]).
     """
     t0 = perf_counter()
     cfg = cfg or SolverConfig()
@@ -223,10 +277,13 @@ def fit_cd(data, pen, init=None, cfg=None):
     X2 = X * X
     cols = [X[:, k] for k in range(p)]
 
-    converged = False
+    stop_reason = "max_epochs"
     err = np.inf
     epoch = 0
     skipped = 0
+    # the iterates since the last extrapolation, the start included
+    iterates = [beta]
+    tried = kept = 0
     while epoch < max_epochs:
         epoch += 1
         wdiag = lamT * np.exp(lp)
@@ -266,13 +323,30 @@ def fit_cd(data, pen, init=None, cfg=None):
         if not np.isfinite(err):
             _check_finite(epoch, beta=beta, err=err)
         if err < cfg.tol:
-            converged = True
+            stop_reason = "tol"
             break
+        if not CD_ANDERSON_K or epoch == max_epochs:
+            continue
+        iterates.append(beta)
+        if len(iterates) > CD_ANDERSON_K:
+            tried += 1
+            acc = _anderson_mix(iterates)
+            if acc is not None:
+                lp_acc = X @ acc
+                if (rs.penalized_loss(lp_acc, acc, pen)
+                        < rs.penalized_loss(lp, beta, pen)):
+                    kept += 1
+                    beta, lp = acc, lp_acc
+                    lamT = rs.hazard(lp)
+            iterates = [beta]
 
     return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
-                     converged=converged, epochs=epoch, final_err=float(err),
+                     converged=stop_reason == "tol", epochs=epoch,
+                     final_err=float(err),
                      diagnostics={"skipped_coordinates": skipped,
-                                  **_stop_diagnostics(converged, t0)})
+                                  "extrapolations_tried": tried,
+                                  "extrapolations_kept": kept,
+                                  **_stop_diagnostics(stop_reason, t0)})
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}

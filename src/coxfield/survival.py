@@ -120,11 +120,12 @@ class RiskSets:
 
     def __init__(self, times, events):
         times = np.asarray(times, dtype=float)
+        self._is_event = np.asarray(events) == 1.0
         self._order = np.argsort(times, kind="stable")
         inverse = np.empty_like(self._order)
         inverse[self._order] = np.arange(self._order.size)
         self._times = times[self._order]
-        self._event_idx = np.flatnonzero(np.asarray(events)[self._order] == 1.0)
+        self._event_idx = np.flatnonzero(self._is_event[self._order])
         first = np.searchsorted(self._times, self._times, side="left")
         last = np.searchsorted(self._times, self._times, side="right")
         # the first sorted position of the risk set of each sample index
@@ -149,6 +150,17 @@ class RiskSets:
     def risk_sums(self, weights):
         """R_i = sum_{j : t_j >= t_i} weights_j."""
         return self._tail_sums(weights)[self._first]
+
+    def penalized_loss(self, lin_pred, beta, pen):
+        """`penalized_partial_likelihood` at coefficients beta whose linear
+        predictor is lin_pred; overflow surfaces as +/- inf."""
+        with np.errstate(over="ignore"):
+            risk = self.risk_sums(np.exp(lin_pred))
+        ev = self._is_event
+        with np.errstate(divide="ignore"):
+            loss = np.sum(np.log(risk[ev] / risk.size) - lin_pred[ev])
+        return loss + pen.alpha * np.sum(np.abs(beta)) \
+            + 0.5 * pen.eta * np.sum(beta * beta)
 
     def hazard(self, lin_pred):
         """Nelson-Aalen hazard at each time, weights e^lin_pred."""
@@ -195,14 +207,11 @@ def penalized_partial_likelihood(data, beta, pen):
     Overflowing linear predictors surface as +/- inf, not an exception.
     """
     beta = np.asarray(beta, dtype=float)
-    lp = data.design @ beta
-    with np.errstate(over="ignore"):
-        risk = RiskSets(data.times, data.events).risk_sums(np.exp(lp))
-    ev = data.events == 1.0
-    with np.errstate(divide="ignore"):
-        loss = np.sum(np.log(risk[ev] / data.n) - lp[ev])
-    return loss + pen.alpha * np.sum(np.abs(beta)) \
-        + 0.5 * pen.eta * np.sum(beta * beta)
+    return RiskSets(data.times, data.events).penalized_loss(
+        data.design @ beta, beta, pen)
+
+
+_HARRELL_BLOCK = 256
 
 
 def harrell_c(times, events, scores):
@@ -223,11 +232,16 @@ def harrell_c(times, events, scores):
     scores = np.asarray(scores, dtype=float)
     num = 0.0
     den = 0
-    for i in np.flatnonzero(events == 1.0):
+    # blocks of events against all times; the sums are of integers and
+    # halves, so they are exact in any order
+    ev = np.flatnonzero(events == 1.0)
+    for start in range(0, ev.size, _HARRELL_BLOCK):
+        i = ev[start:start + _HARRELL_BLOCK, None]
         later = times > times[i]
         den += int(np.count_nonzero(later))
-        sj = scores[later]
-        num += np.count_nonzero(scores[i] > sj) + 0.5 * np.count_nonzero(scores[i] == sj)
+        si = scores[i]
+        num += np.count_nonzero(later & (si > scores)) \
+            + 0.5 * np.count_nonzero(later & (si == scores))
     if den == 0:
         raise ValueError("no comparable pairs for the concordance index")
     return num / den

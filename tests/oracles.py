@@ -54,6 +54,17 @@ def ppl_gradient(data, beta):
     return data.design.T @ (hz.evaluate(data.times) * np.exp(lp) - data.events)
 
 
+def harrell_c_loop(times, events, scores):
+    """Harrell concordance, one event at a time against all later times."""
+    num, den = 0.0, 0
+    for i in np.flatnonzero(events == 1.0):
+        later = times > times[i]
+        den += int(np.count_nonzero(later))
+        sj = scores[later]
+        num += np.count_nonzero(scores[i] > sj) + 0.5 * np.count_nonzero(scores[i] == sj)
+    return num / den
+
+
 def prox_gradient_minimizer(data, pen, tol=1e-12, max_iter=200000):
     """Proximal-gradient minimizer of the penalized partial likelihood.
 

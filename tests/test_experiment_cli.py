@@ -104,6 +104,8 @@ def test_run_experiment_failures_match_records(tmp_path):
               for f in report["failures"]
               if f["reason"] == "solver did not converge"]
     assert sorted(failed) == sorted(unconverged)
+    assert all(f["stop_reason"] == "max_epochs" for f in report["failures"]
+               if f["reason"] == "solver did not converge")
     assert len(set(failed)) == len(failed)
     order = [(r, cfg.solvers.index(solver), i) for r, i, solver in
              ((f["repetition"], f["grid_index"], f["solver"])
@@ -151,6 +153,49 @@ def test_report_counts_the_values_behind_each_mean(tmp_path):
     assert dropped > 0
     on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
     assert on_disk["counts"] == report["counts"]
+
+
+def test_failures_list_invalid_estimates(tmp_path):
+    # the strong penalties give null AMP fits whose (w, v) estimates are
+    # invalid: one failure each, after the fit's place in the order
+    cfg = _tiny_config(tmp_path, keep_raw=True,
+                       pen_grid=[(5.0, 0.75), (2.0, 0.75), (0.3, 0.75)])
+    report = run_experiment(cfg)
+    invalid = sorted((r, i, solver)
+                     for i, point in enumerate(report["raw"])
+                     for solver, recs in point.items()
+                     for r, rec in enumerate(recs)
+                     if rec["estimate"] is not None
+                     and not np.all(np.isfinite(rec["estimate"][:2])))
+    assert invalid
+    listed = sorted((f["repetition"], f["grid_index"], f["solver"])
+                    for f in report["failures"]
+                    if f["reason"].startswith("invalid estimate: "))
+    assert listed == invalid
+    order = [(f["repetition"], cfg.solvers.index(f["solver"]), f["grid_index"])
+             for f in report["failures"]]
+    assert order == sorted(order)
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"p": "500"}, "p"), ({"nu": "0.1"}, "nu"), ({"keep_raw": "yes"}, "keep_raw"),
+    ({"repetitions": True}, "repetitions"),
+    ({"solver_cfg": {"max_epochs": 2.5}}, "max_epochs"),
+    ({"gen": {"phi0": "x"}}, "phi0"), ({"pen_grid": [["0.5", 0.75]]}, "pen_grid")])
+def test_cli_experiment_rejects_wrong_value_types(tmp_path, capsys, bad, key):
+    # a usage error (exit 1) naming the key, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(bad))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_experiment_config_int_loads_as_float(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"zeta": 2, "nu": 1, "gen": {"tau1": 1},
+                                "solver_cfg": {"tol": 1, "max_epochs": None}}))
+    cfg = ExperimentConfig.from_json(path)
+    assert (cfg.zeta, cfg.nu, cfg.gen.tau1, cfg.solver_cfg.tol) == (2, 1, 1, 1)
 
 
 def test_experiment_elbow_shape(tmp_path):

@@ -208,13 +208,16 @@ def _with_tied_times(data):
 
 @pytest.mark.parametrize("solver, reference", [("cd", reference_cd),
                                                ("amp", reference_amp)])
-def test_solvers_reproduce_reference_loops(solver, reference):
+def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
     # the solvers sort the times once per fit and run the CD sweep on
     # floats; the reference loops call nelson_aalen every epoch and
     # prox_enet per coordinate.  nelson_aalen runs on the solvers' own
     # risk-set kernel, so on untied and tied times alike the arithmetic
     # is the same, bit for bit (AMP's hazard is the one at its final
-    # proximal points).
+    # proximal points).  CD runs its plain sweeps, without extrapolation;
+    # these AMP fits never stall.
+    if solver == "cd":
+        monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
     data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
     tied = _with_tied_times(data)
     assert np.unique(tied.times).size < tied.n // 2
@@ -236,3 +239,85 @@ def test_solvers_reproduce_reference_loops(solver, reference):
                           (fit.tau_hat, ref.tau_hat)]
             for got, want in pairs:
                 assert np.array_equal(got, want)
+
+
+def test_accelerated_cd_matches_plain_cd(monkeypatch):
+    # the extrapolation changes the iteration, not its fixed point
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    fast = fit_cd(data, PEN)
+    monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
+    plain = fit_cd(data, PEN)
+    assert fast.converged and plain.converged
+    assert fast.diagnostics["extrapolations_kept"] > 0
+    assert plain.diagnostics["extrapolations_tried"] == 0
+    assert fast.epochs <= plain.epochs
+    assert np.max(np.abs(fast.beta_hat - plain.beta_hat)) <= 1e-6
+    assert np.array_equal(fast.hazard.knots, plain.hazard.knots)
+    assert np.max(np.abs(fast.hazard.values - plain.hazard.values)) <= 1e-6
+    grad = ppl_gradient(data, fast.beta_hat)
+    beta = fast.beta_hat
+    nz = beta != 0
+    assert np.max(np.abs(grad[nz] + PEN.eta * beta[nz]
+                         + PEN.alpha * np.sign(beta[nz]))) <= 1e-6
+    assert np.max(np.abs(grad[~nz]), initial=0.0) <= PEN.alpha + 1e-6
+
+
+def test_cd_extrapolation_is_guarded(monkeypatch):
+    # an extrapolated point is kept only where it lowers the penalized
+    # partial likelihood, and none is tried after the last epoch, so the
+    # coefficients returned are a sweep's
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    short = SolverConfig(max_epochs=solvers.CD_ANDERSON_K)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "CD_ANDERSON_K", 0)
+        plain = fit_cd(data, PEN)
+        plain_short = fit_cd(data, PEN, cfg=short)
+    monkeypatch.setattr(solvers, "_anderson_mix", lambda it: it[-1] + 10.0)
+    worse = fit_cd(data, PEN)
+    assert worse.diagnostics["extrapolations_tried"] > 0
+    assert worse.diagnostics["extrapolations_kept"] == 0
+    assert worse.epochs == plain.epochs
+    assert np.array_equal(worse.beta_hat, plain.beta_hat)
+    monkeypatch.setattr(solvers, "_anderson_mix", lambda it: plain.beta_hat)
+    better = fit_cd(data, PEN)
+    assert better.diagnostics["extrapolations_kept"] >= 1
+    assert better.epochs < plain.epochs
+    last = fit_cd(data, PEN, cfg=short)
+    assert last.diagnostics["extrapolations_tried"] == 0
+    assert np.array_equal(last.beta_hat, plain_short.beta_hat)
+
+
+def test_amp_stall_stops_early():
+    # at damping 0.5, 0.3 or 0.2 this AMP fit stays at err ~1e-2 for 3000
+    # epochs; each stall halves the damping until the floor stops it
+    data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
+    res = fit_amp(data, PEN)
+    diag = res.diagnostics
+    assert not res.converged and diag["stop_reason"] == "stalled"
+    assert res.epochs <= 4 * solvers.AMP_STALL_WINDOW
+    assert len(diag["err_history"]) == res.epochs
+    assert diag["err_history"][-1] == res.final_err
+    cuts = diag["damping_cuts"]
+    assert [d for _, d in cuts] == [0.25, 0.125]
+    starts = [1] + [e for e, _ in cuts]
+    assert all(b - a >= solvers.AMP_STALL_WINDOW
+               for a, b in zip(starts, starts[1:] + [res.epochs]))
+
+
+def test_amp_recovers_after_damping_cut():
+    # repetition 0 of the p=500 acceptance experiment, grid point 7: at
+    # damping 0.5 AMP stays at err ~2.6e-3; after one cut it converges
+    # to the CD fit
+    train_seed, _ = np.random.SeedSequence(2024).generate_state(2, dtype=np.uint64)
+    sig = SignalSpec(p=500, nu=0.02, theta0=1.0, seed=2024)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=int(train_seed))
+    alphas = [round(float(a), 6) for a in np.geomspace(0.42, 0.13, 10)][:8]
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in alphas]
+    amp = reg_path(data, pens, "amp")[-1]
+    assert amp.converged and amp.diagnostics["stop_reason"] == "tol"
+    assert len(amp.diagnostics["damping_cuts"]) >= 1
+    assert len(amp.diagnostics["err_history"]) == amp.epochs
+    cd = reg_path(data, pens, "cd")[-1]
+    assert cd.converged
+    rel = np.linalg.norm(amp.beta_hat - cd.beta_hat) / np.linalg.norm(cd.beta_hat)
+    assert rel <= 1e-4

@@ -6,7 +6,7 @@ from coxfield.survival import (RiskSets, StepHazard, SurvivalDataset,
                                harrell_c, nelson_aalen,
                                penalized_partial_likelihood, rscv_c_index,
                                rscv_predictors)
-from oracles import prox_gradient_minimizer
+from oracles import harrell_c_loop, prox_gradient_minimizer
 
 
 def _toy_dataset(seed=0, n=40, p=3, scale=0.6):
@@ -230,6 +230,19 @@ def test_harrell_tie_and_transform_invariance():
     assert harrell_c(times, events, np.exp(scores)) == c
     tied = np.zeros(60)
     assert harrell_c(times, events, tied) == 0.5
+
+
+def test_harrell_blocks_equal_event_loop():
+    # more events than one block; tied times and tied scores throughout
+    rng = np.random.default_rng(15)
+    n = 700
+    times = np.round(rng.uniform(0.1, 2.0, n), 1)
+    events = (rng.uniform(size=n) < 0.7).astype(float)
+    assert np.count_nonzero(events) > 256
+    for scores in (np.round(rng.normal(size=n), 1), rng.normal(size=n),
+                   np.zeros(n)):
+        assert harrell_c(times, events, scores) == harrell_c_loop(
+            times, events, scores)
 
 
 def test_harrell_no_comparable_pairs():
