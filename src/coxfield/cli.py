@@ -51,6 +51,16 @@ def _solver_flags(sub):
     sub.add_argument("--damping", type=float, default=0.5)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _penalty(alpha, l1_ratio):
     if l1_ratio <= 0:
         raise ValueError("--l1-ratio must be positive (alpha = rho * l1_ratio)")
@@ -215,11 +225,13 @@ def _cmd_experiment(args):
         cfg = replace(cfg, **PAPER_SCALE)
     if args.output:
         cfg.output_dir = args.output
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, workers=args.workers)
     _emit({"command": "experiment", "output_dir": cfg.output_dir,
            "grid_points": len(cfg.pen_grid),
            "repetitions": cfg.repetitions,
-           "failures": len(report["failures"])})
+           "failures": len(report["failures"]),
+           "workers": report["timing"]["workers"],
+           "wall_s": report["timing"]["wall_s"]})
     return 0
 
 
@@ -279,6 +291,10 @@ def build_parser():
                      help="paper-scale preset: " + ", ".join(
                          f"{k} = {v}" for k, v in PAPER_SCALE.items()))
     exp.add_argument("--output", default=None, help="output directory")
+    exp.add_argument("--workers", type=_positive_int, default=None,
+                     help="worker processes for the repetitions and the RS "
+                          "path (default: the usable CPUs, at most "
+                          "repetitions + 1; 1 runs in this process)")
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -5,12 +5,14 @@ and aggregated CSV emission.
 Repetition r uses seed base_seed + r, split into independent streams for
 the signal, the training set and the held-out test set; aggregation is an
 ordered reduction over repetition index, so identical configs produce
-byte-identical outputs.
+byte-identical outputs, whether the repetitions and the RS path run in
+this process or in forked worker processes.
 """
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -200,6 +202,93 @@ def _run_repetition(cfg, r):
     return records, failures
 
 
+def _solve_rs_path(cfg):
+    """The RS reference solution at every grid point, on one population."""
+    return solve_rs_path(cfg.penalties, cfg.nu, cfg.theta0, cfg.zeta,
+                         cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed,
+                         tol=cfg.rs_tol)
+
+
+def _timed(fn, *args):
+    t0 = perf_counter()
+    return fn(*args), perf_counter() - t0
+
+
+def _openblas_threads():
+    """The (get_num_threads, set_num_threads) entries of every OpenBLAS
+    loaded into this process (numpy and scipy each bundle one), or None
+    where no OpenBLAS is found or one lacks either entry."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+
+    def entry(lib, verb, restype, argtypes):
+        names = (f"{prefix}openblas_{verb}_num_threads{suffix}"
+                 for prefix in ("", "scipy_") for suffix in ("", "64_", "_64"))
+        fn = next((getattr(lib, name) for name in names
+                   if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+        return fn
+
+    pairs = [(entry(lib, "get", ctypes.c_int, []),
+              entry(lib, "set", None, [ctypes.c_int])) for lib in libs]
+    if not pairs or any(None in pair for pair in pairs):
+        return None
+    return pairs
+
+
+def _run_tasks(tasks, workers):
+    """Run each (fn, *args) of `tasks` and return, in task order, the
+    (result, seconds) pairs and the number of worker processes used.
+
+    More than one worker runs the tasks in a pool of forked processes,
+    each with one BLAS thread; where fork, os.sched_getaffinity or a way
+    to pin the loaded BLAS to one thread is missing, or one worker is
+    asked for, the tasks run one after another in this process.
+    """
+    import os
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        workers = 1
+    elif workers is None:
+        workers = len(os.sched_getaffinity(0))
+    workers = min(workers, len(tasks))
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is None:
+        return [_timed(*task) for task in tasks], 1
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # the workers fill the cores, so each runs one BLAS thread, inherited
+    # from this process: set_num_threads in a fresh fork would start the
+    # BLAS thread pool (numpy 2.4.6, OpenBLAS 0.3.31), and its idle threads
+    # slowed a BLAS-bound worker by up to 2x on two cores
+    counts = [get() for get, _ in blas]
+    for _, set_threads in blas:
+        set_threads(1)
+    # fork, not the platform default: spawn and forkserver workers import
+    # numpy, scipy and coxfield again, about 0.5 s each.  OpenBLAS stops
+    # its own threads before a fork, and from Python 3.11 on the pool forks
+    # every worker before it starts a thread of its own
+    try:
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_timed, *task) for task in tasks]
+            return [future.result() for future in futures], workers
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for (_, set_threads), count in zip(blas, counts):
+            set_threads(count)
+
+
 def _mean_sd(values):
     """Mean, sd and count of the finite values; None and NaN are left out."""
     arr = np.array([v for v in values if v is not None and np.isfinite(v)])
@@ -229,7 +318,7 @@ def _aggregate(alpha, l1, rs, point):
     return row, counts
 
 
-def run_experiment(cfg):
+def run_experiment(cfg, workers=None):
     """Run the full experiment and return the aggregated report.
 
     Per repetition: generate data, fit along the penalty grid with warm
@@ -240,11 +329,23 @@ def run_experiment(cfg):
     in repetition order, give the table rows and, with keep_raw, the
     report's "raw"; "counts" holds the number of values behind each mean.
     Writes table.csv and report.json to cfg.output_dir.
+
+    The repetitions and the RS path are independent tasks.  `workers`
+    (default: the CPUs this process may run on) forked processes run them,
+    at most one per task, each with its BLAS pinned to one thread; the
+    results are gathered in repetition order, so every output but
+    "timing" is byte-identical for any worker count.  workers=1 runs them
+    in this process, and so does any count where fork,
+    os.sched_getaffinity or a way to pin the loaded BLAS (OpenBLAS only)
+    is missing.  "timing" holds the worker count used, the seconds of
+    each repetition and of the RS path, each measured inside its task,
+    and the wall seconds of the call up to the report write.
     """
-    reps = [_run_repetition(cfg, r) for r in range(cfg.repetitions)]
-    rs_points = solve_rs_path(cfg.penalties, cfg.nu, cfg.theta0, cfg.zeta,
-                              cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed,
-                              tol=cfg.rs_tol)
+    t0 = perf_counter()
+    tasks = [(_run_repetition, cfg, r) for r in range(cfg.repetitions)]
+    results, workers = _run_tasks(tasks + [(_solve_rs_path, cfg)], workers)
+    *rep_runs, (rs_points, rs_s) = results
+    reps = [rep for rep, _ in rep_runs]
     raw = [{solver: [records[solver][i] for records, _ in reps]
             for solver in cfg.solvers} for i in range(len(cfg.pen_grid))]
     rows, counts = zip(*(_aggregate(alpha, l1, rs, point) for (alpha, l1), rs,
@@ -261,6 +362,9 @@ def run_experiment(cfg):
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(out_dir / "table.csv", report["columns"], rows)
+    report["timing"] = {"workers": workers,
+                        "repetition_s": [s for _, s in rep_runs],
+                        "rs_s": rs_s, "wall_s": perf_counter() - t0}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, default=_json_default)
     return report

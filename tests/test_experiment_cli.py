@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from coxfield import experiment
 from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment
 from coxfield.prox import ElasticNetPenalty
@@ -215,6 +217,103 @@ def test_experiment_elbow_shape(tmp_path):
     assert 0 < peak < len(test_c) - 1
 
 
+def _pooled(workers):
+    """The worker count run_experiment reports for an explicit request:
+    one where this platform cannot fork a pool with one BLAS thread each."""
+    can_pool = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and experiment._openblas_threads() is not None)
+    return workers if can_pool else 1
+
+
+def _worker_blas_threads():
+    return [get() for get, _ in experiment._openblas_threads()]
+
+
+_SAME_KEYS = ("columns", "rows", "counts", "failures", "raw")
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"keep_raw": True},
+    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=3)}],
+    ids=["tiny", "keep_raw", "unconverged"])
+def test_worker_counts_give_identical_outputs(tmp_path, overrides):
+    # 1, 2 and more workers than tasks (2 repetitions and the RS path):
+    # the same table.csv bytes and the same report but for its timing
+    outs = {}
+    for workers in (1, 2, 7):
+        cfg = _tiny_config(tmp_path, output_dir=str(tmp_path / f"w{workers}"),
+                           **overrides)
+        report = run_experiment(cfg, workers=workers)
+        assert report["timing"]["workers"] == _pooled(min(workers, 3))
+        table = (tmp_path / f"w{workers}" / "table.csv").read_bytes()
+        # JSON text, so NaN cells compare equal
+        outs[workers] = table, json.dumps({k: report.get(k) for k in _SAME_KEYS})
+    assert outs[1] == outs[2] == outs[7]
+    if "solver_cfg" in overrides:
+        raw = json.loads(outs[1][1])["raw"]
+        assert not any(rec["converged"] for point in raw
+                       for recs in point.values() for rec in recs)
+
+
+def test_one_worker_runs_in_process(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("workers=1 must not build a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    report = run_experiment(_tiny_config(tmp_path), workers=1)
+    assert report["timing"]["workers"] == 1
+    if _pooled(2) == 2:
+        # the patch is in effect: two workers do build a pool, and the
+        # failed attempt leaves this process's BLAS threads as they were
+        before = _worker_blas_threads()
+        with pytest.raises(AssertionError, match="process pool"):
+            run_experiment(_tiny_config(tmp_path), workers=2)
+        assert _worker_blas_threads() == before
+
+
+def test_default_workers_capped_at_tasks(tmp_path, monkeypatch):
+    # the default is the CPUs this process may run on, at most one worker
+    # per task: the repetitions and the RS path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    report = run_experiment(_tiny_config(tmp_path))
+    timing = report["timing"]
+    assert timing["workers"] == _pooled(3)
+    assert len(timing["repetition_s"]) == 2
+    assert all(s > 0.0 for s in timing["repetition_s"])
+    assert 0.0 < timing["rs_s"] and 0.0 < timing["wall_s"]
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert on_disk["timing"] == timing
+
+
+def test_workers_run_one_blas_thread():
+    # each worker inherits one BLAS thread, and this process gets its
+    # thread counts back afterwards
+    if _pooled(2) == 1:
+        return
+    before = _worker_blas_threads()
+    results, workers = experiment._run_tasks([(_worker_blas_threads,)] * 3, 2)
+    assert workers == 2
+    assert [threads for threads, _ in results] == [[1] * len(before)] * 3
+    assert _worker_blas_threads() == before
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_bad_worker_counts_are_usage_errors(tmp_path, capsys, workers):
+    cfg = _tiny_config(tmp_path)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(cfg, workers=workers)
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--workers", str(workers),
+              "--output", str(tmp_path / "cli")])
+    assert exc.value.code == 1
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
 def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
     data_csv = tmp_path / "d.csv"
     rc = main(["generate", "--p", "240", "--zeta", "2", "--nu", "0.05",
@@ -282,10 +381,11 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     with open(cfg_path, "w") as fh:
         json.dump(cfg.to_jsonable(), fh)
-    rc = main(["experiment", "--config", str(cfg_path)])
+    rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["grid_points"] == 2
+    assert summary["workers"] == 1 and summary["wall_s"] > 0.0
     assert (tmp_path / "expdir" / "table.csv").exists()
     assert (tmp_path / "expdir" / "report.json").exists()
 
@@ -295,9 +395,9 @@ def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
     # field, with and without --config; the experiment itself is not run
     seen = []
 
-    def fake_run(cfg):
+    def fake_run(cfg, workers=None):
         seen.append(cfg)
-        return {"failures": []}
+        return {"failures": [], "timing": {"workers": 1, "wall_s": 0.0}}
 
     monkeypatch.setattr("coxfield.cli.run_experiment", fake_run)
     out = str(tmp_path / "paper")

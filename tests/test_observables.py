@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,52 @@ def test_estimate_tau_cd_lasso_bracket_and_errors():
                       converged=True, epochs=1, final_err=0.0)
     with pytest.raises(EstimationError, match="no sign change"):
         estimate_tau_cd(data, dense, lasso, zeta=2.0)
+
+
+@pytest.mark.parametrize("p, seed, l1_ratio", [(200, 6, 0.75), (200, 7, 1.0),
+                                               (300, 12, 0.5)])
+def test_estimate_tau_cd_matches_brentq(p, seed, l1_ratio):
+    # the Newton root against scipy's bracketed root-finder on the same
+    # scalar equation, elastic net and lasso
+    from scipy.optimize import brentq
+    data, _ = generate_dataset(SignalSpec(p=p, nu=0.02, theta0=1.0, seed=seed),
+                               GeneratorSpec(zeta=2.0), seed=seed)
+    pen = ElasticNetPenalty.from_strength(0.3 / l1_ratio, l1_ratio)
+    fit = fit_cd(data, pen, cfg=SolverConfig(max_epochs=400))
+    assert fit.converged
+    k = np.count_nonzero(fit.beta_hat) / data.p
+    gdd = fit.hazard.evaluate(data.times) * np.exp(data.design @ fit.beta_hat)
+
+    def f(t):
+        return 2.0 * (k - pen.eta * t) - np.mean(t * gdd / (1.0 + t * gdd))
+
+    hi = k / pen.eta if pen.eta > 0 else 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+    want = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+    tau_n, tau_hat_n = estimate_tau_cd(data, fit, pen, 2.0)
+    assert tau_n == pytest.approx(want, rel=1e-12)
+    assert tau_hat_n == tau_n / (k - pen.eta * tau_n)
+
+
+def test_estimate_from_cd_imports_no_scipy_optimize():
+    # the CD route solves its scalar equation without scipy.optimize, so a
+    # process that runs it does not pay for that import
+    code = (
+        "import sys\n"
+        "from coxfield.observables import estimate_from_cd\n"
+        "from coxfield.prox import ElasticNetPenalty\n"
+        "from coxfield.solvers import fit_cd\n"
+        "from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset\n"
+        "sig = SignalSpec(p=120, nu=0.05, theta0=1.0, seed=3)\n"
+        "data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=3)\n"
+        "pen = ElasticNetPenalty.from_strength(0.4, 0.75)\n"
+        "est = estimate_from_cd(data, fit_cd(data, pen), pen, 2.0)\n"
+        "print(est.tau > 0, 'scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_estimate_from_cd_propagates_null_model():
