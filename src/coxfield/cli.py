@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import PAPER_SCALE, ExperimentConfig, run_experiment
+from .experiment import (_EST_FIELDS, PAPER_SCALE, ExperimentConfig,
+                         run_experiment, write_table_csv)
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty
@@ -68,7 +69,7 @@ def _penalty(alpha, l1_ratio):
 
 
 def _fit_record(fit, pen):
-    rec = {
+    return {
         "penalty": asdict(pen),
         "beta_hat": None if fit.beta_hat is None else list(map(float, fit.beta_hat)),
         "hazard": None if fit.hazard is None else {
@@ -79,7 +80,6 @@ def _fit_record(fit, pen):
         "diagnostics": {"converged": fit.converged, "epochs": fit.epochs,
                         "final_err": fit.final_err, **fit.diagnostics},
     }
-    return rec
 
 
 def _load_fit(path):
@@ -155,14 +155,11 @@ def _cmd_rs_solve(args):
                         tau2=args.tau2, zeta=args.zeta)
     points = solve_rs_path(pens, args.nu, args.theta0, args.zeta, gen,
                            n_pop=args.pop_size, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,w,v,tau,w_hat,v_hat,tau_hat,converged\n")
-        for alpha, point in zip(alphas, points):
-            if point is None:
-                fh.write(f"{alpha!r},nan,nan,nan,nan,nan,nan,0\n")
-            else:
-                vals = ",".join(repr(float(x)) for x in point[0].as_array())
-                fh.write(f"{alpha!r},{vals},1\n")
+    rows = [{"alpha": alpha, "converged": int(point is not None),
+             **dict(zip(_EST_FIELDS, [np.nan] * 6 if point is None
+                        else point[0].as_array()))}
+            for alpha, point in zip(alphas, points)]
+    write_table_csv(args.output, ["alpha", *_EST_FIELDS, "converged"], rows)
     n_ok = sum(1 for point in points if point is not None)
     _emit({"command": "rs-solve", "output": args.output, "alphas": alphas,
            "converged_points": n_ok,
@@ -200,9 +197,7 @@ def _cmd_estimate(args):
         errors["cd"] = str(exc)
     out["errors"] = errors
 
-    sidecar = Path(args.data).with_suffix(".json")
-    if args.sidecar:
-        sidecar = Path(args.sidecar)
+    sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
             beta0 = np.array(json.load(fh)["beta0"])
@@ -216,10 +211,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_experiment(args):
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
+    cfg = (ExperimentConfig.from_json(args.config) if args.config
+           else ExperimentConfig())
     if args.paper_scale:
         # the preset's fields replace the config's, every other field stays
         cfg = replace(cfg, **PAPER_SCALE)

@@ -67,6 +67,12 @@ class ExperimentConfig:
             raise ValueError("need n = round(p / zeta) >= 10")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.pop_size < 100:
+            raise ValueError("pop_size must be >= 100")
+        if not self.rs_tol > 0:
+            raise ValueError("rs_tol must be positive")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.solver not in ("amp", "cd", "both"):
             raise ValueError("solver must be amp, cd or both")
         if not self.pen_grid:
@@ -216,8 +222,8 @@ def _timed(fn, *args):
 
 def _openblas_threads():
     """The (get_num_threads, set_num_threads) entries of every OpenBLAS
-    loaded into this process (numpy and scipy each bundle one), or None
-    where no OpenBLAS is found or one lacks either entry."""
+    loaded into this process (numpy bundles one, scipy another when
+    imported), or None where none is found or one lacks either entry."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -273,7 +279,7 @@ def _run_tasks(tasks, workers):
     for _, set_threads in blas:
         set_threads(1)
     # fork, not the platform default: spawn and forkserver workers import
-    # numpy, scipy and coxfield again, about 0.5 s each.  OpenBLAS stops
+    # numpy and coxfield again, about 0.2 s each.  OpenBLAS stops
     # its own threads before a fork, and from Python 3.11 on the pool forks
     # every worker before it starts a thread of its own
     try:
@@ -387,9 +393,6 @@ def write_table_csv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for c in columns:
-                val = row[c]
-                cells.append(repr(float(val)) if isinstance(val, float)
-                             else str(val))
-            fh.write(",".join(cells) + "\n")
+            cells = (row[c] for c in columns)
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in cells) + "\n")

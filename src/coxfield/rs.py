@@ -19,8 +19,10 @@ from .scalar import std_normal_pdf, std_normal_tail
 from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
 
-# sup-norm bound on the undamped hazard-map residual at a returned hazard
+# sup-norm bound on the undamped hazard-map residual at a returned hazard,
+# and the weight of the new iterate in every damped step of the RS loops
 _HAZARD_TOL = 1e-8
+_DAMPING = 0.5
 
 
 class RsInconsistencyError(RuntimeError):
@@ -101,7 +103,7 @@ def sample_population(gen, theta0, n_pop=5000, seed=0):
                         t=t[order], theta0=theta0)
 
 
-def solve_lambda(pop, w, v, tau, damping=0.5, tol=_HAZARD_TOL, max_iter=500):
+def solve_lambda(pop, w, v, tau, tol=_HAZARD_TOL, max_iter=500):
     """Solve the self-consistent cumulative-hazard equations at (w, v, tau).
 
     The hazard half of the `solve_rs` loop with the scalars held fixed:
@@ -124,7 +126,7 @@ def solve_lambda(pop, w, v, tau, damping=0.5, tol=_HAZARD_TOL, max_iter=500):
         residual = np.max(np.abs(lam_new - lam))
         if residual <= tol:
             return risk.step_hazard(lam)
-        lam = (1.0 - damping) * lam + damping * lam_new
+        lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
     raise RsNonConvergenceError("hazard fixed point did not converge",
                                 max_iter, residual)
 
@@ -203,8 +205,8 @@ def _rhs_from_xi(op, pop, u, xi, pen, nu, zeta):
 _DEFAULT_INIT = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0])
 
 
-def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
-             tol=1e-6, max_iter=500, init=None, pop=None):
+def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
+             max_iter=500, init=None, pop=None):
     """Solve the six RS equations and the hazard equations jointly.
 
     One damped fixed-point loop over (order parameters, hazard): each
@@ -245,8 +247,8 @@ def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, damping=0.5,
                               "scalar_residual": scal_res,
                               "seconds": perf_counter() - start}
             return op, risk.step_hazard(lam)
-        x = (1.0 - damping) * x + damping * prop
-        lam = (1.0 - damping) * lam + damping * lam_new
+        x = (1.0 - _DAMPING) * x + _DAMPING * prop
+        lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
     raise RsNonConvergenceError("RS fixed point did not converge", max_iter,
                                 haz_res, scal_res)
 
@@ -256,7 +258,7 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
     """Solve the RS equations along a penalty grid with warm starts.
 
     One population is drawn once and reused at every grid point (solved
-    with `solve_rs`'s default damping and step limit).  Points that fail
+    with `solve_rs`'s default step limit).  Points that fail
     (non-convergence or RS inconsistency) are returned as None.  `inits`
     optionally supplies a per-point starting OrderParameters (e.g. a
     previously solved path on another population); otherwise each
@@ -266,9 +268,7 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
     results = []
     init = None
     for i, pen in enumerate(pens):
-        start = init
-        if inits is not None and inits[i] is not None:
-            start = inits[i]
+        start = inits[i] if inits is not None and inits[i] is not None else init
         try:
             op, lam = solve_rs(pen, nu, theta0, zeta, gen, tol=tol,
                                init=start, pop=pop)

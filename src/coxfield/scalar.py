@@ -3,12 +3,14 @@
 Everything here is elementwise and accepts scalars or numpy arrays.
 """
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 _INV_E = 1.0 / np.e
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_SQRT_2 = np.sqrt(2.0)
+_SQRT_2 = math.sqrt(2.0)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 _MAX_HALLEY = 50
 # Fritsch-Shafer-Crowley steps after the initial guess; two reach machine
 # precision from the two-to-three-digit guess on the whole real line
@@ -124,12 +126,14 @@ def std_normal_tail(x):
 
     Note the convention: this is the *complementary* distribution
     function, matching the Phi used in the replica-symmetric closed
-    forms.  Computed as erfc(x/sqrt(2))/2; the absolute error of erfc
-    is a few ulp, well below 1e-15.
+    forms.  Computed as math.erfc(x/sqrt(2))/2; relative error against a
+    50-digit reference at most 9.3e-15 on [-8, 8], and 5.2e-14 on [8, 20]
+    and 1.9e-13 on [20, 37.5], where the rounding of x/sqrt(2) sets it.
     """
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / _SQRT_2)
-    return float(out) if out.ndim == 0 else out
+    # floats (np.float64 too) skip np.ndim, which costs more than the erfc
+    if isinstance(x, float) or np.ndim(x) == 0:
+        return 0.5 * math.erfc(float(x) / _SQRT_2)
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT_2)
 
 
 def soft_threshold(x, a):

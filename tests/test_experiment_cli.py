@@ -24,6 +24,11 @@ def _tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**kwargs)
 
 
+# config values out of range, and the name each error message carries
+_BAD_VALUES = [({"pop_size": 99}, "pop_size"), ({"rs_tol": 0.0}, "rs_tol"),
+               ({"rs_tol": -1e-6}, "rs_tol"), ({"base_seed": -1}, "base_seed")]
+
+
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         _tiny_config(tmp_path, repetitions=0)
@@ -38,6 +43,12 @@ def test_experiment_config_validation(tmp_path):
         with pytest.raises(ValueError, match="pen_grid"):
             _tiny_config(tmp_path, pen_grid=grid)
     assert _tiny_config(tmp_path, pen_grid=[(0.5, 1.0)]).penalties[0].eta == 0.0
+    # so are the RS population, its tolerance and the seeds, which would
+    # otherwise fail only inside the tasks (or, rs_tol = 0, spend every
+    # RS point's whole step budget)
+    for bad, match in _BAD_VALUES:
+        with pytest.raises(ValueError, match=match):
+            _tiny_config(tmp_path, **bad)
 
 
 def test_run_experiment_table_and_determinism(tmp_path):
@@ -376,6 +387,35 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     assert all(it >= 1 for it in summary["iterations"] if it is not None)
 
 
+# rs-solve's CSV, byte for byte: floats in repr, and a failed point (nu
+# 0.02 fails from the default start at pop 600, seed 4) is a row of nan
+# with converged 0; the converged rows' last digits follow the rounding of
+# the Gaussian tail
+RS_SOLVE_CSV = {
+    ("0.02", "0.5,0.4,0.3", "4"):
+        "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged\n"
+        "0.5,nan,nan,nan,nan,nan,nan,0\n"
+        "0.4,nan,nan,nan,nan,nan,nan,0\n"
+        "0.3,nan,nan,nan,nan,nan,nan,0\n",
+    ("0.1", "0.5,0.2,0.05", "2"):
+        "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged\n"
+        "0.5,0.21896341768852456,0.41063565916889555,0.7243902121571562,"
+        "0.9805217065069283,2.439844969997716,6.003671157370818,1\n"
+        "0.2,0.4975620005785353,1.0745611882148949,3.325557419954354,"
+        "1.3095656479006008,3.35023327343659,11.398582074189445,1\n"
+        "0.05,nan,nan,nan,nan,nan,nan,0\n",
+}
+
+
+@pytest.mark.parametrize("nu, grid, seed", sorted(RS_SOLVE_CSV))
+def test_rs_solve_csv_bytes(tmp_path, capsys, nu, grid, seed):
+    out = tmp_path / "rs.csv"
+    main(["rs-solve", "--zeta", "2", "--nu", nu, "--alpha-grid", grid,
+          "--pop-size", "600", "--seed", seed, "--output", str(out)])
+    capsys.readouterr()
+    assert out.read_bytes() == RS_SOLVE_CSV[nu, grid, seed].encode()
+
+
 def test_cli_experiment_subcommand(tmp_path, capsys):
     cfg = _tiny_config(tmp_path, output_dir=str(tmp_path / "expdir"))
     cfg_path = tmp_path / "cfg.json"
@@ -429,6 +469,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "f.json")])
     assert rc == 1
     capsys.readouterr()
+    # usage error: a config value out of range, before anything runs
+    for bad, match in _BAD_VALUES:
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(bad))
+        rc = main(["experiment", "--config", str(cfg_path),
+                   "--output", str(tmp_path / "bad")])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
     # numerical failure: estimation undefined on an all-censored dataset
     data_csv = tmp_path / "cens.csv"
     import warnings

@@ -171,24 +171,42 @@ def test_estimate_tau_cd_matches_brentq(p, seed, l1_ratio):
     assert tau_hat_n == tau_n / (k - pen.eta * tau_n)
 
 
-def test_estimate_from_cd_imports_no_scipy_optimize():
-    # the CD route solves its scalar equation without scipy.optimize, so a
-    # process that runs it does not pay for that import
+def test_estimate_from_cd_imports_no_scipy_optimize(tmp_path):
+    # coxfield runs on numpy alone: a fresh interpreter that fits with both
+    # solvers, estimates from both fits, solves an RS path, runs a tiny
+    # experiment and rs-solve has loaded no scipy module at all
     code = (
-        "import sys\n"
-        "from coxfield.observables import estimate_from_cd\n"
+        "import contextlib, io, sys\n"
+        "from coxfield import cli\n"
+        "from coxfield.experiment import ExperimentConfig, run_experiment\n"
+        "from coxfield.observables import estimate_from_amp, estimate_from_cd\n"
         "from coxfield.prox import ElasticNetPenalty\n"
-        "from coxfield.solvers import fit_cd\n"
+        "from coxfield.rs import solve_rs_path\n"
+        "from coxfield.solvers import fit_amp, fit_cd\n"
         "from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset\n"
+        "out = sys.argv[1]\n"
+        "gen = GeneratorSpec(zeta=2.0)\n"
         "sig = SignalSpec(p=120, nu=0.05, theta0=1.0, seed=3)\n"
-        "data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=3)\n"
+        "data, _ = generate_dataset(sig, gen, seed=3)\n"
         "pen = ElasticNetPenalty.from_strength(0.4, 0.75)\n"
-        "est = estimate_from_cd(data, fit_cd(data, pen), pen, 2.0)\n"
-        "print(est.tau > 0, 'scipy.optimize' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+        "amp = estimate_from_amp(data, fit_amp(data, pen), 2.0)\n"
+        "cd = estimate_from_cd(data, fit_cd(data, pen), pen, 2.0)\n"
+        "rs = solve_rs_path([pen], 0.1, 1.0, 2.0, gen, n_pop=600, seed=2)\n"
+        "cfg = ExperimentConfig(p=60, nu=0.1, pen_grid=[(0.5, 0.75)],\n"
+        "                       repetitions=1, pop_size=400,\n"
+        "                       output_dir=out + '/exp')\n"
+        "run_experiment(cfg, workers=1)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['rs-solve', '--zeta', '2', '--nu', '0.1', '--seed',\n"
+        "                   '2', '--alpha-grid', '0.5', '--pop-size', '600',\n"
+        "                   '--output', out + '/rs.csv'])\n"
+        "print(amp.tau > 0, cd.tau > 0, rs[0] is not None, rc,\n"
+        "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    assert proc.stdout.split() == ["True", "True", "True", "0", "[]"]
+    assert (tmp_path / "exp" / "table.csv").exists()
 
 
 def test_estimate_from_cd_propagates_null_model():

@@ -97,6 +97,23 @@ def test_tail_accuracy_on_grid():
         assert abs(std_normal_tail(x) - ref) <= 1e-14 * ref
 
 
+def test_tail_accuracy_far_tail():
+    # out to x = 37.5, the last x whose tail is a normal float; past x = 8
+    # the rounding of x/sqrt(2) sets the error (scipy's erfc: 6.1e-14 and
+    # 2.3e-13 on these ranges)
+    import mpmath
+    xs = np.linspace(8.0, 37.5, 591)
+    with mpmath.workdps(50):
+        ref = np.array([float(0.5 * mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)))
+                        for x in xs])
+    got = std_normal_tail(xs)
+    assert got.min() >= np.finfo(float).tiny
+    rel = np.abs(got - ref) / ref
+    assert rel[xs <= 20.0].max() <= 5.2e-14
+    assert rel[xs >= 20.0].max() <= 1.9e-13
+    assert [std_normal_tail(x) for x in xs] == got.tolist()
+
+
 def test_tail_symmetry():
     xs = np.linspace(-8.0, 8.0, 20001)
     assert np.max(np.abs(std_normal_tail(xs) + std_normal_tail(-xs) - 1.0)) <= 1e-14
