@@ -12,8 +12,8 @@ import numpy as np
 
 from coxfield import (ElasticNetPenalty, GeneratorSpec, SignalSpec,
                       SolverConfig, estimate_from_amp, estimate_from_cd,
-                      fit_amp, fit_cd, generate_dataset, solve_rs,
-                      true_overlaps)
+                      fit_amp, fit_cd, generate_dataset, sample_population,
+                      solve_rs, true_overlaps)
 
 zeta, nu, theta0 = 2.0, 0.005, 1.0
 p = 2000
@@ -31,7 +31,8 @@ est_cd = estimate_from_cd(data, cd, pen, zeta)
 
 print("solving the RS equations (uses the generating law; the estimates "
       "above do not) ...")
-rs, _ = solve_rs(pen, nu, theta0, zeta, gen, n_pop=30000, seed=0)
+pop = sample_population(gen, theta0, n_pop=30000, seed=0)
+rs, _ = solve_rs(pen, nu, zeta, pop)
 
 w_true, v_true = true_overlaps(amp.beta_hat, beta0)
 names = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")

@@ -55,7 +55,6 @@ class ExperimentConfig:
     pop_size: int = 5000
     output_dir: str = "coxfield-out"
     solver_cfg: SolverConfig | None = None
-    rs_tol: float = 1e-6
     keep_raw: bool = False
 
     def __post_init__(self):
@@ -69,10 +68,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if self.pop_size < 100:
             raise ValueError("pop_size must be >= 100")
-        if not self.rs_tol > 0:
-            raise ValueError("rs_tol must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
+        # the signal's own checks of nu and theta0, before any task runs
+        SignalSpec(self.p, self.nu, self.theta0, seed=self.base_seed)
         if self.solver not in ("amp", "cd", "both"):
             raise ValueError("solver must be amp, cd or both")
         if not self.pen_grid:
@@ -211,8 +210,7 @@ def _run_repetition(cfg, r):
 def _solve_rs_path(cfg):
     """The RS reference solution at every grid point, on one population."""
     return solve_rs_path(cfg.penalties, cfg.nu, cfg.theta0, cfg.zeta,
-                         cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed,
-                         tol=cfg.rs_tol)
+                         cfg.gen, n_pop=cfg.pop_size, seed=cfg.base_seed)
 
 
 def _timed(fn, *args):
@@ -253,10 +251,11 @@ def _run_tasks(tasks, workers):
     """Run each (fn, *args) of `tasks` and return, in task order, the
     (result, seconds) pairs and the number of worker processes used.
 
-    More than one worker runs the tasks in a pool of forked processes,
-    each with one BLAS thread; where fork, os.sched_getaffinity or a way
-    to pin the loaded BLAS to one thread is missing, or one worker is
-    asked for, the tasks run one after another in this process.
+    Every task runs on one BLAS thread, so no result depends on the
+    worker count: more than one worker runs them in a pool of forked
+    processes that inherit that thread, one worker in this process.
+    Without fork or os.sched_getaffinity they run in this process, and
+    without a way to pin the loaded BLAS there too, on its own threads.
     """
     import os
     if workers is not None and workers < 1:
@@ -266,11 +265,9 @@ def _run_tasks(tasks, workers):
     elif workers is None:
         workers = len(os.sched_getaffinity(0))
     workers = min(workers, len(tasks))
-    blas = _openblas_threads() if workers > 1 else None
+    blas = _openblas_threads()
     if blas is None:
         return [_timed(*task) for task in tasks], 1
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
     # the workers fill the cores, so each runs one BLAS thread, inherited
     # from this process: set_num_threads in a fresh fork would start the
     # BLAS thread pool (numpy 2.4.6, OpenBLAS 0.3.31), and its idle threads
@@ -278,11 +275,15 @@ def _run_tasks(tasks, workers):
     counts = [get() for get, _ in blas]
     for _, set_threads in blas:
         set_threads(1)
-    # fork, not the platform default: spawn and forkserver workers import
-    # numpy and coxfield again, about 0.2 s each.  OpenBLAS stops
-    # its own threads before a fork, and from Python 3.11 on the pool forks
-    # every worker before it starts a thread of its own
     try:
+        if workers == 1:
+            return [_timed(*task) for task in tasks], 1
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not the platform default: spawn and forkserver workers
+        # import numpy and coxfield again, about 0.2 s each.  OpenBLAS
+        # stops its own threads before a fork, and from Python 3.11 on the
+        # pool forks every worker before it starts a thread of its own
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"))
         try:
@@ -336,16 +337,17 @@ def run_experiment(cfg, workers=None):
     report's "raw"; "counts" holds the number of values behind each mean.
     Writes table.csv and report.json to cfg.output_dir.
 
-    The repetitions and the RS path are independent tasks.  `workers`
-    (default: the CPUs this process may run on) forked processes run them,
-    at most one per task, each with its BLAS pinned to one thread; the
-    results are gathered in repetition order, so every output but
-    "timing" is byte-identical for any worker count.  workers=1 runs them
-    in this process, and so does any count where fork,
-    os.sched_getaffinity or a way to pin the loaded BLAS (OpenBLAS only)
-    is missing.  "timing" holds the worker count used, the seconds of
-    each repetition and of the RS path, each measured inside its task,
-    and the wall seconds of the call up to the report write.
+    The repetitions and the RS path are independent tasks, each run on
+    one BLAS thread.  `workers` (default: the CPUs this process may run
+    on) forked processes run them, at most one per task; the results are
+    gathered in repetition order, so every output but "timing" is
+    byte-identical for any worker count and BLAS thread setting.
+    workers=1 runs them in this process, and so does any count where
+    fork, os.sched_getaffinity or a way to pin the loaded BLAS (OpenBLAS
+    only) is missing, in that last case on the caller's BLAS threads.
+    "timing" holds the worker count used, the seconds of each repetition
+    and of the RS path, each measured inside its task, and the wall
+    seconds of the call up to the report write.
     """
     t0 = perf_counter()
     tasks = [(_run_repetition, cfg, r) for r in range(cfg.repetitions)]

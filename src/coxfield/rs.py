@@ -19,9 +19,11 @@ from .scalar import std_normal_pdf, std_normal_tail
 from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
 
-# sup-norm bound on the undamped hazard-map residual at a returned hazard,
-# and the weight of the new iterate in every damped step of the RS loops
+# the RS loops' sup-norm bounds on the undamped hazard residual and scalar
+# change, their step limit, and the weight of the new iterate in each step
 _HAZARD_TOL = 1e-8
+_SCALAR_TOL = 1e-6
+_MAX_ITER = 500
 _DAMPING = 0.5
 
 
@@ -103,7 +105,7 @@ def sample_population(gen, theta0, n_pop=5000, seed=0):
                         t=t[order], theta0=theta0)
 
 
-def solve_lambda(pop, w, v, tau, tol=_HAZARD_TOL, max_iter=500):
+def solve_lambda(pop, w, v, tau):
     """Solve the self-consistent cumulative-hazard equations at (w, v, tau).
 
     The hazard half of the `solve_rs` loop with the scalars held fixed:
@@ -112,8 +114,8 @@ def solve_lambda(pop, w, v, tau, tol=_HAZARD_TOL, max_iter=500):
     Nelson-Aalen estimator at linear predictors xi) at xi = prox_g(w Z0
     + v Q, Lambda, Delta, tau), started from its value at the raw field.
     Stops when the sup-norm of the *undamped* map residual falls below
-    tol and returns that iterate as a StepHazard, so it satisfies the
-    first hazard equation to that accuracy.
+    _HAZARD_TOL and returns that iterate as a StepHazard, so it satisfies
+    the first hazard equation to that accuracy.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -121,14 +123,14 @@ def solve_lambda(pop, w, v, tau, tol=_HAZARD_TOL, max_iter=500):
     u = w * pop.z0 + v * pop.q
     lam = risk.hazard(u)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         lam_new = risk.hazard(prox_g(u, lam, pop.delta, tau))
         residual = np.max(np.abs(lam_new - lam))
-        if residual <= tol:
+        if residual <= _HAZARD_TOL:
             return risk.step_hazard(lam)
         lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
     raise RsNonConvergenceError("hazard fixed point did not converge",
-                                max_iter, residual)
+                                _MAX_ITER, residual)
 
 
 def enet_prior_moments(w_hat, v_hat, tau_hat, pen, nu):
@@ -205,36 +207,33 @@ def _rhs_from_xi(op, pop, u, xi, pen, nu, zeta):
 _DEFAULT_INIT = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0])
 
 
-def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
-             max_iter=500, init=None, pop=None):
+def solve_rs(pen, nu, zeta, pop, init=None):
     """Solve the six RS equations and the hazard equations jointly.
 
     One damped fixed-point loop over (order parameters, hazard): each
     step computes xi = prox_g(w Z0 + v Q, Lambda, Delta, tau) once,
     applies the hazard map to it once, takes the six right-hand sides
     from the same xi, and damps scalars and hazard together.  Stops when
-    the undamped hazard residual is at most 1e-8 and the undamped scalar
-    change at most `tol` (sup-norms), and returns that verified iterate;
-    `max_iter` counts joint steps.  Pass `pop` to reuse one population
-    and its risk sets across calls (common random numbers along a
-    regularization path).
+    the undamped hazard residual is at most _HAZARD_TOL = 1e-8 and the
+    undamped scalar change at most _SCALAR_TOL = 1e-6 (sup-norms), and
+    returns that verified iterate; at most _MAX_ITER = 500 joint steps.
+    `pop` (from `sample_population`) fixes theta0; reuse it and its risk
+    sets across calls for common random numbers along a path.
 
     Returns (OrderParameters, StepHazard); the order parameters'
     `diagnostics` hold the joint `iterations`, the final
     `hazard_residual` and `scalar_residual`, and `seconds`.
     """
     start = perf_counter()
-    if pop is None:
-        pop = sample_population(gen, theta0, n_pop, seed)
     x = (init.as_array() if init is not None
-         else _DEFAULT_INIT * (theta0, 1.0, 1.0, theta0, 1.0, 1.0))
+         else _DEFAULT_INIT * (pop.theta0, 1.0, 1.0, pop.theta0, 1.0, 1.0))
     if x[2] <= 0:
         raise ValueError("tau must be positive")
     risk = pop.risk_sets
     # tau-free start: the population Nelson-Aalen hazard at the raw field
     lam = risk.hazard(x[0] * pop.z0 + x[1] * pop.q)
     haz_res = scal_res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         op = OrderParameters.from_array(x)
         u = op.w * pop.z0 + op.v * pop.q
         xi = prox_g(u, lam, pop.delta, op.tau)
@@ -242,27 +241,26 @@ def solve_rs(pen, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
         prop = _rhs_from_xi(op, pop, u, xi, pen, nu, zeta).as_array()
         haz_res = float(np.max(np.abs(lam_new - lam)))
         scal_res = float(np.max(np.abs(prop - x)))
-        if haz_res <= _HAZARD_TOL and scal_res <= tol:
+        if haz_res <= _HAZARD_TOL and scal_res <= _SCALAR_TOL:
             op.diagnostics = {"iterations": it, "hazard_residual": haz_res,
                               "scalar_residual": scal_res,
                               "seconds": perf_counter() - start}
             return op, risk.step_hazard(lam)
         x = (1.0 - _DAMPING) * x + _DAMPING * prop
         lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
-    raise RsNonConvergenceError("RS fixed point did not converge", max_iter,
+    raise RsNonConvergenceError("RS fixed point did not converge", _MAX_ITER,
                                 haz_res, scal_res)
 
 
-def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
+def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
                   inits=None):
     """Solve the RS equations along a penalty grid with warm starts.
 
-    One population is drawn once and reused at every grid point (solved
-    with `solve_rs`'s default step limit).  Points that fail
-    (non-convergence or RS inconsistency) are returned as None.  `inits`
-    optionally supplies a per-point starting OrderParameters (e.g. a
-    previously solved path on another population); otherwise each
-    point starts from the previous point's solution.
+    One population is drawn once and reused at every grid point.  Points
+    that fail (non-convergence or RS inconsistency) are returned as None.
+    `inits` optionally supplies a per-point starting OrderParameters (e.g.
+    a previously solved path on another population); otherwise each point
+    starts from the previous point's solution.
     """
     pop = sample_population(gen, theta0, n_pop, seed)
     results = []
@@ -270,8 +268,7 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0, tol=1e-6,
     for i, pen in enumerate(pens):
         start = inits[i] if inits is not None and inits[i] is not None else init
         try:
-            op, lam = solve_rs(pen, nu, theta0, zeta, gen, tol=tol,
-                               init=start, pop=pop)
+            op, lam = solve_rs(pen, nu, zeta, pop, init=start)
         except (RsInconsistencyError, RsNonConvergenceError):
             results.append(None)
         else:
@@ -289,8 +286,7 @@ def sample_prior(nu, theta0, n_draws, seed):
     return beta0, z
 
 
-def rs_residuals_general(op, pop, beta0_draws, z_draws, pen, theta0, zeta,
-                         lam=None):
+def rs_residuals_general(op, pop, beta0_draws, z_draws, pen, zeta, lam=None):
     """Monte Carlo residuals of the six RS equations in their general form.
 
     Uses phi = prox_enet(w_hat*beta0/theta0 + v_hat*Z, tau_hat) on the
@@ -298,14 +294,14 @@ def rs_residuals_general(op, pop, beta0_draws, z_draws, pen, theta0, zeta,
     cross-validates the closed-form solution path.  Returns an array of
     six residuals ordered (rs1, ..., rs6).
     """
-    phi = prox_enet(op.w_hat * beta0_draws / theta0 + op.v_hat * z_draws,
+    phi = prox_enet(op.w_hat * beta0_draws / pop.theta0 + op.v_hat * z_draws,
                     op.tau_hat, pen)
     if lam is None:
         lam = solve_lambda(pop, op.w, op.v, op.tau)
     u = op.w * pop.z0 + op.v * pop.q
     xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
     r = np.empty(6)
-    r[0] = op.w - np.mean(beta0_draws * phi) / theta0
+    r[0] = op.w - np.mean(beta0_draws * phi) / pop.theta0
     r[1] = op.v_hat * op.tau / op.tau_hat - np.mean(z_draws * phi)
     r[2] = (op.w ** 2 + op.v ** 2) - np.mean(phi ** 2)
     r[3] = op.w_hat - (op.w - (op.tau_hat / (zeta * op.tau))

@@ -25,8 +25,9 @@ def _tiny_config(tmp_path, **overrides):
 
 
 # config values out of range, and the name each error message carries
-_BAD_VALUES = [({"pop_size": 99}, "pop_size"), ({"rs_tol": 0.0}, "rs_tol"),
-               ({"rs_tol": -1e-6}, "rs_tol"), ({"base_seed": -1}, "base_seed")]
+_BAD_VALUES = [({"pop_size": 99}, "pop_size"), ({"base_seed": -1}, "base_seed"),
+               ({"nu": 0.0}, "nu"), ({"nu": 1.5}, "nu"),
+               ({"theta0": 0.0}, "theta0")]
 
 
 def test_experiment_config_validation(tmp_path):
@@ -43,9 +44,8 @@ def test_experiment_config_validation(tmp_path):
         with pytest.raises(ValueError, match="pen_grid"):
             _tiny_config(tmp_path, pen_grid=grid)
     assert _tiny_config(tmp_path, pen_grid=[(0.5, 1.0)]).penalties[0].eta == 0.0
-    # so are the RS population, its tolerance and the seeds, which would
-    # otherwise fail only inside the tasks (or, rs_tol = 0, spend every
-    # RS point's whole step budget)
+    # so are the RS population, the seeds and the signal, which would
+    # otherwise fail only inside the tasks
     for bad, match in _BAD_VALUES:
         with pytest.raises(ValueError, match=match):
             _tiny_config(tmp_path, **bad)
@@ -245,17 +245,21 @@ _SAME_KEYS = ("columns", "rows", "counts", "failures", "raw")
 
 @pytest.mark.parametrize("overrides", [
     {}, {"keep_raw": True},
-    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=3)}],
-    ids=["tiny", "keep_raw", "unconverged"])
+    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=3)},
+    # large enough that numpy's matrix products split over BLAS threads
+    {"keep_raw": True, "p": 1000, "repetitions": 1, "solver": "amp",
+     "pen_grid": [(0.36, 0.75), (0.3, 0.75)], "pop_size": 200}],
+    ids=["tiny", "keep_raw", "unconverged", "p1000"])
 def test_worker_counts_give_identical_outputs(tmp_path, overrides):
-    # 1, 2 and more workers than tasks (2 repetitions and the RS path):
+    # 1, 2 and more workers than tasks (the repetitions and the RS path):
     # the same table.csv bytes and the same report but for its timing
     outs = {}
     for workers in (1, 2, 7):
         cfg = _tiny_config(tmp_path, output_dir=str(tmp_path / f"w{workers}"),
                            **overrides)
         report = run_experiment(cfg, workers=workers)
-        assert report["timing"]["workers"] == _pooled(min(workers, 3))
+        assert report["timing"]["workers"] == _pooled(
+            min(workers, cfg.repetitions + 1))
         table = (tmp_path / f"w{workers}" / "table.csv").read_bytes()
         # JSON text, so NaN cells compare equal
         outs[workers] = table, json.dumps({k: report.get(k) for k in _SAME_KEYS})
@@ -300,15 +304,17 @@ def test_default_workers_capped_at_tasks(tmp_path, monkeypatch):
 
 
 def test_workers_run_one_blas_thread():
-    # each worker inherits one BLAS thread, and this process gets its
-    # thread counts back afterwards
+    # each task runs on one BLAS thread, in this process or inherited by a
+    # worker, and this process gets its thread counts back afterwards
     if _pooled(2) == 1:
         return
     before = _worker_blas_threads()
-    results, workers = experiment._run_tasks([(_worker_blas_threads,)] * 3, 2)
-    assert workers == 2
-    assert [threads for threads, _ in results] == [[1] * len(before)] * 3
-    assert _worker_blas_threads() == before
+    for workers in (1, 2):
+        results, used = experiment._run_tasks(
+            [(_worker_blas_threads,)] * 3, workers)
+        assert used == workers
+        assert [threads for threads, _ in results] == [[1] * len(before)] * 3
+        assert _worker_blas_threads() == before
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -495,6 +501,27 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "e.json")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys,
+                                                   monkeypatch):
+    # a solver that diverges gives exit 2 and writes no fit file
+    from coxfield import solvers
+
+    def diverge(*args, **kwargs):
+        raise solvers.FitDivergedError("non-finite iterate")
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", diverge)
+    rng = np.random.default_rng(2)
+    data_csv = tmp_path / "d.csv"
+    SurvivalDataset(rng.uniform(0.5, 1.5, 30), np.ones(30),
+                    rng.normal(0, 0.3, (30, 4))).to_csv(data_csv)
+    fit_json = tmp_path / "f.json"
+    rc = main(["fit", "--input", str(data_csv), "--solver", "cd",
+               "--alpha", "0.4", "--output", str(fit_json)])
+    assert rc == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not fit_json.exists()
 
 
 def test_cli_rejects_non_finite_covariate(tmp_path, capsys):

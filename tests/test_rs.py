@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from coxfield import rs
 from coxfield.prox import ElasticNetPenalty, prox_enet, prox_enet_dot, prox_g
 from coxfield.rs import (OrderParameters, RsInconsistencyError,
                          RsNonConvergenceError, enet_prior_moments,
@@ -143,23 +144,24 @@ def test_rhs_error_paths():
 def test_solve_rs_residual_bootstrap():
     # solve on a large population; residuals re-evaluated on fresh
     # populations and prior draws must sit inside 3 resampling sigmas
-    op, lam = solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
-                       n_pop=20000, seed=9)
+    op, lam = solve_rs(PEN, nu=0.02, zeta=2.0,
+                       pop=sample_population(GEN, 1.0, 20000, seed=9))
     n_fresh, m_prior = 3000, 120000
     residuals = []
     for k in range(5):
         pop_k = sample_population(GEN, 1.0, n_fresh, seed=100 + k)
         b0, z = sample_prior(0.02, 1.0, m_prior, seed=200 + k)
         residuals.append(rs_residuals_general(op, pop_k, b0, z, PEN,
-                                              theta0=1.0, zeta=2.0))
+                                              zeta=2.0))
     residuals = np.array(residuals)
     sigma = residuals.std(axis=0, ddof=1)
     assert np.all(np.abs(residuals) <= 3.0 * sigma + 1e-12)
 
 
 def test_solve_rs_seed_agreement():
-    ops = [solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
-                    n_pop=5000, seed=s)[0].as_array() for s in range(4)]
+    ops = [solve_rs(PEN, nu=0.02, zeta=2.0,
+                    pop=sample_population(GEN, 1.0, 5000, seed=s))[0].as_array()
+           for s in range(4)]
     ops = np.array(ops)
     spread = ops.std(axis=0, ddof=1)
     for i in range(4):
@@ -175,8 +177,8 @@ def test_solve_rs_order_independence():
     shuffled = RsPopulation(z0=pop.z0[perm], q=pop.q[perm],
                             delta=pop.delta[perm], t=pop.t[perm],
                             theta0=pop.theta0)
-    op1, _ = solve_rs(PEN, 0.02, 1.0, 2.0, GEN, pop=pop)
-    op2, _ = solve_rs(PEN, 0.02, 1.0, 2.0, GEN, pop=shuffled)
+    op1, _ = solve_rs(PEN, 0.02, 2.0, pop)
+    op2, _ = solve_rs(PEN, 0.02, 2.0, shuffled)
     assert np.max(np.abs(op1.as_array() - op2.as_array())) <= 1e-5
 
 
@@ -198,11 +200,10 @@ def test_solve_rs_returns_a_verified_fixed_point():
     n_pop, seed = 800, 2
     points = solve_rs_path(pens, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
                            n_pop=n_pop, seed=seed)
-    single = solve_rs(pens[0], nu=0.02, theta0=1.0, zeta=2.0, gen=GEN,
-                      n_pop=n_pop, seed=seed)
+    pop = sample_population(GEN, 1.0, n_pop, seed=seed)
+    single = solve_rs(pens[0], nu=0.02, zeta=2.0, pop=pop)
     assert all(pt is not None for pt in points)
     assert np.array_equal(single[0].as_array(), points[0][0].as_array())
-    pop = sample_population(GEN, 1.0, n_pop, seed=seed)
     for pen, (op, lam) in zip(pens, points):
         assert _hazard_oracle_gap(pop, op.w, op.v, op.tau, lam) <= 1e-8
         prop = rs_rhs_enet(op, pop, lam, pen, nu=0.02, zeta=2.0)
@@ -213,21 +214,22 @@ def test_solve_rs_returns_a_verified_fixed_point():
         assert diag["scalar_residual"] <= 1e-6
 
 
-def test_solve_rs_nonconvergence_reports_residuals():
+def test_solve_rs_nonconvergence_reports_residuals(monkeypatch):
+    pop = sample_population(GEN, 1.0, 500, seed=13)
+    monkeypatch.setattr(rs, "_MAX_ITER", 3)
     with pytest.raises(RsNonConvergenceError) as exc:
-        solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN, n_pop=500,
-                 seed=13, max_iter=3)
+        solve_rs(PEN, nu=0.02, zeta=2.0, pop=pop)
     err = exc.value
     assert err.iterations == 3
     assert err.hazard_residual > 0.0 and err.scalar_residual > 1e-6
     assert "after 3 iterations" in str(err)
+    monkeypatch.setattr(rs, "_MAX_ITER", 2)
     with pytest.raises(RsNonConvergenceError) as exc:
-        solve_lambda(sample_population(GEN, 1.0, 500, seed=13), 0.4, 0.5, 1.1,
-                     max_iter=2)
+        solve_lambda(pop, 0.4, 0.5, 1.1)
     assert exc.value.iterations == 2 and exc.value.scalar_residual is None
     with pytest.raises(ValueError):
-        solve_rs(PEN, nu=0.02, theta0=1.0, zeta=2.0, gen=GEN, n_pop=500,
-                 seed=13, init=OrderParameters(0.5, 0.5, 0.0, 0.5, 0.5, 1.0))
+        solve_rs(PEN, nu=0.02, zeta=2.0, pop=pop,
+                 init=OrderParameters(0.5, 0.5, 0.0, 0.5, 0.5, 1.0))
 
 
 def test_order_parameters_diagnostics_stay_out_of_comparisons():

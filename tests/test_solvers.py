@@ -107,6 +107,25 @@ def test_cd_full_shrinkage():
     assert np.array_equal(res.beta_hat, np.zeros(40))
 
 
+def test_cd_skips_a_zero_column():
+    # an all-zero column has zero curvature: its coordinate is skipped in
+    # every epoch and stays at zero, and the other coefficients are those
+    # of the fit without that column
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    k = 7
+    design = data.design.copy()
+    design[:, k] = 0.0
+    with_zero = fit_cd(SurvivalDataset(data.times, data.events, design), PEN)
+    without = fit_cd(SurvivalDataset(data.times, data.events,
+                                     np.delete(design, k, axis=1)), PEN)
+    assert with_zero.converged and without.converged
+    assert np.count_nonzero(without.beta_hat) > 0
+    assert with_zero.diagnostics["skipped_coordinates"] == with_zero.epochs
+    assert with_zero.beta_hat[k] == 0.0
+    assert np.max(np.abs(np.delete(with_zero.beta_hat, k)
+                         - without.beta_hat)) <= 1e-12
+
+
 def test_reg_path_single_point_equals_direct():
     data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=8)
     direct = fit_cd(data, PEN)
