@@ -155,12 +155,16 @@ def _rep_seeds(base_seed, r):
 
 def _run_repetition(cfg, r):
     """All per-repetition work: per solver, one record per grid point, and
-    the failures with their reasons, in solver then grid order."""
+    the failures with their reasons, in solver then grid order; and the
+    seconds of its stages: data generation, and per solver the path and
+    the work after the fits."""
+    t0 = perf_counter()
     train_seed, test_seed = _rep_seeds(cfg.base_seed, r)
     sig = SignalSpec(p=cfg.p, nu=cfg.nu, theta0=cfg.theta0,
                      seed=cfg.base_seed + r)
     train, beta0 = generate_dataset(sig, cfg.gen, seed=train_seed)
     test, _ = generate_dataset(sig, cfg.gen, seed=test_seed)
+    stages = {"generate_s": perf_counter() - t0, "path_s": {}, "post_fit_s": {}}
     pens = cfg.penalties
     records = {}
     failures = []
@@ -170,7 +174,10 @@ def _run_repetition(cfg, r):
                          "reason": reason, **extra})
 
     for solver in cfg.solvers:
+        t0 = perf_counter()
         fits = reg_path(train, pens, solver, cfg=cfg.solver_cfg)
+        t1 = perf_counter()
+        stages["path_s"][solver] = t1 - t0
         records[solver] = []
         for i, (pen, fit) in enumerate(zip(pens, fits)):
             rec = dict.fromkeys(("converged", "estimate") + _FIT_FIELDS)
@@ -204,7 +211,8 @@ def _run_repetition(cfg, r):
                                           test.design @ fit.beta_hat)
             except ValueError as exc:
                 fail(i, solver, f"test_c: {exc}")
-    return records, failures
+        stages["post_fit_s"][solver] = perf_counter() - t1
+    return records, failures, stages
 
 
 def _solve_rs_path(cfg):
@@ -345,16 +353,19 @@ def run_experiment(cfg, workers=None):
     workers=1 runs them in this process, and so does any count where
     fork, os.sched_getaffinity or a way to pin the loaded BLAS (OpenBLAS
     only) is missing, in that last case on the caller's BLAS threads.
-    "timing" holds the worker count used, the seconds of each repetition
-    and of the RS path, each measured inside its task, and the wall
-    seconds of the call up to the report write.
+    "timing" holds the worker count used; per repetition, measured inside
+    its task, its seconds ("repetition_s"), those of its data generation
+    ("generate_s") and, per solver, of its path ("path_s") and of the
+    estimates, true overlaps, RSCV and test C after it ("post_fit_s");
+    the RS path's seconds; and the wall seconds of the call up to the
+    report write.
     """
     t0 = perf_counter()
     tasks = [(_run_repetition, cfg, r) for r in range(cfg.repetitions)]
     results, workers = _run_tasks(tasks + [(_solve_rs_path, cfg)], workers)
     *rep_runs, (rs_points, rs_s) = results
     reps = [rep for rep, _ in rep_runs]
-    raw = [{solver: [records[solver][i] for records, _ in reps]
+    raw = [{solver: [records[solver][i] for records, _, _ in reps]
             for solver in cfg.solvers} for i in range(len(cfg.pen_grid))]
     rows, counts = zip(*(_aggregate(alpha, l1, rs, point) for (alpha, l1), rs,
                          point in zip(cfg.pen_grid, rs_points, raw)))
@@ -363,16 +374,21 @@ def run_experiment(cfg, workers=None):
         "columns": list(rows[0]),
         "rows": list(rows),
         "counts": list(counts),
-        "failures": [f for _, fails in reps for f in fails],
+        "failures": [f for _, fails, _ in reps for f in fails],
     }
     if cfg.keep_raw:
         report["raw"] = raw
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(out_dir / "table.csv", report["columns"], rows)
-    report["timing"] = {"workers": workers,
-                        "repetition_s": [s for _, s in rep_runs],
-                        "rs_s": rs_s, "wall_s": perf_counter() - t0}
+    stages = [stage for _, _, stage in reps]
+    report["timing"] = {
+        "workers": workers,
+        "repetition_s": [s for _, s in rep_runs],
+        "generate_s": [stage["generate_s"] for stage in stages],
+        **{key: {solver: [stage[key][solver] for stage in stages]
+                 for solver in cfg.solvers} for key in ("path_s", "post_fit_s")},
+        "rs_s": rs_s, "wall_s": perf_counter() - t0}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, default=_json_default)
     return report

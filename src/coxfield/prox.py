@@ -63,13 +63,43 @@ def g_ddot(x, lam, delta):
     return lam * np.exp(x)
 
 
-def _w_of(u, lam, delta, tau):
-    # W0 of tau*lam*exp(tau*delta + u), evaluated through the log of the
-    # argument so that divergent inputs degrade gracefully instead of
-    # overflowing; lam == 0 gives log(0) = -inf and W0 = 0 exactly.
+def log_tau_lam(lam, tau):
+    """log(tau * lam), the hazard's share of the Lambert argument of the
+    Cox proximal map; -inf where lam == 0, without a divide warning, so
+    that W0 = 0 there exactly."""
     with np.errstate(divide="ignore"):
-        log_arg = tau * delta + u + np.log(tau * lam)
-    return lambert_w0_exp(log_arg)
+        return np.log(tau * lam)
+
+
+def cox_w(u, tau_delta, log_tl):
+    """Lambert factor W0(tau*lam*exp(tau*delta + u)) of the Cox proximal map.
+
+    Evaluated through the log of the argument, so that divergent inputs
+    degrade gracefully instead of overflowing.  Takes tau*delta and
+    `log_tau_lam(lam, tau)`, so that evaluations at one (lam, delta, tau)
+    form them once; `prox_g_w`, `moreau_dot_w` and `moreau_ddot_w` turn W
+    into the map and the envelope derivatives.
+    """
+    return lambert_w0_exp(tau_delta + u + log_tl)
+
+
+def prox_g_w(u, tau_delta, w):
+    """The proximal map of g from its Lambert factor w: u + tau*delta - w."""
+    return u + tau_delta - w
+
+
+def moreau_dot_w(w, delta, tau):
+    """The envelope gradient from the Lambert factor w: w/tau - delta."""
+    return w / tau - delta
+
+
+def moreau_ddot_w(w, tau):
+    """The envelope curvature from the Lambert factor w: w/(tau (1 + w))."""
+    return w / (tau * (1.0 + w))
+
+
+def _w_of(u, lam, delta, tau):
+    return cox_w(u, tau * delta, log_tau_lam(lam, tau))
 
 
 def prox_g(u, lam, delta, tau):
@@ -78,7 +108,8 @@ def prox_g(u, lam, delta, tau):
     Closed form u + tau*delta - W0(tau * lam * exp(tau*delta + u)) via
     the Lambert function; requires tau > 0, lam >= 0.
     """
-    return u + tau * delta - _w_of(u, lam, delta, tau)
+    tau_delta = tau * delta
+    return prox_g_w(u, tau_delta, cox_w(u, tau_delta, log_tau_lam(lam, tau)))
 
 
 def moreau_dot_g(u, lam, delta, tau):
@@ -87,7 +118,7 @@ def moreau_dot_g(u, lam, delta, tau):
     Equals (u - prox)/tau = g_dot(prox); computed as W/tau - delta with
     W the Lambert factor of the proximal map, which cannot overflow.
     """
-    return _w_of(u, lam, delta, tau) / tau - delta
+    return moreau_dot_w(_w_of(u, lam, delta, tau), delta, tau)
 
 
 def moreau_ddot_g(u, lam, delta, tau):
@@ -97,14 +128,15 @@ def moreau_ddot_g(u, lam, delta, tau):
     Since tau * g_ddot(prox) equals the Lambert factor W exactly, this is
     W / (tau * (1 + W)).
     """
-    w = _w_of(u, lam, delta, tau)
-    return w / (tau * (1.0 + w))
+    return moreau_ddot_w(_w_of(u, lam, delta, tau), tau)
 
 
 def cox_prox_bundle(u, lam, delta, tau):
     """Return (prox_g, moreau_dot_g, moreau_ddot_g) from one Lambert solve."""
-    w = _w_of(u, lam, delta, tau)
-    return u + tau * delta - w, w / tau - delta, w / (tau * (1.0 + w))
+    tau_delta = tau * delta
+    w = cox_w(u, tau_delta, log_tau_lam(lam, tau))
+    return (prox_g_w(u, tau_delta, w), moreau_dot_w(w, delta, tau),
+            moreau_ddot_w(w, tau))
 
 
 def prox_enet(u, tauhat, pen):

@@ -303,6 +303,27 @@ def test_default_workers_capped_at_tasks(tmp_path, monkeypatch):
     assert on_disk["timing"] == timing
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_times_repetition_stages(tmp_path, workers):
+    # the stages inside each repetition, measured in its task: data
+    # generation, and per solver the path and the work after the fits
+    report = run_experiment(_tiny_config(tmp_path), workers=workers)
+    timing = report["timing"]
+    reps = len(timing["repetition_s"])
+    assert len(timing["generate_s"]) == reps
+    for key in ("path_s", "post_fit_s"):
+        assert sorted(timing[key]) == ["amp", "cd"]
+        assert all(len(secs) == reps for secs in timing[key].values())
+    for r, total in enumerate(timing["repetition_s"]):
+        stages = [timing["generate_s"][r]] + [
+            timing[key][solver][r] for key in ("path_s", "post_fit_s")
+            for solver in ("amp", "cd")]
+        assert all(s >= 0.0 for s in stages)
+        assert sum(stages) <= total
+    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert on_disk["timing"] == timing
+
+
 def test_workers_run_one_blas_thread():
     # each task runs on one BLAS thread, in this process or inherited by a
     # worker, and this process gets its thread counts back afterwards
@@ -558,6 +579,12 @@ def test_fit_record_roundtrip_keeps_hazard(tmp_path, solver):
         assert np.array_equal(back.beta_hat, fit.beta_hat)
         assert np.array_equal(back.hazard.knots, fit.hazard.knots)
         assert np.array_equal(back.hazard.values, fit.hazard.values)
+        # the record carries the fit's diagnostics, CD's screen count too
+        diag = json.loads(path.read_text())["diagnostics"]
+        assert diag["stop_reason"] == fit.diagnostics["stop_reason"]
+        if solver == "cd":
+            assert diag["screened_coordinates"] == fit.diagnostics[
+                "screened_coordinates"] > 0
 
 
 def test_console_script_installed():

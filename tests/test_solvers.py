@@ -260,6 +260,85 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
                 assert np.array_equal(got, want)
 
 
+def _start_score(data, beta):
+    # the score of CD's first epoch at beta, as `reference_cd` forms it
+    lp = data.design @ beta
+    lamT = nelson_aalen(data.times, data.events, lp).evaluate(data.times)
+    return data.design.T @ (lamT * np.exp(lp) - data.events)
+
+
+def _screening_instance(seed):
+    """A small CD problem that stresses the screen: its data, penalty and
+    warm start.  Tied times when seed % 3 == 1, an all-zero column when
+    seed % 4 == 2.
+
+    Even seeds start cold, with alpha within 1e-12 alpha of the
+    first-epoch |score| of one coordinate, the largest when seed % 8 == 0
+    (no coordinate moves before it).  Odd seeds run a lasso from a
+    perturbed solution, with x_1 = x_0 and columns 2 to at most 30 equal
+    to +-(1 + j 2^-52) x_0 (|j| <= 4), their coefficients at zero.  The
+    start splits the x_0 coefficient of a solution at a weaker penalty
+    between x_0 and x_1, x_0's with the wrong sign, and alpha exceeds
+    their score by a factor 1 + 1e-3.  The sweep then moves coefficients
+    0 and 1 by nearly opposite amounts, so r nearly cancels: S's rounding
+    error relative to Q is some 1e6 u, the Cauchy-Schwarz bound is tight
+    for every zero copy, and each one's update lands on the threshold up
+    to rounding.
+    """
+    rng = np.random.default_rng([17, seed])
+    p = int(rng.integers(20, 121))
+    zeta = float(rng.uniform(0.5, 3.0))
+    data, _ = _instance(p=p, zeta=zeta, nu=0.1, seed=100 + seed)
+    times = np.round(data.times, 1) + 0.1 if seed % 3 == 1 else data.times
+    design = data.design.copy()
+    copies = min(30, p // 2) if seed % 2 else 0
+    if copies:
+        top = np.argmax(np.abs(_start_score(data, np.zeros(p))))
+        design[:, [0, top]] = design[:, [top, 0]]
+        design[:, 1] = design[:, 0]
+        for k in range(2, copies + 1):
+            scale = rng.choice([-1.0, 1.0]) * (1.0 + int(rng.integers(-4, 5)) * 2.0**-52)
+            design[:, k] = design[:, 0] * scale
+    if seed % 4 == 2:
+        design[:, rng.integers(copies + 1, p)] = 0.0
+    data = SurvivalDataset(times, data.events, design)
+    score = np.abs(_start_score(data, np.zeros(p)))
+    k = np.argsort(score)[::-1][0 if seed % 8 == 0 else rng.integers(1, 8)]
+    if not copies:
+        alpha = score[k] * (1.0 + rng.choice([-0.5e-12, 0.0, 0.5e-12]))
+        eta = alpha / float(rng.uniform(0.5, 1.0)) - alpha
+        return data, ElasticNetPenalty.from_weights(alpha, eta), None
+    weak = ElasticNetPenalty.from_weights(score[k] * rng.uniform(0.3, 0.6), 0.0)
+    solution = reference_cd(data, weak).beta_hat
+    beta = np.where(solution != 0, solution + rng.normal(0.0, 1e-3, p), 0.0)
+    beta[:copies + 1] = 0.0
+    z = solution[0]
+    split = np.sign(z) * (abs(z) + 1.0)
+    beta[0], beta[1] = z - split, split
+    alpha = abs(_start_score(data, beta)[0]) * (1.0 + 1e-3)
+    init = FitResult(beta_hat=beta, hazard=None, converged=True, epochs=1,
+                     final_err=0.0)
+    return data, ElasticNetPenalty.from_weights(alpha, 0.0), init
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_cd_screening_is_exact(seed, monkeypatch):
+    # the screen skips a zero coordinate only where the update would give
+    # a zero: the plain sweep equals the reference loop, which has no
+    # screen, bit for bit
+    monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
+    data, pen, init = _screening_instance(seed)
+    fit = fit_cd(data, pen, init=init)
+    ref = reference_cd(data, pen, init=init)
+    assert fit.epochs == ref.epochs
+    assert np.array_equal(fit.beta_hat, ref.beta_hat)
+    assert np.array_equal(fit.hazard.knots, ref.hazard.knots)
+    assert np.array_equal(fit.hazard.values, ref.hazard.values)
+    assert fit.final_err == ref.final_err
+    if np.count_nonzero(fit.beta_hat) <= data.p // 2:
+        assert fit.diagnostics["screened_coordinates"] > 0
+
+
 def test_accelerated_cd_matches_plain_cd(monkeypatch):
     # the extrapolation changes the iteration, not its fixed point
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
