@@ -37,19 +37,31 @@ def _emit(summary):
     sys.stdout.write("\n")
 
 
+def _given(args, *names):
+    # the flags set on the command line; an unset flag with default
+    # SUPPRESS leaves no attribute, so the library's default applies
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _gen_spec(args):
+    return GeneratorSpec(**_given(args, "phi0", "rho0", "tau1", "tau2", "zeta"))
+
+
 def _gen_flags(sub):
-    sub.add_argument("--phi0", type=float, default=-np.log(2.0))
-    sub.add_argument("--rho0", type=float, default=2.0)
-    sub.add_argument("--tau1", type=float, default=1.0)
-    sub.add_argument("--tau2", type=float, default=2.0)
+    for name in ("--phi0", "--rho0", "--tau1", "--tau2"):
+        sub.add_argument(name, type=float, default=argparse.SUPPRESS)
 
 
 def _solver_flags(sub):
     sub.add_argument("--solver", choices=sorted(_SOLVERS), default="cd")
     sub.add_argument("--l1-ratio", type=float, default=0.75)
-    sub.add_argument("--tol", type=float, default=1e-8)
-    sub.add_argument("--max-epochs", type=int, default=None)
-    sub.add_argument("--damping", type=float, default=0.5)
+    sub.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--damping", type=float, default=argparse.SUPPRESS)
+
+
+def _solver_cfg(args):
+    return SolverConfig(**_given(args, "tol", "max_epochs", "damping"))
 
 
 def _positive_int(text):
@@ -69,22 +81,28 @@ def _penalty(alpha, l1_ratio):
 
 
 def _fit_record(fit, pen):
+    # a diverged path point: null, not NaN, for beta_hat and final_err
+    diverged = fit.hazard is None
     return {
         "penalty": asdict(pen),
-        "beta_hat": None if fit.beta_hat is None else list(map(float, fit.beta_hat)),
-        "hazard": None if fit.hazard is None else {
+        "beta_hat": None if diverged else list(map(float, fit.beta_hat)),
+        "hazard": None if diverged else {
             "knots": list(map(float, fit.hazard.knots)),
             "jumps": list(map(float, fit.hazard.jumps))},
         "tau": fit.tau,
         "tau_hat": fit.tau_hat,
         "diagnostics": {"converged": fit.converged, "epochs": fit.epochs,
-                        "final_err": fit.final_err, **fit.diagnostics},
+                        "final_err": None if diverged else fit.final_err,
+                        **fit.diagnostics},
     }
 
 
 def _load_fit(path):
     with open(path, "r", encoding="utf-8") as fh:
         rec = json.load(fh)
+    if not isinstance(rec, dict) or rec.get("hazard") is None:
+        raise ValueError(f"{path}: estimate needs a single record from "
+                         "`coxfield fit`")
     hazard = StepHazard(np.array(rec["hazard"]["knots"]),
                         np.cumsum(rec["hazard"]["jumps"]))
     pen = ElasticNetPenalty(**rec["penalty"])
@@ -98,8 +116,7 @@ def _load_fit(path):
 
 def _cmd_generate(args):
     sig = SignalSpec(p=args.p, nu=args.nu, theta0=args.theta0, seed=args.seed)
-    gen = GeneratorSpec(phi0=args.phi0, rho0=args.rho0, tau1=args.tau1,
-                        tau2=args.tau2, zeta=args.zeta)
+    gen = _gen_spec(args)
     data, beta0 = generate_dataset(sig, gen, seed=args.seed)
     out = Path(args.output)
     data.to_csv(out)
@@ -119,9 +136,7 @@ def _cmd_generate(args):
 def _cmd_fit(args):
     data = SurvivalDataset.from_csv(args.input)
     pen = _penalty(args.alpha, args.l1_ratio)
-    cfg = SolverConfig(tol=args.tol, max_epochs=args.max_epochs,
-                       damping=args.damping)
-    fit = _SOLVERS[args.solver](data, pen, cfg=cfg)
+    fit = _SOLVERS[args.solver](data, pen, cfg=_solver_cfg(args))
     rec = _fit_record(fit, pen)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(rec, fh, indent=1)
@@ -136,9 +151,7 @@ def _cmd_path(args):
     data = SurvivalDataset.from_csv(args.input)
     alphas = [float(a) for a in args.alpha_grid.split(",")]
     pens = [_penalty(a, args.l1_ratio) for a in alphas]
-    cfg = SolverConfig(tol=args.tol, max_epochs=args.max_epochs,
-                       damping=args.damping)
-    fits = reg_path(data, pens, args.solver, cfg=cfg)
+    fits = reg_path(data, pens, args.solver, cfg=_solver_cfg(args))
     records = [_fit_record(fit, pen) for fit, pen in zip(fits, pens)]
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1)
@@ -151,10 +164,8 @@ def _cmd_path(args):
 def _cmd_rs_solve(args):
     alphas = [float(a) for a in args.alpha_grid.split(",")]
     pens = [_penalty(a, args.l1_ratio) for a in alphas]
-    gen = GeneratorSpec(phi0=args.phi0, rho0=args.rho0, tau1=args.tau1,
-                        tau2=args.tau2, zeta=args.zeta)
-    points = solve_rs_path(pens, args.nu, args.theta0, args.zeta, gen,
-                           n_pop=args.pop_size, seed=args.seed)
+    points = solve_rs_path(pens, args.nu, args.theta0, args.zeta,
+                           _gen_spec(args), **_given(args, "n_pop", "seed"))
     rows = [{"alpha": alpha, "converged": int(point is not None),
              **dict(zip(_EST_FIELDS, [np.nan] * 6 if point is None
                         else point[0].as_array()))}
@@ -234,7 +245,7 @@ def build_parser():
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     gen.add_argument("--p", type=int, required=True)
-    gen.add_argument("--zeta", type=float, default=2.0)
+    gen.add_argument("--zeta", type=float, default=argparse.SUPPRESS)
     gen.add_argument("--nu", type=float, required=True)
     gen.add_argument("--theta0", type=float, default=1.0)
     gen.add_argument("--seed", type=int, required=True)
@@ -263,8 +274,8 @@ def build_parser():
     rs.add_argument("--theta0", type=float, default=1.0)
     rs.add_argument("--alpha-grid", required=True)
     rs.add_argument("--l1-ratio", type=float, default=0.75)
-    rs.add_argument("--pop-size", type=int, default=5000)
-    rs.add_argument("--seed", type=int, default=0)
+    rs.add_argument("--pop-size", type=int, dest="n_pop", default=argparse.SUPPRESS)
+    rs.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     _gen_flags(rs)
     rs.add_argument("--output", required=True)
     rs.set_defaults(func=_cmd_rs_solve)

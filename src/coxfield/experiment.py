@@ -20,7 +20,7 @@ from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty
 from .rs import solve_rs_path
-from .solvers import SolverConfig, reg_path
+from .solvers import SolverConfig, check_path_order, reg_path
 from .survival import harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
@@ -35,7 +35,7 @@ class ExperimentConfig:
     """Configuration for a full repetition experiment.
 
     pen_grid is a non-empty list of (alpha, l1_ratio) pairs, l1_ratio in
-    (0, 1], sorted by decreasing alpha at fixed l1_ratio; solver is "amp",
+    (0, 1], sorted by decreasing strength alpha / l1_ratio; solver is "amp",
     "cd" or "both"; pop_size is the RS population size.  Desk-scale
     defaults (p=500, 10 repetitions, pop_size 5000) run in minutes; the
     paper-scale variant (p=2000, 20 repetitions) is
@@ -79,9 +79,7 @@ class ExperimentConfig:
         if any(not 0.0 < l1 <= 1.0 for _, l1 in self.pen_grid):
             raise ValueError("pen_grid l1_ratio must lie in (0, 1]; drive "
                              "ridge-only fits through the library API")
-        alphas = [a for a, _ in self.pen_grid]
-        if any(b > a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("pen_grid must be sorted by decreasing alpha")
+        check_path_order(self.penalties)
 
     @property
     def solvers(self):

@@ -128,16 +128,16 @@ def estimate_tau_cd(data, fit, pen, zeta):
 
     With k the active-set fraction ||beta||_0 / p, solves
     f(tau) = zeta (k - eta tau) - < tau g_ddot / (1 + tau g_ddot) > = 0,
-    then tau_hat = tau / (k - eta tau).  Once a sign change is bracketed
-    (on (0, k/eta) when eta > 0), Newton steps from tau = 0 find the root:
-    f is convex and decreasing with f(0) > 0, so the iterates rise to it
-    without overshoot.
+    then tau_hat = tau / (k - eta tau).  f is convex and decreasing with
+    f(0) > 0 on (0, k/eta) (on t > 0 for the lasso), so a root exists iff
+    f is negative at the right end, and Newton steps from tau = 0 rise to
+    it without overshoot.
 
     Raises
     ------
     EstimationError
-        For the null model (k = 0), when no sign change brackets a root,
-        or when the Newton steps do not settle.
+        For the null model (k = 0), when f has no root, or when the
+        Newton steps do not settle.
     """
     beta_hat = np.asarray(fit.beta_hat, dtype=float)
     k = np.count_nonzero(beta_hat) / data.p
@@ -148,19 +148,11 @@ def estimate_tau_cd(data, fit, pen, zeta):
     def f(t):
         return zeta * (k - pen.eta * t) - np.mean(t * gdd / (1.0 + t * gdd))
 
-    if pen.eta > 0:
-        hi = k / pen.eta
-        if f(hi) >= 0.0:
-            raise EstimationError("no sign change for tau on (0, k/eta); "
-                                  f"f({hi:.3e}) = {f(hi):.3e}")
-    else:
-        hi = 1.0
-        while f(hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise EstimationError(
-                    "no sign change for tau: zeta * k = "
-                    f"{zeta * k:.3f} exceeds the curvature-average supremum")
+    # the lasso's end is t -> inf, where the curvature average -> P(gdd > 0)
+    end = f(k / pen.eta) if pen.eta > 0 else zeta * k - np.mean(gdd > 0.0)
+    if end >= 0.0:
+        raise EstimationError("no sign change for tau: f = "
+                              f"{end:.3e} >= 0 at the end of its domain")
     tau_n = 0.0
     for _ in range(_NEWTON_MAX_ITER):
         denom = 1.0 + tau_n * gdd

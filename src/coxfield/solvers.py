@@ -43,20 +43,6 @@ class FitDivergedError(RuntimeError):
     """A solver iterate became non-finite."""
 
 
-def _all_censored_result(data, with_amp_state, t0):
-    # no events: the loss is identically zero, the penalized minimizer is
-    # the origin and the hazard vanishes; this is an exact fixed point of
-    # both iterations
-    hazard = nelson_aalen(data.times, data.events, np.zeros(data.n))
-    kwargs = {}
-    if with_amp_state:
-        kwargs = {"xi": np.zeros(data.n), "tau": 1.0, "tau_hat": 1.0}
-    return FitResult(beta_hat=np.zeros(data.p), hazard=hazard, converged=True,
-                     epochs=1, final_err=0.0,
-                     diagnostics={"stop_reason": "all_censored",
-                                  "seconds": perf_counter() - t0}, **kwargs)
-
-
 @dataclass
 class SolverConfig:
     """Common solver knobs.
@@ -112,8 +98,16 @@ def _check_finite(epoch, **fields):
                 "too weak for a minimizer to exist")
 
 
-def _stop_diagnostics(stop_reason, t0):
-    return {"stop_reason": stop_reason, "seconds": perf_counter() - t0}
+def _fit_result(beta, hazard, epochs, err, stop_reason, t0, diagnostics,
+                **amp_state):
+    # every finished fit: converged iff it stopped on tol or had no events
+    # (the origin with a vanishing hazard is then an exact fixed point of
+    # both iterations); stop reason and wall time follow the solver's keys
+    return FitResult(beta_hat=beta, hazard=hazard,
+                     converged=stop_reason in ("tol", "all_censored"),
+                     epochs=epochs, final_err=float(err), **amp_state,
+                     diagnostics={**diagnostics, "stop_reason": stop_reason,
+                                  "seconds": perf_counter() - t0})
 
 
 def _anderson_mix(iterates):
@@ -164,7 +158,9 @@ def fit_amp(data, pen, init=None, cfg=None):
     zeta = p / n
 
     if not np.any(D == 1.0):
-        return _all_censored_result(data, with_amp_state=True, t0=t0)
+        return _fit_result(np.zeros(p), nelson_aalen(T, D, np.zeros(n)), 1,
+                           0.0, "all_censored", t0, {}, xi=np.zeros(n),
+                           tau=1.0, tau_hat=1.0)
 
     # the times are sorted once, for every epoch and the returned hazard
     rs = RiskSets(T, D)
@@ -246,13 +242,10 @@ def fit_amp(data, pen, init=None, cfg=None):
     mdot = moreau_dot_g(xi, lamT, D, tau)
     beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
 
-    return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
-                     converged=stop_reason == "tol", epochs=epoch,
-                     final_err=float(err), xi=xi, tau=float(tau),
-                     tau_hat=float(tau_hat),
-                     diagnostics={"err_history": err_history,
-                                  "damping_cuts": damping_cuts,
-                                  **_stop_diagnostics(stop_reason, t0)})
+    return _fit_result(beta, rs.step_hazard(lamT), epoch, err, stop_reason, t0,
+                       {"err_history": err_history,
+                        "damping_cuts": damping_cuts},
+                       xi=xi, tau=float(tau), tau_hat=float(tau_hat))
 
 
 def fit_cd(data, pen, init=None, cfg=None):
@@ -284,7 +277,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     alpha, eta = pen.alpha, pen.eta
 
     if not np.any(D == 1.0):
-        return _all_censored_result(data, with_amp_state=False, t0=t0)
+        return _fit_result(np.zeros(p), nelson_aalen(T, D, np.zeros(n)), 1,
+                           0.0, "all_censored", t0, {})
 
     # the times are sorted once, for every epoch and the returned hazard
     rs = RiskSets(T, D)
@@ -399,33 +393,34 @@ def fit_cd(data, pen, init=None, cfg=None):
                     lamT = rs.hazard(lp)
             iterates = [beta]
 
-    return FitResult(beta_hat=beta, hazard=rs.step_hazard(lamT),
-                     converged=stop_reason == "tol", epochs=epoch,
-                     final_err=float(err),
-                     diagnostics={"skipped_coordinates": skipped,
-                                  "screened_coordinates": screened,
-                                  "extrapolations_tried": tried,
-                                  "extrapolations_kept": kept,
-                                  **_stop_diagnostics(stop_reason, t0)})
+    return _fit_result(beta, rs.step_hazard(lamT), epoch, err, stop_reason, t0,
+                       {"skipped_coordinates": skipped,
+                        "screened_coordinates": screened,
+                        "extrapolations_tried": tried,
+                        "extrapolations_kept": kept})
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}
 
 
-def reg_path(data, pen_grid, solver, cfg=None):
-    """Fit along a regularization path with warm starts.
-
-    The grid must be sorted by decreasing strength (rho, or alpha at
-    fixed l1_ratio).  Each point starts from the previous point's result;
-    a point that diverges is recorded as a non-converged FitResult with
-    its error message in diagnostics, and the path continues from the
-    last finite iterate.
-    """
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
+def check_path_order(pen_grid):
+    """Raise ValueError unless pen_grid runs by decreasing strength rho."""
     strengths = [pen.rho for pen in pen_grid]
     if any(b > a for a, b in zip(strengths, strengths[1:])):
         raise ValueError("pen_grid must be sorted by decreasing strength")
+
+
+def reg_path(data, pen_grid, solver, cfg=None):
+    """Fit along a regularization path with warm starts.
+
+    The grid must pass `check_path_order`.  Each point starts from the
+    previous point's result; a point that diverges is recorded as a
+    non-converged FitResult with its error message in diagnostics, and
+    the path continues from the last finite iterate.
+    """
+    if solver not in _SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    check_path_order(pen_grid)
     fit = _SOLVERS[solver]
     results = []
     init = None

@@ -10,7 +10,7 @@ from coxfield import experiment
 from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment
 from coxfield.prox import ElasticNetPenalty
-from coxfield.solvers import SolverConfig, reg_path
+from coxfield.solvers import SolverConfig, fit_cd, reg_path
 from coxfield.survival import SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
@@ -49,6 +49,27 @@ def test_experiment_config_validation(tmp_path):
     for bad, match in _BAD_VALUES:
         with pytest.raises(ValueError, match=match):
             _tiny_config(tmp_path, **bad)
+
+
+def test_grid_order_is_the_path_rule(tmp_path, capsys):
+    # the config accepts a grid iff reg_path would: decreasing strength
+    # alpha / l1_ratio, not decreasing alpha.  rho 0.5 then 0.8 fails at
+    # construction and as a config file, before the output directory exists
+    with pytest.raises(ValueError, match="pen_grid"):
+        _tiny_config(tmp_path, pen_grid=[(0.5, 1.0), (0.4, 0.5)])
+    cfg_path = tmp_path / "rising.json"
+    cfg_path.write_text(json.dumps({"pen_grid": [[0.5, 1.0], [0.4, 0.5]]}))
+    rc = main(["experiment", "--config", str(cfg_path), "--workers", "1",
+               "--output", str(tmp_path / "rising")])
+    assert rc == 1
+    assert "pen_grid" in capsys.readouterr().err
+    assert not (tmp_path / "rising").exists()
+    # rho 0.6 then 0.4, with alpha rising, runs
+    cfg = _tiny_config(tmp_path, pen_grid=[(0.3, 0.5), (0.4, 1.0)],
+                       repetitions=1)
+    report = run_experiment(cfg, workers=1)
+    assert (tmp_path / "out" / "table.csv").exists()
+    assert report["timing"]["workers"] == 1
 
 
 def test_run_experiment_table_and_determinism(tmp_path):
@@ -543,6 +564,101 @@ def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys,
     assert rc == 2
     assert "numerical failure:" in capsys.readouterr().err
     assert not fit_json.exists()
+
+
+def _flaky_cd(monkeypatch, bad_alpha):
+    # CD that diverges at one penalty only
+    from coxfield import solvers
+
+    def fit(data, pen, init=None, cfg=None):
+        if pen.alpha == bad_alpha:
+            raise solvers.FitDivergedError("non-finite beta at epoch 2")
+        return fit_cd(data, pen, init=init, cfg=cfg)
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", fit)
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
+                                                   monkeypatch):
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
+          "--output", str(data_csv)])
+    _flaky_cd(monkeypatch, 0.3)
+    out = tmp_path / "path.json"
+    rc = main(["path", "--input", str(data_csv), "--alpha-grid", "0.5,0.3",
+               "--output", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    good, bad = _strict_json(out.read_text())
+    assert bad["beta_hat"] is None and bad["hazard"] is None
+    assert bad["diagnostics"]["final_err"] is None
+    assert bad["diagnostics"]["stop_reason"] == "diverged"
+    # the converged point's record is that of a plain fit
+    data = SurvivalDataset.from_csv(data_csv)
+    pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
+    want = _fit_record(fit_cd(data, pen), pen)
+    for rec in (good, want):
+        del rec["diagnostics"]["seconds"]
+    assert good == json.loads(json.dumps(want))
+
+
+def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
+    # a path list, or a diverged record, is a usage error, not a traceback
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
+          "--output", str(data_csv)])
+    path_json = tmp_path / "path.json"
+    main(["path", "--input", str(data_csv), "--alpha-grid", "0.5,0.4",
+          "--output", str(path_json)])
+    _flaky_cd(monkeypatch, 0.4)
+    diverged_json = tmp_path / "diverged.json"
+    main(["path", "--input", str(data_csv), "--alpha-grid", "0.4",
+          "--output", str(diverged_json)])
+    diverged_json.write_text(json.dumps(json.loads(
+        diverged_json.read_text())[0]))
+    capsys.readouterr()
+    for fit_json in (path_json, diverged_json):
+        rc = main(["estimate", "--fit", str(fit_json), "--data",
+                   str(data_csv), "--output", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert "single record from `coxfield fit`" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
+    from dataclasses import asdict
+
+    from coxfield.rs import solve_rs_path
+
+    data_csv = tmp_path / "d.csv"
+    assert main(["generate", "--p", "80", "--nu", "0.05", "--seed", "4",
+                 "--output", str(data_csv)]) == 0
+    sidecar = json.loads((tmp_path / "d.json").read_text())
+    assert sidecar["generator"] == asdict(GeneratorSpec(zeta=2.0))
+
+    fit_json = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(data_csv), "--alpha", "0.4",
+                 "--output", str(fit_json)]) == 0
+    back, pen = _load_fit(fit_json)
+    want = fit_cd(SurvivalDataset.from_csv(data_csv), pen)
+    assert np.array_equal(back.beta_hat, want.beta_hat)
+    assert np.array_equal(back.hazard.values, want.hazard.values)
+    assert back.epochs == want.epochs
+
+    rs_csv = tmp_path / "rs.csv"
+    assert main(["rs-solve", "--zeta", "2", "--nu", "0.05", "--alpha-grid",
+                 "0.5", "--output", str(rs_csv)]) == 0
+    capsys.readouterr()
+    pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
+    (point,) = solve_rs_path([pen], 0.05, 1.0, 2.0, GeneratorSpec(zeta=2.0))
+    row = rs_csv.read_text().splitlines()[1].split(",")
+    assert [float(x) for x in row[1:7]] == point[0].as_array().tolist()
 
 
 def test_cli_rejects_non_finite_covariate(tmp_path, capsys):
