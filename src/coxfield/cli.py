@@ -20,7 +20,8 @@ from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty
 from .rs import RsInconsistencyError, RsNonConvergenceError, solve_rs_path
-from .solvers import FitDivergedError, FitResult, SolverConfig, reg_path, _SOLVERS
+from .solvers import (FitDivergedError, FitResult, SolverConfig,
+                      check_path_order, reg_path, _SOLVERS)
 from .survival import StepHazard, SurvivalDataset
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
@@ -78,6 +79,18 @@ def _penalty(alpha, l1_ratio):
     if l1_ratio <= 0:
         raise ValueError("--l1-ratio must be positive (alpha = rho * l1_ratio)")
     return ElasticNetPenalty.from_strength(alpha / l1_ratio, l1_ratio)
+
+
+def _penalty_grid(args):
+    # --alpha-grid at one --l1-ratio, held to reg_path's order rule
+    alphas = [float(a) for a in args.alpha_grid.split(",")]
+    pens = [_penalty(a, args.l1_ratio) for a in alphas]
+    try:
+        check_path_order(pens)
+    except ValueError:
+        raise ValueError("--alpha-grid must decrease in strength "
+                         "alpha / l1_ratio") from None
+    return alphas, pens
 
 
 def _fit_record(fit, pen):
@@ -149,8 +162,7 @@ def _cmd_fit(args):
 
 def _cmd_path(args):
     data = SurvivalDataset.from_csv(args.input)
-    alphas = [float(a) for a in args.alpha_grid.split(",")]
-    pens = [_penalty(a, args.l1_ratio) for a in alphas]
+    alphas, pens = _penalty_grid(args)
     fits = reg_path(data, pens, args.solver, cfg=_solver_cfg(args))
     records = [_fit_record(fit, pen) for fit, pen in zip(fits, pens)]
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -162,8 +174,7 @@ def _cmd_path(args):
 
 
 def _cmd_rs_solve(args):
-    alphas = [float(a) for a in args.alpha_grid.split(",")]
-    pens = [_penalty(a, args.l1_ratio) for a in alphas]
+    alphas, pens = _penalty_grid(args)
     points = solve_rs_path(pens, args.nu, args.theta0, args.zeta,
                            _gen_spec(args), **_given(args, "n_pop", "seed"))
     rows = [{"alpha": alpha, "converged": int(point is not None),

@@ -178,8 +178,10 @@ def _run_repetition(cfg, r):
         stages["path_s"][solver] = t1 - t0
         records[solver] = []
         for i, (pen, fit) in enumerate(zip(pens, fits)):
-            rec = dict.fromkeys(("converged", "estimate") + _FIT_FIELDS)
+            rec = dict.fromkeys(("converged", "kkt_residual", "estimate")
+                                + _FIT_FIELDS)
             rec["converged"] = bool(fit.converged)
+            rec["kkt_residual"] = fit.diagnostics.get("kkt_residual")
             records[solver].append(rec)
             if not fit.converged:
                 fail(i, solver, "solver did not converge",

@@ -16,6 +16,7 @@ import numpy as np
 
 from .prox import prox_enet, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
+from .solvers import check_path_order
 from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
 
@@ -256,12 +257,14 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
                   inits=None):
     """Solve the RS equations along a penalty grid with warm starts.
 
-    One population is drawn once and reused at every grid point.  Points
-    that fail (non-convergence or RS inconsistency) are returned as None.
+    The grid must pass `solvers.check_path_order`.  One population is
+    drawn once and reused at every grid point.  Points that fail
+    (non-convergence or RS inconsistency) are returned as None.
     `inits` optionally supplies a per-point starting OrderParameters (e.g.
     a previously solved path on another population); otherwise each point
     starts from the previous point's solution.
     """
+    check_path_order(pens)
     pop = sample_population(gen, theta0, n_pop, seed)
     results = []
     init = None

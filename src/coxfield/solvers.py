@@ -34,9 +34,12 @@ AMP_STALL_DROP = 0.5
 AMP_DAMPING_CUT = 0.5
 AMP_DAMPING_FLOOR = 0.1
 CD_MAX_EPOCHS = 100
-# CD extrapolates from its last CD_ANDERSON_K + 1 iterates every
-# CD_ANDERSON_K epochs (0 runs the plain sweeps)
-CD_ANDERSON_K = 5
+# CD tries a guarded Newton step every CD_NEWTON_EVERY epochs (0 runs the
+# plain sweeps); its conjugate gradients stop at relative residual
+# CD_CG_TOL or after CD_CG_MAX_ITER products
+CD_NEWTON_EVERY = 2
+CD_CG_TOL = 1e-4
+CD_CG_MAX_ITER = 50
 
 
 class FitDivergedError(RuntimeError):
@@ -72,11 +75,14 @@ class FitResult:
     xi, tau, tau_hat are populated by the AMP solver only.  diagnostics
     holds "stop_reason" ("tol", "max_epochs", "stalled" (AMP) or
     "all_censored"; "diverged" with the "error" message on a diverged
-    `reg_path` point) and the wall time "seconds" of the fit.  AMP adds
-    "err_history" (err after each epoch) and "damping_cuts" ([epoch,
-    damping] after each cut); CD adds "skipped_coordinates" (visits to a
-    zero-curvature coordinate), "screened_coordinates" (visits the screen
-    skipped), "extrapolations_tried" and "extrapolations_kept".
+    `reg_path` point), "kkt_residual" (the largest subgradient violation
+    of the penalized loss at beta_hat, a certificate and no stop rule;
+    absent on a diverged point) and the wall time "seconds" of the fit.
+    AMP adds "err_history" (err after each epoch) and "damping_cuts"
+    ([epoch, damping] after each cut); CD adds "skipped_coordinates"
+    (visits to a zero-curvature coordinate), "screened_coordinates"
+    (visits the screen skipped), "newton_tried", "newton_kept" and
+    "cg_iterations" (summed over the Newton steps).
     """
 
     beta_hat: np.ndarray
@@ -98,31 +104,65 @@ def _check_finite(epoch, **fields):
                 "too weak for a minimizer to exist")
 
 
-def _fit_result(beta, hazard, epochs, err, stop_reason, t0, diagnostics,
-                **amp_state):
+def _fit_result(data, pen, rs, beta, hazard, epochs, err, stop_reason, t0,
+                diagnostics, **amp_state):
     # every finished fit: converged iff it stopped on tol or had no events
     # (the origin with a vanishing hazard is then an exact fixed point of
-    # both iterations); stop reason and wall time follow the solver's keys
+    # both iterations); the KKT residual at X beta with a fresh hazard,
+    # stop reason and wall time follow the solver's keys
+    lp = data.design @ beta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grad = data.design.T @ (rs.hazard(lp) * np.exp(lp) - data.events)
     return FitResult(beta_hat=beta, hazard=hazard,
                      converged=stop_reason in ("tol", "all_censored"),
                      epochs=epochs, final_err=float(err), **amp_state,
                      diagnostics={**diagnostics, "stop_reason": stop_reason,
+                                  "kkt_residual": _kkt_residual(grad, beta, pen),
                                   "seconds": perf_counter() - t0})
 
 
-def _anderson_mix(iterates):
-    """Anderson extrapolation of the iterates x_0, ..., x_K of a fixed-point
-    map: sum_i c_i x_i over x_1, ..., x_K with the weights c (sum c = 1)
-    that minimize ||U c||, U the differences x_i - x_{i-1}.  None when the
-    weights are not finite."""
-    x = np.array(iterates)
-    u = np.diff(x, axis=0)
-    try:
-        z = np.linalg.solve(u @ u.T, np.ones(len(u)))
-    except np.linalg.LinAlgError:
-        return None
-    c = z / np.sum(z)
-    return c @ x[1:] if np.all(np.isfinite(c)) else None
+def _kkt_residual(grad, beta, pen):
+    """The largest violation of the subgradient optimality conditions of
+    the penalized loss at beta, grad the gradient of the unpenalized loss:
+    |grad_k + eta beta_k + alpha sign(beta_k)| where beta_k != 0, and
+    max(|grad_k| - alpha, 0) where beta_k = 0.  NaN where grad is."""
+    g = grad + pen.eta * beta
+    viol = np.where(beta != 0, np.abs(g + pen.alpha * np.sign(beta)),
+                    np.maximum(np.abs(g) - pen.alpha, 0.0))
+    return float(np.max(viol, initial=0.0))
+
+
+def _newton_step(X, rs, lp, beta, grad, pen):
+    """The Newton step of the penalized loss on the support A of beta with
+    its signs fixed: conjugate gradients on (X_A' H X_A + eta I) s =
+    grad_A + alpha sign(beta_A) + eta beta_A, H the Hessian of the loss at
+    lp = X beta (`RiskSets.hessian`); a coordinate of beta_A - s whose sign
+    flips is set to zero.  Returns the candidate and the CG iterations."""
+    A = np.flatnonzero(beta)
+    sign = np.sign(beta[A])
+    XA = X[:, A]
+    hess = rs.hessian(lp)
+    r = grad[A] + pen.alpha * sign + pen.eta * beta[A]
+    s = np.zeros(A.size)
+    d = r.copy()
+    rr = r @ r
+    stop = CD_CG_TOL**2 * rr
+    it = 0
+    while it < CD_CG_MAX_ITER and rr > stop:
+        it += 1
+        q = XA.T @ hess(XA @ d) + pen.eta * d
+        dq = d @ q
+        if not dq > 0.0:
+            break
+        step = rr / dq
+        s += step * d
+        r -= step * q
+        rr, rr_old = r @ r, rr
+        d = r + (rr / rr_old) * d
+    new = beta[A] - s
+    cand = beta.copy()
+    cand[A] = np.where(np.sign(new) == sign, new, 0.0)
+    return cand, it
 
 
 def fit_amp(data, pen, init=None, cfg=None):
@@ -157,13 +197,13 @@ def fit_amp(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     zeta = p / n
 
-    if not np.any(D == 1.0):
-        return _fit_result(np.zeros(p), nelson_aalen(T, D, np.zeros(n)), 1,
-                           0.0, "all_censored", t0, {}, xi=np.zeros(n),
-                           tau=1.0, tau_hat=1.0)
-
     # the times are sorted once, for every epoch and the returned hazard
     rs = RiskSets(T, D)
+    if not np.any(D == 1.0):
+        return _fit_result(data, pen, rs, np.zeros(p),
+                           nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
+                           "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
+                           tau_hat=1.0)
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -242,7 +282,8 @@ def fit_amp(data, pen, init=None, cfg=None):
     mdot = moreau_dot_g(xi, lamT, D, tau)
     beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
 
-    return _fit_result(beta, rs.step_hazard(lamT), epoch, err, stop_reason, t0,
+    return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
+                       stop_reason, t0,
                        {"err_history": err_history,
                         "damping_cuts": damping_cuts},
                        xi=xi, tau=float(tau), tau_hat=float(tau_hat))
@@ -257,17 +298,21 @@ def fit_cd(data, pen, init=None, cfg=None):
     refreshes the hazard with the Nelson-Aalen estimator.  Only the
     curvature diagonal and per-coordinate row actions are ever formed.
 
-    One epoch is a map on the coefficients.  Every CD_ANDERSON_K epochs
-    the last CD_ANDERSON_K + 1 iterates are Anderson-extrapolated, and the
-    extrapolated point replaces the iterate only where it lowers the
-    penalized partial likelihood (diagnostics["extrapolations_tried"] and
-    ["extrapolations_kept"]); the fixed point, and so the fit within the
-    tolerance, is that of the plain sweeps, and the coefficients returned
-    are those of a sweep.  Coordinates with zero curvature are skipped
-    (counted in diagnostics["skipped_coordinates"]), and so is a zero
-    coordinate whose update a Cauchy-Schwarz bound shows to be zero
-    (diagnostics["screened_coordinates"]): the screen is exact, every
-    fit is bit for bit that of the sweep without it.
+    After every CD_NEWTON_EVERY epochs but the last, a Newton step on the
+    support of the coefficients (`_newton_step`, conjugate gradients on
+    Hessian-vector products) proposes a candidate.  It replaces the
+    iterate only where its KKT residual is below the iterate's and its
+    penalized partial likelihood is not above the iterate's by more than
+    1e-12 relative (diagnostics["newton_tried"], ["newton_kept"] and
+    ["cg_iterations"]).  A fit converges only when a plain sweep moves
+    less than tol: the fixed point, and so the fit within the tolerance,
+    is that of the plain sweeps, and the coefficients returned are those
+    of a sweep.  Newton steps are not counted as epochs.  Coordinates
+    with zero curvature are skipped (counted in diagnostics
+    ["skipped_coordinates"]), and so is a zero coordinate whose update a
+    Cauchy-Schwarz bound shows to be zero (diagnostics
+    ["screened_coordinates"]): the screen is exact, every sweep is bit
+    for bit that without it.
     """
     t0 = perf_counter()
     cfg = cfg or SolverConfig()
@@ -276,12 +321,12 @@ def fit_cd(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     alpha, eta = pen.alpha, pen.eta
 
-    if not np.any(D == 1.0):
-        return _fit_result(np.zeros(p), nelson_aalen(T, D, np.zeros(n)), 1,
-                           0.0, "all_censored", t0, {})
-
     # the times are sorted once, for every epoch and the returned hazard
     rs = RiskSets(T, D)
+    if not np.any(D == 1.0):
+        return _fit_result(data, pen, rs, np.zeros(p),
+                           nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
+                           "all_censored", t0, {})
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
     lamT = rs.hazard(lp)
@@ -294,15 +339,18 @@ def fit_cd(data, pen, init=None, cfg=None):
     err = np.inf
     epoch = 0
     skipped = screened = 0
-    # the iterates since the last extrapolation, the start included
-    iterates = [beta]
-    tried = kept = 0
+    tried = kept = cg_iterations = 0
+    # the weights and gradient at the iterate, when a Newton step formed them
+    grad = None
     while epoch < max_epochs:
         epoch += 1
-        wdiag = lamT * np.exp(lp)
+        if grad is None:
+            wdiag = lamT * np.exp(lp)
+            grad = X.T @ (wdiag - D)
         # the sweep runs on Python floats: numpy scalar arithmetic would
         # dominate it
-        score = (X.T @ (wdiag - D)).tolist()
+        score = grad.tolist()
+        grad = None
         curv = (X2.T @ wdiag).tolist()
         phi = beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero.  S tracks its
@@ -378,26 +426,36 @@ def fit_cd(data, pen, init=None, cfg=None):
         if err < cfg.tol:
             stop_reason = "tol"
             break
-        if not CD_ANDERSON_K or epoch == max_epochs:
+        if not CD_NEWTON_EVERY or epoch % CD_NEWTON_EVERY or epoch == max_epochs:
             continue
-        iterates.append(beta)
-        if len(iterates) > CD_ANDERSON_K:
-            tried += 1
-            acc = _anderson_mix(iterates)
-            if acc is not None:
-                lp_acc = X @ acc
-                if (rs.penalized_loss(lp_acc, acc, pen)
-                        < rs.penalized_loss(lp, beta, pen)):
-                    kept += 1
-                    beta, lp = acc, lp_acc
-                    lamT = rs.hazard(lp)
-            iterates = [beta]
+        # the guarded Newton step: the next epoch's weights and gradient,
+        # at the candidate where it is kept and at this iterate otherwise
+        tried += 1
+        wdiag = lamT * np.exp(lp)
+        grad = X.T @ (wdiag - D)
+        cand, its = _newton_step(X, rs, lp, beta, grad, pen)
+        cg_iterations += its
+        moved = np.flatnonzero(cand != beta)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lp_c = lp + X[:, moved] @ (cand[moved] - beta[moved])
+            lamT_c = rs.hazard(lp_c)
+            wdiag_c = lamT_c * np.exp(lp_c)
+            grad_c = X.T @ (wdiag_c - D)
+            loss, loss_c = (rs.penalized_loss(lp, beta, pen),
+                            rs.penalized_loss(lp_c, cand, pen))
+        # the KKT residual decides, as the loss alone would tie on rounding
+        # near the optimum; the loss may not rise beyond rounding
+        if (_kkt_residual(grad_c, cand, pen) < _kkt_residual(grad, beta, pen)
+                and loss_c <= loss + 1e-12 * abs(loss)):
+            kept += 1
+            beta, lp, lamT, wdiag, grad = cand, lp_c, lamT_c, wdiag_c, grad_c
 
-    return _fit_result(beta, rs.step_hazard(lamT), epoch, err, stop_reason, t0,
+    return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
+                       stop_reason, t0,
                        {"skipped_coordinates": skipped,
                         "screened_coordinates": screened,
-                        "extrapolations_tried": tried,
-                        "extrapolations_kept": kept})
+                        "newton_tried": tried, "newton_kept": kept,
+                        "cg_iterations": cg_iterations})
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}

@@ -169,6 +169,23 @@ class RiskSets:
         steps = 1.0 / self._tail_sums(np.exp(lin_pred))[self._event_first]
         return np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
 
+    def hessian(self, lin_pred):
+        """The Hessian-vector product u -> H u of the Breslow partial
+        likelihood at linear predictor lin_pred, in linear-predictor space:
+        H u = w u - e C(u), with e = e^lin_pred, w = Lambda(T) e, and C(u)
+        at each time the sum over the events up to it (ties included) of
+        the risk-set sum of e u over the squared risk sum S^2.  O(n) per
+        product; the Hessian is never formed."""
+        e = np.exp(lin_pred)
+        steps = 1.0 / self._tail_sums(e)[self._event_first]
+        w = e * np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
+        steps2 = steps * steps
+
+        def product(u):
+            c = np.cumsum(self._tail_sums(e * u)[self._event_first] * steps2)
+            return w * u - e * np.concatenate(([0.0], c))[self._upto]
+        return product
+
     def step_hazard(self, levels):
         """The StepHazard through `levels`, a nondecreasing hazard at each
         time that is constant over ties (as `hazard` returns)."""

@@ -146,7 +146,9 @@ def test_run_experiment_failures_match_records(tmp_path):
               for f in report["failures"])]
     assert order == sorted(order)
     for (r, i, solver) in unconverged:
-        rec = report["raw"][i][solver][r]
+        rec = dict(report["raw"][i][solver][r])
+        # a finished fit is certified whether or not it converged
+        assert rec.pop("kkt_residual") > 0.0
         assert rec == {"converged": False, "estimate": None, "true_w": None,
                        "true_v": None, "rscv": None, "test_c": None}
     for row, count, point in zip(report["rows"], report["counts"],
@@ -419,6 +421,7 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     records = json.loads(out.read_text())
     assert len(records) == 3
     assert all(r["diagnostics"]["stop_reason"] == "tol" for r in records)
+    assert all(0.0 < r["diagnostics"]["kkt_residual"] <= 1e-6 for r in records)
     capsys.readouterr()
 
     rs_csv = tmp_path / "rs.csv"
@@ -433,6 +436,25 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     converged = [line.endswith(",1") for line in lines[1:]]
     assert [it is not None for it in summary["iterations"]] == converged
     assert all(it >= 1 for it in summary["iterations"] if it is not None)
+
+
+@pytest.mark.parametrize("command", ["path", "rs-solve"])
+def test_cli_alpha_grid_must_decrease(tmp_path, capsys, command):
+    # both subcommands hold --alpha-grid to reg_path's order rule, name
+    # the flag, exit 1 and write nothing
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "40", "--nu", "0.1", "--seed", "6",
+          "--output", str(data_csv)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    head = {"path": ["path", "--input", str(data_csv)],
+            "rs-solve": ["rs-solve", "--zeta", "2", "--nu", "0.05",
+                         "--pop-size", "400"]}[command]
+    rc = main(head + ["--alpha-grid", "0.3,0.5", "--output", str(out)])
+    assert rc == 1
+    assert ("--alpha-grid must decrease in strength alpha / l1_ratio"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 # rs-solve's CSV, byte for byte: floats in repr, and a failed point (nu

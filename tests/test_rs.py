@@ -192,6 +192,13 @@ def test_solve_rs_path_warm_starts():
     assert ws == sorted(ws)  # weaker penalty -> larger signal recovery here
 
 
+def test_solve_rs_path_requires_decreasing_strength():
+    # reg_path's order rule, on the RS path too
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in (0.3, 0.5)]
+    with pytest.raises(ValueError, match="decreasing strength"):
+        solve_rs_path(pens, nu=0.05, theta0=1.0, zeta=2.0, gen=GEN, n_pop=400)
+
+
 def test_solve_rs_returns_a_verified_fixed_point():
     # the returned hazard solves the hazard equations at the returned
     # scalars, and one more RHS evaluation barely moves the scalars

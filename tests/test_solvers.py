@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from coxfield import solvers
 from coxfield.prox import ElasticNetPenalty, prox_g
 from coxfield.solvers import (FitDivergedError, FitResult, SolverConfig,
                               fit_amp, fit_cd, reg_path)
-from coxfield.survival import SurvivalDataset, nelson_aalen
+from coxfield.survival import (SurvivalDataset, nelson_aalen,
+                               penalized_partial_likelihood)
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 from oracles import (ppl_gradient, prox_gradient_minimizer, reference_amp,
                      reference_cd)
@@ -233,10 +236,10 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
     # prox_enet per coordinate.  nelson_aalen runs on the solvers' own
     # risk-set kernel, so on untied and tied times alike the arithmetic
     # is the same, bit for bit (AMP's hazard is the one at its final
-    # proximal points).  CD runs its plain sweeps, without extrapolation;
+    # proximal points).  CD runs its plain sweeps, without Newton steps;
     # these AMP fits never stall.
     if solver == "cd":
-        monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
+        monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
     data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
     tied = _with_tied_times(data)
     assert np.unique(tied.times).size < tied.n // 2
@@ -326,7 +329,7 @@ def test_cd_screening_is_exact(seed, monkeypatch):
     # the screen skips a zero coordinate only where the update would give
     # a zero: the plain sweep equals the reference loop, which has no
     # screen, bit for bit
-    monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
+    monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
     data, pen, init = _screening_instance(seed)
     fit = fit_cd(data, pen, init=init)
     ref = reference_cd(data, pen, init=init)
@@ -340,14 +343,15 @@ def test_cd_screening_is_exact(seed, monkeypatch):
 
 
 def test_accelerated_cd_matches_plain_cd(monkeypatch):
-    # the extrapolation changes the iteration, not its fixed point
+    # the Newton step changes the iteration, not its fixed point
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
     fast = fit_cd(data, PEN)
-    monkeypatch.setattr(solvers, "CD_ANDERSON_K", 0)
+    monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
     plain = fit_cd(data, PEN)
     assert fast.converged and plain.converged
-    assert fast.diagnostics["extrapolations_kept"] > 0
-    assert plain.diagnostics["extrapolations_tried"] == 0
+    assert fast.diagnostics["newton_kept"] > 0
+    assert fast.diagnostics["cg_iterations"] > 0
+    assert plain.diagnostics["newton_tried"] == 0
     assert fast.epochs <= plain.epochs
     assert np.max(np.abs(fast.beta_hat - plain.beta_hat)) <= 1e-6
     assert np.array_equal(fast.hazard.knots, plain.hazard.knots)
@@ -360,29 +364,102 @@ def test_accelerated_cd_matches_plain_cd(monkeypatch):
     assert np.max(np.abs(grad[~nz]), initial=0.0) <= PEN.alpha + 1e-6
 
 
-def test_cd_extrapolation_is_guarded(monkeypatch):
-    # an extrapolated point is kept only where it lowers the penalized
-    # partial likelihood, and none is tried after the last epoch, so the
-    # coefficients returned are a sweep's
+def test_cd_newton_step_is_guarded(monkeypatch):
+    # a Newton candidate is kept only where it lowers the KKT residual
+    # without raising the penalized partial likelihood, and none is tried
+    # after the last epoch, so the coefficients returned are a sweep's;
+    # an overflowing candidate is rejected without a warning
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
-    short = SolverConfig(max_epochs=solvers.CD_ANDERSON_K)
+    short = SolverConfig(max_epochs=solvers.CD_NEWTON_EVERY)
     with monkeypatch.context() as m:
-        m.setattr(solvers, "CD_ANDERSON_K", 0)
+        m.setattr(solvers, "CD_NEWTON_EVERY", 0)
         plain = fit_cd(data, PEN)
         plain_short = fit_cd(data, PEN, cfg=short)
-    monkeypatch.setattr(solvers, "_anderson_mix", lambda it: it[-1] + 10.0)
-    worse = fit_cd(data, PEN)
-    assert worse.diagnostics["extrapolations_tried"] > 0
-    assert worse.diagnostics["extrapolations_kept"] == 0
-    assert worse.epochs == plain.epochs
-    assert np.array_equal(worse.beta_hat, plain.beta_hat)
-    monkeypatch.setattr(solvers, "_anderson_mix", lambda it: plain.beta_hat)
+    for shift in (10.0, 1e3):
+        monkeypatch.setattr(solvers, "_newton_step",
+                            lambda X, rs, lp, beta, *_: (beta + shift, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            worse = fit_cd(data, PEN)
+        assert worse.diagnostics["newton_tried"] > 0
+        assert worse.diagnostics["newton_kept"] == 0
+        assert worse.epochs == plain.epochs
+        assert np.array_equal(worse.beta_hat, plain.beta_hat)
+        assert np.array_equal(worse.hazard.values, plain.hazard.values)
+        assert worse.final_err == plain.final_err
+    monkeypatch.setattr(solvers, "_newton_step",
+                        lambda *_: (plain.beta_hat.copy(), 0))
     better = fit_cd(data, PEN)
-    assert better.diagnostics["extrapolations_kept"] >= 1
+    assert better.diagnostics["newton_kept"] >= 1
     assert better.epochs < plain.epochs
     last = fit_cd(data, PEN, cfg=short)
-    assert last.diagnostics["extrapolations_tried"] == 0
+    assert last.diagnostics["newton_tried"] == 0
     assert np.array_equal(last.beta_hat, plain_short.beta_hat)
+
+
+def _plain_and_newton(data, pen, monkeypatch):
+    cfg = SolverConfig(max_epochs=5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = fit_cd(data, pen, cfg=cfg)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "CD_NEWTON_EVERY", 0)
+            plain = fit_cd(data, pen, cfg=cfg)
+    return fast, plain
+
+
+def _check_same_minimum(data, pen, fast, plain):
+    # the minimizer need not be unique: compare the penalized loss and
+    # the KKT residual, not beta
+    assert fast.converged and plain.converged
+    loss_fast = penalized_partial_likelihood(data, fast.beta_hat, pen)
+    loss_plain = penalized_partial_likelihood(data, plain.beta_hat, pen)
+    assert abs(loss_fast - loss_plain) <= 1e-10 * abs(loss_plain)
+    assert fast.diagnostics["kkt_residual"] <= 1e-6
+    assert plain.diagnostics["kkt_residual"] <= 1e-6
+
+
+def test_cd_newton_lasso_support_exceeds_events(monkeypatch):
+    # a lasso whose support outnumbers the events: H_AA is singular, and
+    # the guard keeps the Newton steps safe
+    data, _ = _instance(p=120, zeta=2.0, nu=0.3, seed=20)
+    pen = ElasticNetPenalty.from_weights(0.12, 0.0)
+    fast, plain = _plain_and_newton(data, pen, monkeypatch)
+    assert np.count_nonzero(fast.beta_hat) > data.events.sum()
+    assert fast.diagnostics["newton_kept"] > 0
+    assert fast.epochs < plain.epochs
+    _check_same_minimum(data, pen, fast, plain)
+
+
+def test_cd_newton_duplicated_and_negated_columns(monkeypatch):
+    # exact copies and negated copies of columns make X_A' H X_A singular
+    # and the elastic-net minimizer split between the copies
+    data, _ = _instance(p=80, zeta=2.0, nu=0.1, seed=21)
+    design = data.design.copy()
+    design[:, 40:50] = design[:, :10]
+    design[:, 50:60] = -design[:, :10]
+    data = SurvivalDataset(data.times, data.events, design)
+    for pen in (PEN, ElasticNetPenalty.from_weights(0.1, 0.0)):
+        fast, plain = _plain_and_newton(data, pen, monkeypatch)
+        _check_same_minimum(data, pen, fast, plain)
+
+
+def test_kkt_residual_certifies_both_solvers():
+    # diagnostics["kkt_residual"] is the largest subgradient violation at
+    # the returned beta, as the oracle gradient gives it
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    for fit in (fit_amp, fit_cd):
+        res = fit(data, PEN)
+        assert res.converged
+        grad = ppl_gradient(data, res.beta_hat) + PEN.eta * res.beta_hat
+        beta = res.beta_hat
+        nz = beta != 0
+        want = max(np.max(np.abs(grad[nz] + PEN.alpha * np.sign(beta[nz])),
+                          initial=0.0),
+                   np.max(np.abs(grad[~nz]) - PEN.alpha, initial=0.0))
+        got = res.diagnostics["kkt_residual"]
+        assert abs(got - want) <= 1e-12 * want
+        assert 0.0 < got <= 1e-6
 
 
 def test_amp_stall_stops_early():

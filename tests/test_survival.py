@@ -87,6 +87,39 @@ def test_risk_sets_any_order():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_risk_sets_hessian_product(tied):
+    # H u against the double sum H_jk = [j = k] w_j - e_j e_k sum over the
+    # events i with T_i <= T_j, T_k >= T_i of 1/R_i^2 (Breslow ties), and
+    # against central differences of the lp-gradient Lambda(T) e - Delta,
+    # on a shuffled sample
+    rng = np.random.default_rng(23)
+    n = 40
+    times = rng.uniform(0.1, 3.0, n)
+    if tied:
+        times = np.round(times, 0) + 0.5
+    events = (rng.uniform(size=n) < 0.6).astype(float)
+    lp = rng.normal(0, 1, n)
+    u = rng.normal(0, 1, n)
+    rs = RiskSets(times, events)
+    e = np.exp(lp)
+    lam = rs.hazard(lp)
+    dense = np.diag(lam * e)
+    for i in np.flatnonzero(events == 1.0):
+        risk = times >= times[i]
+        r_i = np.sum(e[risk])
+        dense -= np.outer(e * (times >= times[i]), e * risk) / r_i**2
+    got = rs.hessian(lp)(u)
+    assert np.max(np.abs(got - dense @ u)) <= 1e-12 * np.max(np.abs(dense @ u))
+
+    def grad(x):
+        return rs.hazard(x) * np.exp(x) - events
+
+    h = 1e-5
+    fd = (grad(lp + h * u) - grad(lp - h * u)) / (2 * h)
+    assert np.max(np.abs(got - fd)) <= 1e-8
+
+
 def test_nelson_aalen_two_subject_oracle():
     # direct double sum: both at risk at T=1 (Theta(0)=1), one at T=2
     hz = nelson_aalen(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.zeros(2))
