@@ -18,10 +18,10 @@ from .experiment import (_EST_FIELDS, PAPER_SCALE, ExperimentConfig,
                          run_experiment, write_table_csv)
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
-from .prox import ElasticNetPenalty
+from .prox import ElasticNetPenalty, check_path_order
 from .rs import RsInconsistencyError, RsNonConvergenceError, solve_rs_path
-from .solvers import (FitDivergedError, FitResult, SolverConfig,
-                      check_path_order, reg_path, _SOLVERS)
+from .solvers import (FitDivergedError, FitResult, SolverConfig, reg_path,
+                      _SOLVERS)
 from .survival import StepHazard, SurvivalDataset
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
-from .prox import ElasticNetPenalty
+from .prox import ElasticNetPenalty, check_path_order
 from .rs import solve_rs_path
-from .solvers import SolverConfig, check_path_order, reg_path
+from .solvers import SolverConfig, reg_path
 from .survival import harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 

@@ -31,8 +31,9 @@ class ElasticNetPenalty:
     l1_ratio: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.eta < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        # written so that NaN fails it
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.eta < np.inf):
+            raise ValueError("penalty weights must be finite and nonnegative")
 
     @staticmethod
     def from_weights(alpha, eta):
@@ -46,6 +47,13 @@ class ElasticNetPenalty:
             raise ValueError("l1_ratio must lie in [0, 1]")
         return ElasticNetPenalty(float(rho * l1_ratio), float(rho * (1.0 - l1_ratio)),
                                  float(rho), float(l1_ratio))
+
+
+def check_path_order(pen_grid):
+    """Raise ValueError unless pen_grid runs by decreasing strength rho."""
+    strengths = [pen.rho for pen in pen_grid]
+    if not all(a >= b for a, b in zip(strengths, strengths[1:])):
+        raise ValueError("pen_grid must be sorted by decreasing strength")
 
 
 def g(x, lam, delta):

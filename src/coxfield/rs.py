@@ -14,9 +14,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .prox import prox_enet, prox_g
+from .prox import check_path_order, prox_enet, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
-from .solvers import check_path_order
 from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
 
@@ -257,7 +256,7 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
                   inits=None):
     """Solve the RS equations along a penalty grid with warm starts.
 
-    The grid must pass `solvers.check_path_order`.  One population is
+    The grid must pass `prox.check_path_order`.  One population is
     drawn once and reused at every grid point.  Points that fail
     (non-convergence or RS inconsistency) are returned as None.
     `inits` optionally supplies a per-point starting OrderParameters (e.g.

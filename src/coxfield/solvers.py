@@ -19,9 +19,9 @@ import numpy as np
 
 # cox_prox_bundle and prox_g are unused here but stay bound: perfbench's
 # tracer wraps them as names of this module
-from .prox import (cox_prox_bundle, cox_w, log_tau_lam, moreau_ddot_w,
-                   moreau_dot_g, moreau_dot_w, prox_enet, prox_enet_dot,
-                   prox_g, prox_g_w)
+from .prox import (check_path_order, cox_prox_bundle, cox_w, log_tau_lam,
+                   moreau_ddot_w, moreau_dot_g, moreau_dot_w, prox_enet,
+                   prox_enet_dot, prox_g, prox_g_w)
 from .survival import RiskSets, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
@@ -60,9 +60,10 @@ class SolverConfig:
     damping: float = 0.5
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_epochs is not None and self.max_epochs < 1:
+        # the checks are written so that NaN fails them
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
+        if self.max_epochs is not None and not self.max_epochs >= 1:
             raise ValueError("max_epochs must be at least 1 (None: default)")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
@@ -110,15 +111,23 @@ def _fit_result(data, pen, rs, beta, hazard, epochs, err, stop_reason, t0,
     # (the origin with a vanishing hazard is then an exact fixed point of
     # both iterations); the KKT residual at X beta with a fresh hazard,
     # stop reason and wall time follow the solver's keys
-    lp = data.design @ beta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grad = data.design.T @ (rs.hazard(lp) * np.exp(lp) - data.events)
+        grad = _breslow(data.design, data.events, rs, data.design @ beta)[2]
     return FitResult(beta_hat=beta, hazard=hazard,
                      converged=stop_reason in ("tol", "all_censored"),
                      epochs=epochs, final_err=float(err), **amp_state,
                      diagnostics={**diagnostics, "stop_reason": stop_reason,
                                   "kkt_residual": _kkt_residual(grad, beta, pen),
                                   "seconds": perf_counter() - t0})
+
+
+def _breslow(X, D, rs, lp):
+    """At linear predictor lp: the Nelson-Aalen hazard Lambda(T) at each
+    time, the weights w = Lambda(T) e^lp, and the gradient X'(w - Delta)
+    of the partial likelihood with the hazard profiled out."""
+    lamT = rs.hazard(lp)
+    w = lamT * np.exp(lp)
+    return lamT, w, X.T @ (w - D)
 
 
 def _kkt_residual(grad, beta, pen):
@@ -329,7 +338,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                            "all_censored", t0, {})
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
-    lamT = rs.hazard(lp)
+    lamT, wdiag, grad = _breslow(X, D, rs, lp)
     X2 = X * X
     cols = [X[:, k] for k in range(p)]
     # the screen's relative slack on S; see the screen below
@@ -340,17 +349,11 @@ def fit_cd(data, pen, init=None, cfg=None):
     epoch = 0
     skipped = screened = 0
     tried = kept = cg_iterations = 0
-    # the weights and gradient at the iterate, when a Newton step formed them
-    grad = None
     while epoch < max_epochs:
         epoch += 1
-        if grad is None:
-            wdiag = lamT * np.exp(lp)
-            grad = X.T @ (wdiag - D)
         # the sweep runs on Python floats: numpy scalar arithmetic would
         # dominate it
         score = grad.tolist()
-        grad = None
         curv = (X2.T @ wdiag).tolist()
         phi = beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero.  S tracks its
@@ -417,7 +420,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                 phi[k] = new
         beta_new = np.array(phi)
         lp = X @ beta_new
-        lamT_new = rs.hazard(lp)
+        lamT_new, wdiag, grad = _breslow(X, D, rs, lp)
         err = np.sqrt(np.max(np.abs(beta_new - beta)) ** 2
                       + np.max(np.abs(lamT_new - lamT)) ** 2)
         beta, lamT = beta_new, lamT_new
@@ -428,19 +431,15 @@ def fit_cd(data, pen, init=None, cfg=None):
             break
         if not CD_NEWTON_EVERY or epoch % CD_NEWTON_EVERY or epoch == max_epochs:
             continue
-        # the guarded Newton step: the next epoch's weights and gradient,
-        # at the candidate where it is kept and at this iterate otherwise
+        # the guarded Newton step: a kept candidate carries its own
+        # weights and gradient into the next sweep
         tried += 1
-        wdiag = lamT * np.exp(lp)
-        grad = X.T @ (wdiag - D)
         cand, its = _newton_step(X, rs, lp, beta, grad, pen)
         cg_iterations += its
         moved = np.flatnonzero(cand != beta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lp_c = lp + X[:, moved] @ (cand[moved] - beta[moved])
-            lamT_c = rs.hazard(lp_c)
-            wdiag_c = lamT_c * np.exp(lp_c)
-            grad_c = X.T @ (wdiag_c - D)
+            lamT_c, wdiag_c, grad_c = _breslow(X, D, rs, lp_c)
             loss, loss_c = (rs.penalized_loss(lp, beta, pen),
                             rs.penalized_loss(lp_c, cand, pen))
         # the KKT residual decides, as the loss alone would tie on rounding
@@ -459,13 +458,6 @@ def fit_cd(data, pen, init=None, cfg=None):
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}
-
-
-def check_path_order(pen_grid):
-    """Raise ValueError unless pen_grid runs by decreasing strength rho."""
-    strengths = [pen.rho for pen in pen_grid]
-    if any(b > a for a, b in zip(strengths, strengths[1:])):
-        raise ValueError("pen_grid must be sorted by decreasing strength")
 
 
 def reg_path(data, pen_grid, solver, cfg=None):

@@ -26,11 +26,12 @@ class SignalSpec:
     seed: int
 
     def __post_init__(self):
+        # the checks are written so that NaN fails them
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must lie in (0, 1]")
-        if self.theta0 <= 0:
-            raise ValueError("theta0 must be positive")
-        if self.p < 1:
+        if not 0.0 < self.theta0 < np.inf:
+            raise ValueError("theta0 must be finite and positive")
+        if not self.p >= 1:
             raise ValueError("p must be positive")
 
     @property
@@ -50,10 +51,13 @@ class GeneratorSpec:
     zeta: float = 2.0
 
     def __post_init__(self):
-        if not 0 < self.tau1 < self.tau2:
-            raise ValueError("need 0 < tau1 < tau2")
-        if self.rho0 <= 0 or self.zeta <= 0:
-            raise ValueError("rho0 and zeta must be positive")
+        # the checks are written so that NaN fails them
+        if not 0.0 < self.tau1 < self.tau2 < np.inf:
+            raise ValueError("need 0 < tau1 < tau2 < inf")
+        if not (0.0 < self.rho0 < np.inf and 0.0 < self.zeta < np.inf):
+            raise ValueError("rho0 and zeta must be finite and positive")
+        if not np.isfinite(self.phi0):
+            raise ValueError("phi0 must be finite")
 
     def cumulative_hazard(self, t):
         """Baseline cumulative hazard Lambda0(t)."""

@@ -27,7 +27,7 @@ def _tiny_config(tmp_path, **overrides):
 # config values out of range, and the name each error message carries
 _BAD_VALUES = [({"pop_size": 99}, "pop_size"), ({"base_seed": -1}, "base_seed"),
                ({"nu": 0.0}, "nu"), ({"nu": 1.5}, "nu"),
-               ({"theta0": 0.0}, "theta0")]
+               ({"theta0": 0.0}, "theta0"), ({"theta0": float("nan")}, "theta0")]
 
 
 def test_experiment_config_validation(tmp_path):
@@ -98,6 +98,18 @@ def test_experiment_config_json_roundtrip(tmp_path):
     with open(path, "w") as fh:
         json.dump(cfg.to_jsonable(), fh)
     assert ExperimentConfig.from_json(path) == cfg
+
+
+def test_report_json_takes_numpy_scalars(tmp_path):
+    # a config built in Python may hold numpy integers, which json cannot
+    # write without the report's default hook
+    cfg = _tiny_config(tmp_path, p=np.int64(60), repetitions=np.int64(2),
+                       solver="cd", pen_grid=[(0.5, 0.75)])
+    run_experiment(cfg, workers=1)
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh)
+    assert report["config"]["p"] == 60
+    assert report["config"]["repetitions"] == 2
 
 
 @pytest.mark.parametrize("where", ["top", "gen", "solver_cfg"])
@@ -539,6 +551,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "f.json")])
     assert rc == 1
     capsys.readouterr()
+    # usage error: a worker count that is no integer
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--workers", "abc"])
+    assert exc.value.code == 1
+    capsys.readouterr()
     # usage error: a config value out of range, before anything runs
     for bad, match in _BAD_VALUES:
         cfg_path = tmp_path / "bad.json"
@@ -554,6 +571,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     rng = np.random.default_rng(0)
     SurvivalDataset(rng.uniform(0.5, 1.0, 30), np.zeros(30),
                     rng.normal(0, 0.3, (30, 10))).to_csv(data_csv)
+    # usage error: a penalty that no fit can take, on a readable dataset
+    for argv in (["fit", "--alpha", "nan"], ["fit", "--alpha", "0.4",
+                                             "--l1-ratio", "0"],
+                 ["path", "--alpha-grid", "nan,0.3"]):
+        rc = main([*argv, "--input", str(data_csv),
+                   "--output", str(tmp_path / "bad_fit.json")])
+        assert rc == 1
+        assert not (tmp_path / "bad_fit.json").exists()
+    capsys.readouterr()
     fit_json = tmp_path / "cens_fit.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

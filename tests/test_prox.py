@@ -134,6 +134,15 @@ def test_penalty_roundtrip_and_validation():
         ElasticNetPenalty.from_weights(-0.1, 0.0)
     with pytest.raises(ValueError):
         ElasticNetPenalty.from_strength(1.0, 1.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ElasticNetPenalty.from_weights(bad, 0.0)
+        with pytest.raises(ValueError):
+            ElasticNetPenalty.from_weights(0.1, bad)
+        with pytest.raises(ValueError):
+            ElasticNetPenalty.from_strength(bad, 0.75)
+    with pytest.raises(ValueError):
+        ElasticNetPenalty.from_strength(1.0, np.nan)
 
 
 def test_prox_enet_values():

@@ -183,6 +183,10 @@ def test_solver_config_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
+    for bad in ({"tol": np.nan}, {"tol": np.inf}, {"max_epochs": np.nan},
+                {"damping": np.nan}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 def test_solver_config_max_epochs():

@@ -34,6 +34,9 @@ def test_signal_determinism_and_validation():
         SignalSpec(p=100, nu=0.0, theta0=1.0, seed=0)
     with pytest.raises(ValueError):
         SignalSpec(p=100, nu=1.2, theta0=1.0, seed=0)
+    for bad in ({"nu": np.nan}, {"theta0": np.nan}, {"theta0": np.inf}):
+        with pytest.raises(ValueError):
+            SignalSpec(**{"p": 100, "nu": 0.2, "theta0": 1.0, "seed": 0, **bad})
 
 
 def test_design_moments_and_determinism():
@@ -109,6 +112,11 @@ def test_generator_validation():
         GeneratorSpec(tau1=2.0, tau2=1.0)
     with pytest.raises(ValueError):
         GeneratorSpec(rho0=-1.0)
+    for bad in ({"rho0": np.nan}, {"rho0": np.inf}, {"phi0": np.nan},
+                {"phi0": -np.inf}, {"tau1": np.nan}, {"tau2": np.inf},
+                {"zeta": np.nan}):
+        with pytest.raises(ValueError):
+            GeneratorSpec(**bad)
     gen = GeneratorSpec()
     ts = np.linspace(0.0, 5.0, 101)
     lam = gen.cumulative_hazard(ts)
