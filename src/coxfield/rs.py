@@ -256,7 +256,8 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
                   inits=None):
     """Solve the RS equations along a penalty grid with warm starts.
 
-    The grid must pass `prox.check_path_order`.  One population is
+    The grid must pass `prox.check_path_order`, nu must lie in (0, 1]
+    and theta0 be finite and positive (ValueError).  One population is
     drawn once and reused at every grid point.  Points that fail
     (non-convergence or RS inconsistency) are returned as None.
     `inits` optionally supplies a per-point starting OrderParameters (e.g.
@@ -264,6 +265,11 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
     starts from the previous point's solution.
     """
     check_path_order(pens)
+    # the checks of synthgen.SignalSpec, written so that NaN fails them
+    if not 0.0 < nu <= 1.0:
+        raise ValueError("nu must lie in (0, 1]")
+    if not 0.0 < theta0 < np.inf:
+        raise ValueError("theta0 must be finite and positive")
     pop = sample_population(gen, theta0, n_pop, seed)
     results = []
     init = None

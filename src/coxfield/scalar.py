@@ -12,9 +12,12 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _MAX_HALLEY = 50
-# Fritsch-Shafer-Crowley steps after the initial guess; two reach machine
-# precision from the two-to-three-digit guess on the whole real line
-_FSC_STEPS = 2
+# Newton steps on w + log(w) = y after the initial guess.  Each step
+# roughly squares the relative error: 2.0e-2 after the guess, 1.1e-4,
+# 3.4e-9 and then rounding (at most 3.7e-15 against 50-digit mpmath on
+# [-40, 40]), so a third step reaches machine precision on the whole real
+# line and a fourth would change nothing
+_NEWTON_STEPS = 3
 
 
 def _branch_series(x):
@@ -86,13 +89,16 @@ def lambert_w0(x):
 def lambert_w0_exp(y):
     """Compute W0(exp(y)) without forming exp(y).
 
-    Solves w + log(w) = y by a fixed number of Fritsch-Shafer-Crowley
-    steps (Fritsch, Shafer & Crowley, CACM 16, 1973) from a guess built on
-    log(1 + e^y); relative error below 1e-14 for every finite y (one unit
-    in the last place where W0 is subnormal).  Below y = -40, W0(e^y) =
+    Solves w + log(w) = y by a fixed number of Newton steps,
+    w <- w (1 + y - log w) / (1 + w) (Corless et al., Adv. Comput. Math.
+    5, 1996), from Winitzki's guess (ICCSA 2003) built on log(1 + e^y);
+    relative error below 1e-14 for every finite y (at most 3.7e-15 on
+    [-40, 40] against 50-digit mpmath).  Below y = -40, W0(e^y) =
     e^y (1 - e^y + ...) equals e^y to rounding and is returned as such,
-    down to 0 at y = -inf.  Overflow-safe for arbitrarily large y.  This
-    is the kernel of the Cox proximal map.
+    down to 0 at y = -inf; +inf gives +inf and NaN gives NaN.
+    Overflow-safe for arbitrarily large y.  This is the kernel of the Cox
+    proximal map: about 30 numpy calls per evaluation, in two work
+    buffers.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = (y_arr.ndim == 0)
@@ -101,15 +107,25 @@ def lambert_w0_exp(y):
         # log(1 + e^y) without overflow, then a global two-to-three-digit
         # approximation of W0 in terms of it
         ey = np.exp(np.minimum(y_arr, 36.0))
-        l1 = np.log1p(ey) + np.maximum(y_arr - 36.0, 0.0)
-        w = l1 * (1.0 - np.log1p(l1) / (2.0 + l1))
-        for _ in range(_FSC_STEPS):
-            z = y_arr - np.log(w) - w
-            w1 = 1.0 + w
-            q = 2.0 * w1 * (w1 + (2.0 / 3.0) * z)
-            # (q - z)/(q - 2z) written as 1 + z/(q - 2z): an overflowing q
-            # then reduces the step to Newton's instead of inf/inf
-            w = w * (1.0 + z / w1 * (1.0 + z / (q - 2.0 * z)))
+        big = np.maximum(y_arr - 36.0, 0.0)
+        w = np.log1p(ey)
+        w += big
+        a = np.log1p(w)
+        b = w + 2.0
+        a /= b
+        np.subtract(1.0, a, out=a)
+        w *= a
+        y1 = y_arr + 1.0
+        for _ in range(_NEWTON_STEPS):
+            np.log(w, out=a)
+            np.subtract(y1, a, out=a)
+            np.add(w, 1.0, out=b)
+            a /= b
+            w *= a
+        # W0(e^y) >= max(y, 0)/2 >= big/2 (as log w < w), so this changes
+        # no result but the NaN of inf - inf at y = +inf, into +inf
+        big *= 0.5
+        np.fmax(w, big, out=w)
         w = np.where(y_arr < -40.0, ey, w)
     return float(w[0]) if scalar else w
 

@@ -34,8 +34,9 @@ AMP_STALL_DROP = 0.5
 AMP_DAMPING_CUT = 0.5
 AMP_DAMPING_FLOOR = 0.1
 CD_MAX_EPOCHS = 100
-# CD tries a guarded Newton step every CD_NEWTON_EVERY epochs (0 runs the
-# plain sweeps); its conjugate gradients stop at relative residual
+# CD tries a guarded Newton step every CD_NEWTON_EVERY epochs, and after a
+# rejected one twice as many as before (0 runs the plain sweeps); its
+# conjugate gradients stop at relative residual
 # CD_CG_TOL or after CD_CG_MAX_ITER products
 CD_NEWTON_EVERY = 2
 CD_CG_TOL = 1e-4
@@ -123,11 +124,12 @@ def _fit_result(data, pen, rs, beta, hazard, epochs, err, stop_reason, t0,
 
 def _breslow(X, D, rs, lp):
     """At linear predictor lp: the Nelson-Aalen hazard Lambda(T) at each
-    time, the weights w = Lambda(T) e^lp, and the gradient X'(w - Delta)
-    of the partial likelihood with the hazard profiled out."""
-    lamT = rs.hazard(lp)
-    w = lamT * np.exp(lp)
-    return lamT, w, X.T @ (w - D)
+    time, the weights w = Lambda(T) e^lp, the gradient X'(w - Delta) of
+    the partial likelihood with the hazard profiled out, and its
+    Hessian-vector product in linear-predictor space
+    (`RiskSets.breslow`)."""
+    lamT, w, hess = rs.breslow(lp)
+    return lamT, w, X.T @ (w - D), hess
 
 
 def _kkt_residual(grad, beta, pen):
@@ -141,16 +143,16 @@ def _kkt_residual(grad, beta, pen):
     return float(np.max(viol, initial=0.0))
 
 
-def _newton_step(X, rs, lp, beta, grad, pen):
+def _newton_step(X, hess, beta, grad, pen):
     """The Newton step of the penalized loss on the support A of beta with
     its signs fixed: conjugate gradients on (X_A' H X_A + eta I) s =
-    grad_A + alpha sign(beta_A) + eta beta_A, H the Hessian of the loss at
-    lp = X beta (`RiskSets.hessian`); a coordinate of beta_A - s whose sign
-    flips is set to zero.  Returns the candidate and the CG iterations."""
+    grad_A + alpha sign(beta_A) + eta beta_A, with hess the product u -> H u
+    by the Hessian of the loss at X beta (from `_breslow`, as grad); a
+    coordinate of beta_A - s whose sign flips is set to zero.  Returns the
+    candidate and the CG iterations."""
     A = np.flatnonzero(beta)
     sign = np.sign(beta[A])
     XA = X[:, A]
-    hess = rs.hessian(lp)
     r = grad[A] + pen.alpha * sign + pen.eta * beta[A]
     s = np.zeros(A.size)
     d = r.copy()
@@ -240,14 +242,15 @@ def fit_amp(data, pen, init=None, cfg=None):
         # hazard refresh at the proximal points of the current field
         lin = prox_g_w(xi, tau_delta, cox_w(xi, tau_delta, log_tau_lam(lamT, tau)))
         lamT_new = rs.hazard(lin)
-        err2 = np.max(np.abs(lamT_new - lamT)) ** 2
+        # np.maximum.reduce is np.max without its wrapper's overhead
+        err2 = np.maximum.reduce(np.abs(lamT_new - lamT)) ** 2
         lamT = lamT_new
 
         # field update (Onsager-corrected) under the refreshed hazard
         log_tl = log_tau_lam(lamT, tau)
         mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
         xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
-        err2 += np.max(np.abs(xi_new - xi)) ** 2
+        err2 += np.maximum.reduce(np.abs(xi_new - xi)) ** 2
         xi = xi_new
 
         w = cox_w(xi, tau_delta, log_tl)
@@ -260,7 +263,7 @@ def fit_amp(data, pen, init=None, cfg=None):
 
         psi = beta - tau_hat * (X.T @ mdot)
         beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
-        err2 += np.max(np.abs(beta_new - beta)) ** 2
+        err2 += np.maximum.reduce(np.abs(beta_new - beta)) ** 2
         beta = beta_new
 
         tau_new = (1 - d) * tau + d * (
@@ -268,10 +271,10 @@ def fit_amp(data, pen, init=None, cfg=None):
         err2 += (tau_new - tau) ** 2
         tau = tau_new
 
-        err = np.sqrt(err2)
-        err_history.append(float(err))
+        err = math.sqrt(err2)
+        err_history.append(err)
         # from finite iterates, a non-finite new one makes err non-finite
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
@@ -313,7 +316,9 @@ def fit_cd(data, pen, init=None, cfg=None):
     iterate only where its KKT residual is below the iterate's and its
     penalized partial likelihood is not above the iterate's by more than
     1e-12 relative (diagnostics["newton_tried"], ["newton_kept"] and
-    ["cg_iterations"]).  A fit converges only when a plain sweep moves
+    ["cg_iterations"]).  Each rejected candidate doubles the number of
+    epochs to the next Newton step; a kept one resets it to
+    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
     less than tol: the fixed point, and so the fit within the tolerance,
     is that of the plain sweeps, and the coefficients returned are those
     of a sweep.  Newton steps are not counted as epochs.  Coordinates
@@ -338,7 +343,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                            "all_censored", t0, {})
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
-    lamT, wdiag, grad = _breslow(X, D, rs, lp)
+    lamT, wdiag, grad = _breslow(X, D, rs, lp)[:3]
     X2 = X * X
     cols = [X[:, k] for k in range(p)]
     # the screen's relative slack on S; see the screen below
@@ -349,6 +354,9 @@ def fit_cd(data, pen, init=None, cfg=None):
     epoch = 0
     skipped = screened = 0
     tried = kept = cg_iterations = 0
+    # epochs between Newton steps: doubled after each rejected candidate,
+    # reset when one is kept
+    newton_gap = next_newton = CD_NEWTON_EVERY
     while epoch < max_epochs:
         epoch += 1
         # the sweep runs on Python floats: numpy scalar arithmetic would
@@ -420,26 +428,26 @@ def fit_cd(data, pen, init=None, cfg=None):
                 phi[k] = new
         beta_new = np.array(phi)
         lp = X @ beta_new
-        lamT_new, wdiag, grad = _breslow(X, D, rs, lp)
-        err = np.sqrt(np.max(np.abs(beta_new - beta)) ** 2
-                      + np.max(np.abs(lamT_new - lamT)) ** 2)
+        lamT_new, wdiag, grad, hess = _breslow(X, D, rs, lp)
+        err = math.sqrt(np.maximum.reduce(np.abs(beta_new - beta)) ** 2
+                        + np.maximum.reduce(np.abs(lamT_new - lamT)) ** 2)
         beta, lamT = beta_new, lamT_new
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             _check_finite(epoch, beta=beta, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
             break
-        if not CD_NEWTON_EVERY or epoch % CD_NEWTON_EVERY or epoch == max_epochs:
+        if not CD_NEWTON_EVERY or epoch < next_newton or epoch == max_epochs:
             continue
         # the guarded Newton step: a kept candidate carries its own
         # weights and gradient into the next sweep
         tried += 1
-        cand, its = _newton_step(X, rs, lp, beta, grad, pen)
+        cand, its = _newton_step(X, hess, beta, grad, pen)
         cg_iterations += its
         moved = np.flatnonzero(cand != beta)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lp_c = lp + X[:, moved] @ (cand[moved] - beta[moved])
-            lamT_c, wdiag_c, grad_c = _breslow(X, D, rs, lp_c)
+            lamT_c, wdiag_c, grad_c = _breslow(X, D, rs, lp_c)[:3]
             loss, loss_c = (rs.penalized_loss(lp, beta, pen),
                             rs.penalized_loss(lp_c, cand, pen))
         # the KKT residual decides, as the loss alone would tie on rounding
@@ -448,6 +456,10 @@ def fit_cd(data, pen, init=None, cfg=None):
                 and loss_c <= loss + 1e-12 * abs(loss)):
             kept += 1
             beta, lp, lamT, wdiag, grad = cand, lp_c, lamT_c, wdiag_c, grad_c
+            newton_gap = CD_NEWTON_EVERY
+        else:
+            newton_gap *= 2
+        next_newton = epoch + newton_gap
 
     return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
                        stop_reason, t0,

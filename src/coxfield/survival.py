@@ -162,29 +162,40 @@ class RiskSets:
         return loss + pen.alpha * np.sum(np.abs(beta)) \
             + 0.5 * pen.eta * np.sum(beta * beta)
 
-    def hazard(self, lin_pred):
-        """Nelson-Aalen hazard at each time, weights e^lin_pred."""
-        # only events add 1/R_i: a censored time whose whole risk set
+    def _steps(self, e):
+        # the Nelson-Aalen increment 1/R at each event, weights e: only
+        # events add one, so a censored time whose whole risk set
         # underflowed (R_i = 0) adds no 0/0 = NaN to the later levels
-        steps = 1.0 / self._tail_sums(np.exp(lin_pred))[self._event_first]
+        return 1.0 / self._tail_sums(e)[self._event_first]
+
+    def _levels(self, steps):
+        # at each time, the sum of the per-event steps up to it (ties
+        # included)
         return np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
 
-    def hessian(self, lin_pred):
-        """The Hessian-vector product u -> H u of the Breslow partial
-        likelihood at linear predictor lin_pred, in linear-predictor space:
-        H u = w u - e C(u), with e = e^lin_pred, w = Lambda(T) e, and C(u)
-        at each time the sum over the events up to it (ties included) of
-        the risk-set sum of e u over the squared risk sum S^2.  O(n) per
-        product; the Hessian is never formed."""
+    def hazard(self, lin_pred):
+        """Nelson-Aalen hazard at each time, weights e^lin_pred."""
+        return self._levels(self._steps(np.exp(lin_pred)))
+
+    def breslow(self, lin_pred):
+        """The Breslow terms of the partial likelihood at linear predictor
+        lin_pred, from one exp and one pass of risk sums: the Nelson-Aalen
+        hazard Lambda(T) at each time (as `hazard`), the weights
+        w = Lambda(T) e with e = e^lin_pred, and the Hessian-vector
+        product u -> H u in linear-predictor space: H u = w u - e C(u),
+        C(u) at each time the sum over the events up to it (ties
+        included) of the risk-set sum of e u over the squared risk sum.
+        O(n) per product; the Hessian is never formed."""
         e = np.exp(lin_pred)
-        steps = 1.0 / self._tail_sums(e)[self._event_first]
-        w = e * np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
+        steps = self._steps(e)
+        lam = self._levels(steps)
+        w = lam * e
         steps2 = steps * steps
 
-        def product(u):
-            c = np.cumsum(self._tail_sums(e * u)[self._event_first] * steps2)
-            return w * u - e * np.concatenate(([0.0], c))[self._upto]
-        return product
+        def hessian(u):
+            return w * u - e * self._levels(
+                self._tail_sums(e * u)[self._event_first] * steps2)
+        return lam, w, hessian
 
     def step_hazard(self, levels):
         """The StepHazard through `levels`, a nondecreasing hazard at each

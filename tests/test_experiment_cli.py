@@ -481,9 +481,9 @@ RS_SOLVE_CSV = {
         "0.3,nan,nan,nan,nan,nan,nan,0\n",
     ("0.1", "0.5,0.2,0.05", "2"):
         "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged\n"
-        "0.5,0.21896341768852456,0.41063565916889555,0.7243902121571562,"
-        "0.9805217065069283,2.439844969997716,6.003671157370818,1\n"
-        "0.2,0.4975620005785353,1.0745611882148949,3.325557419954354,"
+        "0.5,0.2189634176885246,0.4106356591688956,0.7243902121571563,"
+        "0.9805217065069287,2.4398449699977176,6.003671157370819,1\n"
+        "0.2,0.49756200057853534,1.0745611882148949,3.325557419954354,"
         "1.3095656479006008,3.35023327343659,11.398582074189445,1\n"
         "0.05,nan,nan,nan,nan,nan,nan,0\n",
 }
@@ -591,6 +591,20 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "e.json")])
     assert rc == 2
     capsys.readouterr()
+    # usage error: an RS signal outside the prior's range, before any solve
+    for flag, value, match in (("--nu", "1.5", "nu must lie in (0, 1]"),
+                               ("--nu", "nan", "nu must lie in (0, 1]"),
+                               ("--nu", "0", "nu must lie in (0, 1]"),
+                               ("--theta0", "-1", "theta0 must be finite"),
+                               ("--theta0", "inf", "theta0 must be finite"),
+                               ("--theta0", "nan", "theta0 must be finite")):
+        argv = {"--nu": "0.1", "--theta0": "1.0", flag: value}
+        rc = main(["rs-solve", "--zeta", "2", "--alpha-grid", "0.5",
+                   "--pop-size", "200", "--output", str(tmp_path / "rs.csv"),
+                   *[x for item in argv.items() for x in item]])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "rs.csv").exists()
 
 
 def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys,

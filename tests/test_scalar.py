@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +75,41 @@ def test_lambert_exp_mpmath_oracle():
     assert np.all(np.isfinite(got)) and np.all(got == np.exp(far))
     assert lambert_w0_exp(-np.inf) == 0.0
     assert lambert_w0_exp(-800.0) == 0.0
+
+
+def test_lambert_exp_dense_mpmath_sweep():
+    # every 0.01 on [-40, 40], where the Newton steps set the value, and
+    # random draws between the grid points, at the same bound
+    import mpmath
+    rng = np.random.default_rng(14)
+    ys = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                         rng.uniform(-40.0, 40.0, 2000)])
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.lambertw(mpmath.exp(mpmath.mpf(y))))
+                        for y in ys])
+    assert np.all(np.abs(lambert_w0_exp(ys) - ref) <= 1e-14 * ref)
+
+
+def test_lambert_exp_edge_values():
+    # no warning anywhere, e^y below -40, +inf at +inf, NaN kept
+    ys = [-np.inf, -1e300, -800.0, -40.5, -40.0, 36.0, 36.5, 700.0, 1e300,
+          np.inf, np.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lambert_w0_exp(np.array(ys))
+        one = [lambert_w0_exp(y) for y in ys]
+    assert got[:4].tolist() == np.exp(ys[:4]).tolist()
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    for y, w in zip(ys[4:9], got[4:9]):
+        assert w > 0.0 and abs(w + np.log(w) - y) <= 4e-16 * max(1.0, abs(y))
+    assert got[8] == 1e300
+    assert got[9] == np.inf and np.isnan(got[10])
+    # a scalar gives a float, equal to its entry of the array; a list an array
+    assert all(type(w) is float for w in one)
+    assert np.array_equal(one, got, equal_nan=True)
+    listed = lambert_w0_exp(ys)
+    assert isinstance(listed, np.ndarray)
+    assert np.array_equal(listed, got, equal_nan=True)
 
 
 def test_normal_trivials():

@@ -381,7 +381,7 @@ def test_cd_newton_step_is_guarded(monkeypatch):
         plain_short = fit_cd(data, PEN, cfg=short)
     for shift in (10.0, 1e3):
         monkeypatch.setattr(solvers, "_newton_step",
-                            lambda X, rs, lp, beta, *_: (beta + shift, 0))
+                            lambda X, hess, beta, *_: (beta + shift, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             worse = fit_cd(data, PEN)

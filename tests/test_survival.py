@@ -109,7 +109,11 @@ def test_risk_sets_hessian_product(tied):
         risk = times >= times[i]
         r_i = np.sum(e[risk])
         dense -= np.outer(e * (times >= times[i]), e * risk) / r_i**2
-    got = rs.hessian(lp)(u)
+    # the terms share one pass: the hazard and weights are bit for bit
+    # those of `hazard`
+    lam_b, w_b, hess = rs.breslow(lp)
+    assert np.array_equal(lam_b, lam) and np.array_equal(w_b, lam * e)
+    got = hess(u)
     assert np.max(np.abs(got - dense @ u)) <= 1e-12 * np.max(np.abs(dense @ u))
 
     def grad(x):
