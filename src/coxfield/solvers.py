@@ -12,6 +12,7 @@ step sizes (tau, tau_hat) needed for order-parameter estimation.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -33,6 +34,9 @@ AMP_STALL_WINDOW = 50
 AMP_STALL_DROP = 0.5
 AMP_DAMPING_CUT = 0.5
 AMP_DAMPING_FLOOR = 0.1
+# a stall first holds the coordinates whose threshold activity changed at
+# least twice over the last AMP_FLIP_WINDOW epochs (see fit_amp)
+AMP_FLIP_WINDOW = 10
 CD_MAX_EPOCHS = 100
 # CD tries a guarded Newton step every CD_NEWTON_EVERY epochs, and after a
 # rejected one twice as many as before (0 runs the plain sweeps); its
@@ -53,12 +57,14 @@ class SolverConfig:
 
     max_epochs = None picks the per-solver default (1000 for AMP, 100
     for CD); damping is the weight on the proposed iterate in the AMP
-    updates (1.0 disables damping, CD ignores it).
+    updates (1.0 disables damping, CD ignores it).  The default 0.85 is
+    light: AMP meets a threshold 2-cycle by holding the flipping
+    coordinates (see `fit_amp`), not by heavier damping.
     """
 
     tol: float = 1e-8
     max_epochs: int | None = None
-    damping: float = 0.5
+    damping: float = 0.85
 
     def __post_init__(self):
         # the checks are written so that NaN fails them
@@ -80,11 +86,14 @@ class FitResult:
     `reg_path` point), "kkt_residual" (the largest subgradient violation
     of the penalized loss at beta_hat, a certificate and no stop rule;
     absent on a diverged point) and the wall time "seconds" of the fit.
-    AMP adds "err_history" (err after each epoch) and "damping_cuts"
-    ([epoch, damping] after each cut); CD adds "skipped_coordinates"
-    (visits to a zero-curvature coordinate), "screened_coordinates"
-    (visits the screen skipped), "newton_tried", "newton_kept" and
-    "cg_iterations" (summed over the Newton steps).
+    AMP adds "err_history" (err after each epoch), "damping_cuts"
+    ([epoch, damping] after each cut) and "frozen" ([epoch, index, side]
+    for each coordinate held in tau's divergence term, side +1 active or
+    -1 inactive; a later entry for the same index records a switch to
+    the other side, or with side 0 its release); CD adds
+    "skipped_coordinates" (visits to a zero-curvature coordinate),
+    "screened_coordinates" (visits the screen skipped), "newton_tried",
+    "newton_kept" and "cg_iterations" (summed over the Newton steps).
     """
 
     beta_hat: np.ndarray
@@ -176,6 +185,18 @@ def _newton_step(X, hess, beta, grad, pen):
     return cand, it
 
 
+def _flipping(recent, alpha, free):
+    """The free coordinates whose activity |psi_k| > alpha tau_hat changed
+    at least twice over the (psi, tau_hat) pairs in recent, and the side
+    of each: the sign (+1, or -1 for <= 0) of its mean margin
+    |psi_k| - alpha tau_hat over the last two, one period of a 2-cycle."""
+    margin = np.array([np.abs(psi) - alpha * th for psi, th in recent])
+    active = margin > 0.0
+    flips = np.count_nonzero(active[1:] != active[:-1], axis=0)
+    new = np.flatnonzero((flips >= 2) & free)
+    return new, np.where(margin[-2:, new].sum(axis=0) > 0.0, 1, -1)
+
+
 def fit_amp(data, pen, init=None, cfg=None):
     """Approximate-message-passing solver for the penalized Cox model.
 
@@ -184,13 +205,22 @@ def fit_amp(data, pen, init=None, cfg=None):
     coefficients through the elastic-net prox, and the step size tau; the
     error is the square root of the summed squared sup-norm deltas.
     Damping `cfg.damping` is applied to the (xi, beta, tau, tau_hat)
-    updates.  When err has not halved over AMP_STALL_WINDOW epochs the
-    damping is halved (diagnostics["damping_cuts"]); a stall that would
-    take it below AMP_DAMPING_FLOOR stops the fit with stop_reason
-    "stalled".  Fits that never stall are unaffected.  diagnostics
-    ["err_history"] holds err after each epoch.  May legitimately fail to
-    converge at weak regularization; this is reported through
-    `converged`, while non-finite iterates raise FitDivergedError.
+    updates.  When err has not halved over AMP_STALL_WINDOW epochs, the
+    fit holds each flipping coordinate (`_flipping`: a threshold 2-cycle,
+    which makes tau's divergence term jump every epoch whatever the
+    damping) on one side in that term, and restarts the stall window; the
+    beta prox keeps the true threshold.  At err < tol it stops only if
+    every held side is the coordinate's true activity, so the last update
+    is the unheld one and a converged fit is a fixed point of plain AMP to
+    tol; a contradicted side is switched once, then released, and the
+    window restarts.  A stall with no coordinate to hold halves the
+    damping (diagnostics["damping_cuts"]); one that would take it below
+    AMP_DAMPING_FLOOR stops the fit with stop_reason "stalled".  Fits
+    that never stall are unaffected.  diagnostics["err_history"] holds
+    err after each epoch, diagnostics["frozen"] the holds.  May
+    legitimately fail to converge at weak regularization; this is
+    reported through `converged`, while non-finite iterates raise
+    FitDivergedError.
 
     Parameters
     ----------
@@ -231,6 +261,15 @@ def fit_amp(data, pen, init=None, cfg=None):
     err = np.inf
     err_history = []
     damping_cuts = []
+    # the last epochs' (psi, tau_hat), read when a stall fires
+    recent = deque(maxlen=AMP_FLIP_WINDOW)
+    # tau's divergence term holds coordinate k active (side +1) or inactive
+    # (-1) while side[k] != 0; holds[k] counts its freeze, switch and
+    # release, and only a coordinate with none may be frozen
+    side = np.zeros(p, dtype=int)
+    holds = np.zeros(p, dtype=int)
+    held = np.flatnonzero(side)
+    frozen = []
     # stalls are judged against the errs from this epoch on
     window_start = 1
     epoch = 0
@@ -262,12 +301,16 @@ def fit_amp(data, pen, init=None, cfg=None):
         tau_hat = tau_hat_new
 
         psi = beta - tau_hat * (X.T @ mdot)
+        recent.append((psi, tau_hat))
         beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
         err2 += np.maximum.reduce(np.abs(beta_new - beta)) ** 2
         beta = beta_new
 
-        tau_new = (1 - d) * tau + d * (
-            tau_hat * (np.add.reduce(prox_enet_dot(psi, tau_hat, pen)) / p))
+        # beta keeps the true threshold; only the divergence holds sides
+        dot = prox_enet_dot(psi, tau_hat, pen)
+        if held.size:
+            dot[held] = (side[held] > 0) / (1.0 + pen.eta * tau_hat)
+        tau_new = (1 - d) * tau + d * (tau_hat * (np.add.reduce(dot) / p))
         err2 += (tau_new - tau) ** 2
         tau = tau_new
 
@@ -277,15 +320,33 @@ def fit_amp(data, pen, init=None, cfg=None):
         if not math.isfinite(err):
             _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
         if err < cfg.tol:
-            stop_reason = "tol"
-            break
+            # converged only where every held side is the true one, so the
+            # last update is the unheld one; a contradicted side is
+            # switched once, then released for good
+            wrong = held[(np.abs(psi[held]) > pen.alpha * tau_hat) != (side[held] > 0)]
+            if not wrong.size:
+                stop_reason = "tol"
+                break
+            side[wrong] = np.where(holds[wrong] == 1, -side[wrong], 0)
+            holds[wrong] += 1
+            frozen += [[epoch, int(k), int(side[k])] for k in wrong]
+            held = np.flatnonzero(side)
+            window_start = epoch
+            continue
         if (epoch - window_start >= AMP_STALL_WINDOW and err > AMP_STALL_DROP
                 * err_history[epoch - 1 - AMP_STALL_WINDOW]):
-            if d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
+            new, new_side = _flipping(recent, pen.alpha, holds == 0)
+            if new.size:
+                side[new] = new_side
+                holds[new] = 1
+                frozen += [[epoch, int(k), int(s)] for k, s in zip(new, new_side)]
+                held = np.flatnonzero(side)
+            elif d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
                 stop_reason = "stalled"
                 break
-            d *= AMP_DAMPING_CUT
-            damping_cuts.append([epoch, d])
+            else:
+                d *= AMP_DAMPING_CUT
+                damping_cuts.append([epoch, d])
             window_start = epoch
 
     # one undamped prox application so the reported coefficients carry the
@@ -297,7 +358,7 @@ def fit_amp(data, pen, init=None, cfg=None):
     return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
                        stop_reason, t0,
                        {"err_history": err_history,
-                        "damping_cuts": damping_cuts},
+                        "damping_cuts": damping_cuts, "frozen": frozen},
                        xi=xi, tau=float(tau), tau_hat=float(tau_hat))
 
 

@@ -450,6 +450,26 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
     assert all(it >= 1 for it in summary["iterations"] if it is not None)
 
 
+def test_cli_path_reports_amp_freezes(tmp_path, capsys):
+    # the path JSON carries each AMP fit's freeze events; on these data the
+    # last point holds one coordinate on one side of the threshold
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "100", "--nu", "0.05", "--seed", "8",
+          "--output", str(data_csv)])
+    capsys.readouterr()
+    out = tmp_path / "path.json"
+    rc = main(["path", "--input", str(data_csv), "--solver", "amp",
+               "--alpha-grid", "0.5,0.4,0.3", "--output", str(out)])
+    assert rc == 0
+    records = json.loads(out.read_text())
+    assert all(r["diagnostics"]["stop_reason"] == "tol" for r in records)
+    frozen = [r["diagnostics"]["frozen"] for r in records]
+    assert frozen[:2] == [[], []]
+    [(epoch, k, side)] = frozen[2]
+    assert 0 < epoch < records[2]["diagnostics"]["epochs"]
+    assert 0 <= k < 100 and side in (-1, 1)
+
+
 @pytest.mark.parametrize("command", ["path", "rs-solve"])
 def test_cli_alpha_grid_must_decrease(tmp_path, capsys, command):
     # both subcommands hold --alpha-grid to reg_path's order rule, name

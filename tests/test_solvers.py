@@ -241,9 +241,10 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
     # risk-set kernel, so on untied and tied times alike the arithmetic
     # is the same, bit for bit (AMP's hazard is the one at its final
     # proximal points).  CD runs its plain sweeps, without Newton steps;
-    # these AMP fits never stall.
+    # these AMP fits never stall, and both sides run at the default damping.
     if solver == "cd":
         monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
+    ref_kw = {"d": SolverConfig().damping} if solver == "amp" else {}
     data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
     tied = _with_tied_times(data)
     assert np.unique(tied.times).size < tied.n // 2
@@ -252,7 +253,7 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
     for d in (data, tied):
         init = None
         for pen, fit in zip(pens, reg_path(d, pens, solver)):
-            ref = reference(d, pen, init=init)
+            ref = reference(d, pen, init=init, **ref_kw)
             init = ref
             assert fit.converged and ref.converged
             assert fit.epochs == ref.epochs
@@ -466,11 +467,15 @@ def test_kkt_residual_certifies_both_solvers():
         assert 0.0 < got <= 1e-6
 
 
-def test_amp_stall_stops_early():
-    # at damping 0.5, 0.3 or 0.2 this AMP fit stays at err ~1e-2 for 3000
-    # epochs; each stall halves the damping until the floor stops it
+def test_amp_stall_stops_early(monkeypatch):
+    # at damping 0.5, 0.3 or 0.2 this AMP fit, without its flip finder,
+    # stays at err ~1e-2 for 3000 epochs; each stall halves the damping
+    # until the floor stops it (with the finder it holds one coordinate
+    # and converges)
+    monkeypatch.setattr(solvers, "_flipping", lambda recent, alpha, free:
+                        (np.zeros(0, dtype=int), np.zeros(0, dtype=int)))
     data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
-    res = fit_amp(data, PEN)
+    res = fit_amp(data, PEN, cfg=SolverConfig(damping=0.5))
     diag = res.diagnostics
     assert not res.converged and diag["stop_reason"] == "stalled"
     assert res.epochs <= 4 * solvers.AMP_STALL_WINDOW
@@ -484,9 +489,9 @@ def test_amp_stall_stops_early():
 
 
 def test_amp_recovers_after_damping_cut():
-    # repetition 0 of the p=500 acceptance experiment, grid point 7: at
-    # damping 0.5 AMP stays at err ~2.6e-3; after one cut it converges
-    # to the CD fit
+    # repetition 0 of the p=500 acceptance experiment, grid point 7: AMP
+    # stalls at err ~2.6e-3 while one coordinate flips at the threshold;
+    # holding its side in tau's divergence, it converges to the CD fit
     train_seed, _ = np.random.SeedSequence(2024).generate_state(2, dtype=np.uint64)
     sig = SignalSpec(p=500, nu=0.02, theta0=1.0, seed=2024)
     data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=int(train_seed))
@@ -494,9 +499,81 @@ def test_amp_recovers_after_damping_cut():
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in alphas]
     amp = reg_path(data, pens, "amp")[-1]
     assert amp.converged and amp.diagnostics["stop_reason"] == "tol"
-    assert len(amp.diagnostics["damping_cuts"]) >= 1
+    assert len(amp.diagnostics["frozen"]) >= 1
     assert len(amp.diagnostics["err_history"]) == amp.epochs
     cd = reg_path(data, pens, "cd")[-1]
     assert cd.converged
     rel = np.linalg.norm(amp.beta_hat - cd.beta_hat) / np.linalg.norm(cd.beta_hat)
     assert rel <= 1e-4
+
+
+def _fit_path_point_1():
+    # repetition 0 of the p=500 acceptance experiment and the first two
+    # points of its grid (the benchmark's fit_path data)
+    train_seed, _ = np.random.SeedSequence(2024).generate_state(2, dtype=np.uint64)
+    sig = SignalSpec(p=500, nu=0.02, theta0=1.0, seed=2024)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=int(train_seed))
+    alphas = [round(float(a), 6) for a in np.geomspace(0.42, 0.13, 10)][:2]
+    return data, [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in alphas]
+
+
+def test_amp_freeze_resolves_threshold_cycle():
+    # grid point 1 used to end "stalled" at every damping: one coordinate
+    # crossed the threshold every epoch.  Held on one side in tau's
+    # divergence, it converges to the CD fit without a damping cut, and
+    # the fit is a fixed point of the unheld iteration: a warm restart,
+    # holding nothing, stops at tol after one epoch
+    data, pens = _fit_path_point_1()
+    amp = reg_path(data, pens, "amp")[-1]
+    diag = amp.diagnostics
+    assert amp.converged and diag["stop_reason"] == "tol"
+    assert diag["damping_cuts"] == []
+    [(epoch, k, side)] = diag["frozen"]
+    assert 0 < epoch < amp.epochs and side in (-1, 1)
+    cd = reg_path(data, pens, "cd")[-1]
+    assert cd.converged
+    rel = np.linalg.norm(amp.beta_hat - cd.beta_hat) / np.linalg.norm(cd.beta_hat)
+    assert rel <= 1e-4
+    again = fit_amp(data, pens[1], init=amp)
+    assert again.epochs == 1 and again.diagnostics["stop_reason"] == "tol"
+    assert again.diagnostics["frozen"] == []
+
+
+def test_amp_freeze_switches_a_wrong_side(monkeypatch):
+    # a first side that the converged point contradicts is switched once
+    # (a second entry for the coordinate, with the other sign), and the fit
+    # reaches the one it reaches from the right side
+    data, pens = _fit_path_point_1()
+    right = reg_path(data, pens, "amp")[-1]
+    flipping = solvers._flipping
+
+    def wrong_side(*args):
+        new, side = flipping(*args)
+        return new, -side
+
+    monkeypatch.setattr(solvers, "_flipping", wrong_side)
+    amp = reg_path(data, pens, "amp")[-1]
+    assert amp.converged and amp.diagnostics["stop_reason"] == "tol"
+    [(e1, k1, s1)] = right.diagnostics["frozen"]
+    [(e2, k2, s2), (e3, k3, s3)] = amp.diagnostics["frozen"]
+    assert (e2, k2, s2) == (e1, k1, -s1)
+    assert e3 > e2 and (k3, s3) == (k1, s1)
+    rel = np.linalg.norm(amp.beta_hat - right.beta_hat) / np.linalg.norm(right.beta_hat)
+    assert rel <= 1e-6
+
+
+def test_amp_without_stalls_is_the_plain_loop():
+    # at the former default damping 0.5 a fit that never stalls holds
+    # nothing, and is bit for bit the plain AMP loop at that damping
+    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in (0.42, 0.37)]
+    init = None
+    for pen, fit in zip(pens, reg_path(data, pens, "amp", cfg=SolverConfig(damping=0.5))):
+        ref = reference_amp(data, pen, init=init, d=0.5)
+        init = ref
+        assert fit.converged and fit.epochs == ref.epochs
+        assert fit.diagnostics["frozen"] == fit.diagnostics["damping_cuts"] == []
+        for got, want in [(fit.beta_hat, ref.beta_hat), (fit.xi, ref.xi),
+                          (fit.tau, ref.tau), (fit.tau_hat, ref.tau_hat),
+                          (fit.hazard.values, ref.hazard.values)]:
+            assert np.array_equal(got, want)
