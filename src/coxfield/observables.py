@@ -50,19 +50,6 @@ class OrderParameterEstimate:
                          self.w_hat, self.v_hat, self.tau_hat])
 
 
-def local_field(data, beta_hat, hazard, tau, tau_hat):
-    """The AMP local field psi = beta - tau_hat * X' g_dot(X beta, L(T), D).
-
-    At an AMP fixed point the Moreau gradient at (xi, tau) equals
-    g_dot(X beta), so tau enters only through that identification; under
-    the RS theory psi is Gaussian around w_hat * beta0 / theta0 with
-    standard deviation v_hat.
-    """
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    _, _, gd = _cox_gradients(data, beta_hat, hazard)
-    return beta_hat - tau_hat * (data.design.T @ gd)
-
-
 def _cox_gradients(data, beta_hat, hazard):
     # linear predictor lp, curvature g_ddot = Lambda(T) e^lp and gradient
     # g_dot = g_ddot - Delta of the Cox loss at the fit
@@ -80,6 +67,8 @@ def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
 
     v_hat_sq = tau_hat ** 2 * np.mean(gd ** 2) / zeta
     v_hat_alt = float(np.sqrt(tau_hat ** 2 * np.mean(gdd) / zeta))
+    # the local field of AMP's beta update; under the RS theory it is
+    # Gaussian around w_hat * beta0 / theta0 with standard deviation v_hat
     psi = beta_hat - tau_hat * (data.design.T @ gd)
     w_hat = float(np.sqrt(max(0.0, np.sum(psi ** 2) / p - v_hat_sq)))
 
@@ -193,13 +182,3 @@ def true_overlaps(beta_hat, beta0):
     v_sq = beta_hat @ beta_hat / p - w_n ** 2
     return w_n, float(np.sqrt(max(0.0, v_sq)))
 
-
-def field_residual_moments(psi, beta0, theta0, w_hat):
-    """Skewness and excess kurtosis of the standardized local-field residual.
-
-    Used as a Gaussianity diagnostic of psi - w_hat * beta0 / theta0 in
-    validation mode.
-    """
-    resid = np.asarray(psi, dtype=float) - w_hat * np.asarray(beta0, dtype=float) / theta0
-    resid = (resid - resid.mean()) / resid.std()
-    return float(np.mean(resid ** 3)), float(np.mean(resid ** 4) - 3.0)

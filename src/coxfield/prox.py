@@ -56,19 +56,9 @@ def check_path_order(pen_grid):
         raise ValueError("pen_grid must be sorted by decreasing strength")
 
 
-def g(x, lam, delta):
-    """Cox per-observation loss lam * exp(x) - delta * x."""
-    return np.exp(x) * lam - delta * x
-
-
 def g_dot(x, lam, delta):
     """First derivative of g in x: lam * exp(x) - delta."""
     return lam * np.exp(x) - delta
-
-
-def g_ddot(x, lam, delta):
-    """Second derivative of g in x: lam * exp(x)."""
-    return lam * np.exp(x)
 
 
 def log_tau_lam(lam, tau):
@@ -106,10 +96,6 @@ def moreau_ddot_w(w, tau):
     return w / (tau * (1.0 + w))
 
 
-def _w_of(u, lam, delta, tau):
-    return cox_w(u, tau * delta, log_tau_lam(lam, tau))
-
-
 def prox_g(u, lam, delta, tau):
     """Proximal map of g: argmin_z (z-u)^2/(2 tau) + g(z, lam, delta).
 
@@ -126,21 +112,13 @@ def moreau_dot_g(u, lam, delta, tau):
     Equals (u - prox)/tau = g_dot(prox); computed as W/tau - delta with
     W the Lambert factor of the proximal map, which cannot overflow.
     """
-    return moreau_dot_w(_w_of(u, lam, delta, tau), delta, tau)
-
-
-def moreau_ddot_g(u, lam, delta, tau):
-    """Second derivative in u of the Moreau envelope of g.
-
-    Equals g_ddot(prox) / (1 + tau * g_ddot(prox)), always in [0, 1/tau).
-    Since tau * g_ddot(prox) equals the Lambert factor W exactly, this is
-    W / (tau * (1 + W)).
-    """
-    return moreau_ddot_w(_w_of(u, lam, delta, tau), tau)
+    return moreau_dot_w(cox_w(u, tau * delta, log_tau_lam(lam, tau)),
+                        delta, tau)
 
 
 def cox_prox_bundle(u, lam, delta, tau):
-    """Return (prox_g, moreau_dot_g, moreau_ddot_g) from one Lambert solve."""
+    """Return the proximal map, the envelope gradient and the envelope
+    curvature from one Lambert solve (perfbench traces it)."""
     tau_delta = tau * delta
     w = cox_w(u, tau_delta, log_tau_lam(lam, tau))
     return (prox_g_w(u, tau_delta, w), moreau_dot_w(w, delta, tau),

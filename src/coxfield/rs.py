@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .prox import check_path_order, prox_enet, prox_g
+from .prox import check_path_order, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
 from .survival import RiskSets
 from .synthgen import _sample_times_given_eta
@@ -115,10 +115,12 @@ def solve_lambda(pop, w, v, tau):
     + v Q, Lambda, Delta, tau), started from its value at the raw field.
     Stops when the sup-norm of the *undamped* map residual falls below
     _HAZARD_TOL and returns that iterate as a StepHazard, so it satisfies
-    the first hazard equation to that accuracy.
+    the first hazard equation to that accuracy.  perfbench traces it;
+    it folds into `solve_rs` once the benchmark stops tracing it.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    # written so that NaN fails it
+    if not (np.all(np.isfinite((w, v, tau))) and tau > 0):
+        raise ValueError("w, v and tau must be finite, and tau positive")
     risk = pop.risk_sets
     u = w * pop.z0 + v * pop.q
     lam = risk.hazard(u)
@@ -162,9 +164,10 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
 
     Prior side (from w_hat, v_hat, tau_hat, in closed form): proposed
     w, tau, and v via the second moment of phi.  Data side (population
-    averages of xi at the current w, v, tau and the hazard `lam`, any
-    callable cumulative hazard such as a StepHazard): proposed w_hat,
-    tau_hat, v_hat.  Pure function of its inputs.
+    averages of xi at the current w, v, tau and the StepHazard `lam`):
+    proposed w_hat, tau_hat, v_hat.  Pure function of its inputs.  The
+    joint loop of `solve_rs` calls `_rhs_from_xi` on the xi it already
+    has; this entry point serves perfbench's rs_path check and tracer.
 
     Raises
     ------
@@ -173,7 +176,7 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
         tau_hat denominator v - E[Q xi] is not positive.
     """
     u = op.w * pop.z0 + op.v * pop.q
-    xi = prox_g(u, lam(pop.t), pop.delta, op.tau)
+    xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
     return _rhs_from_xi(op, pop, u, xi, pen, nu, zeta)
 
 
@@ -227,8 +230,9 @@ def solve_rs(pen, nu, zeta, pop, init=None):
     start = perf_counter()
     x = (init.as_array() if init is not None
          else _DEFAULT_INIT * (pop.theta0, 1.0, 1.0, pop.theta0, 1.0, 1.0))
-    if x[2] <= 0:
-        raise ValueError("tau must be positive")
+    # written so that NaN fails it
+    if not (np.all(np.isfinite(x)) and x[2] > 0):
+        raise ValueError("init must be finite, with tau positive")
     risk = pop.risk_sets
     # tau-free start: the population Nelson-Aalen hazard at the raw field
     lam = risk.hazard(x[0] * pop.z0 + x[1] * pop.q)
@@ -293,27 +297,3 @@ def sample_prior(nu, theta0, n_draws, seed):
     z = rng.standard_normal(n_draws)
     return beta0, z
 
-
-def rs_residuals_general(op, pop, beta0_draws, z_draws, pen, zeta, lam=None):
-    """Monte Carlo residuals of the six RS equations in their general form.
-
-    Uses phi = prox_enet(w_hat*beta0/theta0 + v_hat*Z, tau_hat) on the
-    prior side (no closed forms), and the population on the data side;
-    cross-validates the closed-form solution path.  Returns an array of
-    six residuals ordered (rs1, ..., rs6).
-    """
-    phi = prox_enet(op.w_hat * beta0_draws / pop.theta0 + op.v_hat * z_draws,
-                    op.tau_hat, pen)
-    if lam is None:
-        lam = solve_lambda(pop, op.w, op.v, op.tau)
-    u = op.w * pop.z0 + op.v * pop.q
-    xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
-    r = np.empty(6)
-    r[0] = op.w - np.mean(beta0_draws * phi) / pop.theta0
-    r[1] = op.v_hat * op.tau / op.tau_hat - np.mean(z_draws * phi)
-    r[2] = (op.w ** 2 + op.v ** 2) - np.mean(phi ** 2)
-    r[3] = op.w_hat - (op.w - (op.tau_hat / (zeta * op.tau))
-                       * (op.w - np.mean(pop.z0 * xi)))
-    r[4] = op.v * (1.0 - zeta * op.tau / op.tau_hat) - np.mean(pop.q * xi)
-    r[5] = zeta * op.v_hat ** 2 - (op.tau_hat / op.tau) ** 2 * np.mean((xi - u) ** 2)
-    return r

@@ -108,8 +108,6 @@ class StepHazard:
         out = np.concatenate(([0.0], self.values))[idx]
         return float(out) if np.ndim(t) == 0 else out
 
-    __call__ = evaluate
-
 
 class RiskSets:
     """Risk sets {j : t_j >= t_i} of a sample of times with 0/1 events

@@ -6,6 +6,12 @@ definition, scalar proxima are found by golden-section search, and
 envelopes by bounded 1-D minimization.  The reference AMP and CD loops
 are the solvers' iterations written plainly, with a `nelson_aalen`
 estimate every epoch and `prox_enet` for every elastic-net step.
+
+The rest restate quantities from their definitions, apart from the
+forms the package computes them in: the envelope curvature from g'' at
+the proximal point, not from the Lambert factor; the local field and
+the moments of its residual; and the six RS equations in their general
+Monte Carlo form, with no closed-form prior moments.
 """
 
 import numpy as np
@@ -13,6 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from coxfield.prox import (ElasticNetPenalty, cox_prox_bundle, prox_enet,
                            prox_enet_dot, prox_g)
+from coxfield.rs import solve_lambda
 from coxfield.solvers import FitResult
 from coxfield.survival import nelson_aalen, penalized_partial_likelihood
 
@@ -45,6 +52,54 @@ def envelope_g(u, lam, delta, tau, width=60.0):
     res = minimize_scalar(obj, bounds=(u + tau * delta - width, u + tau * delta + 1.0),
                           method="bounded", options={"xatol": 1e-12})
     return obj(res.x)
+
+
+def moreau_ddot_g(u, lam, delta, tau):
+    """Second derivative in u of the Moreau envelope of the Cox loss,
+    g''(z) / (1 + tau g''(z)) at the proximal point z, g''(z) = lam e^z."""
+    gdd = lam * np.exp(prox_g(u, lam, delta, tau))
+    return gdd / (1.0 + tau * gdd)
+
+
+def local_field(data, beta, hazard, tau_hat):
+    """The local field psi = beta - tau_hat X' g'(X beta, Lambda(T), Delta)."""
+    beta = np.asarray(beta, dtype=float)
+    lp = data.design @ beta
+    return beta - tau_hat * (data.design.T @ (hazard.evaluate(data.times)
+                                              * np.exp(lp) - data.events))
+
+
+def field_residual_moments(psi, beta0, theta0, w_hat):
+    """Skewness and excess kurtosis of the standardized residual
+    psi - w_hat * beta0 / theta0 (zero for a Gaussian field)."""
+    resid = np.asarray(psi, dtype=float) - w_hat * np.asarray(beta0, dtype=float) / theta0
+    resid = (resid - resid.mean()) / resid.std()
+    return float(np.mean(resid ** 3)), float(np.mean(resid ** 4) - 3.0)
+
+
+def rs_residuals_general(op, pop, beta0_draws, z_draws, pen, zeta, lam=None):
+    """Monte Carlo residuals of the six RS equations in their general form.
+
+    Uses phi = prox_enet(w_hat*beta0/theta0 + v_hat*Z, tau_hat) on the
+    prior side (no closed forms), and the population on the data side,
+    at the hazard `lam` (default: `solve_lambda` at (w, v, tau)).
+    Returns an array of six residuals ordered (rs1, ..., rs6).
+    """
+    phi = prox_enet(op.w_hat * beta0_draws / pop.theta0 + op.v_hat * z_draws,
+                    op.tau_hat, pen)
+    if lam is None:
+        lam = solve_lambda(pop, op.w, op.v, op.tau)
+    u = op.w * pop.z0 + op.v * pop.q
+    xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
+    r = np.empty(6)
+    r[0] = op.w - np.mean(beta0_draws * phi) / pop.theta0
+    r[1] = op.v_hat * op.tau / op.tau_hat - np.mean(z_draws * phi)
+    r[2] = (op.w ** 2 + op.v ** 2) - np.mean(phi ** 2)
+    r[3] = op.w_hat - (op.w - (op.tau_hat / (zeta * op.tau))
+                       * (op.w - np.mean(pop.z0 * xi)))
+    r[4] = op.v * (1.0 - zeta * op.tau / op.tau_hat) - np.mean(pop.q * xi)
+    r[5] = zeta * op.v_hat ** 2 - (op.tau_hat / op.tau) ** 2 * np.mean((xi - u) ** 2)
+    return r
 
 
 def ppl_gradient(data, beta):

@@ -6,12 +6,12 @@ import pytest
 
 from coxfield.observables import (EstimationError, estimate_from_amp,
                                   estimate_from_cd, estimate_tau_cd,
-                                  field_residual_moments, local_field,
                                   true_overlaps)
 from coxfield.prox import ElasticNetPenalty
 from coxfield.solvers import FitResult, SolverConfig, fit_amp, fit_cd
 from coxfield.survival import StepHazard, SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
+from oracles import field_residual_moments, local_field
 
 PEN = ElasticNetPenalty.from_strength(0.3 / 0.75, 0.75)
 
@@ -55,15 +55,27 @@ def test_local_field_trivials():
                            rng.normal(0, 0.3, (15, 4)))
     beta = rng.normal(size=4)
     empty = StepHazard(np.empty(0), np.empty(0))
-    assert np.allclose(local_field(data, beta, empty, 1.0, 2.0), beta)
+    assert np.allclose(local_field(data, beta, empty, 2.0), beta)
     data_ev = SurvivalDataset(data.times, np.ones(15), data.design)
     hz = StepHazard(np.array([0.1]), np.array([0.7]))
-    assert np.allclose(local_field(data_ev, beta, hz, 1.0, 0.0), beta)
+    assert np.allclose(local_field(data_ev, beta, hz, 0.0), beta)
+
+
+def _assert_w_hat_is_field_moment(psi, est):
+    # w_hat^2 = ||psi||^2 / p - v_hat^2 wherever the estimate leaves it
+    # unclipped, with psi formed by the oracle rather than the estimator
+    if est.w_hat > 0.0:
+        moment = np.sum(psi ** 2) / psi.size
+        assert moment - est.v_hat ** 2 == pytest.approx(
+            est.w_hat ** 2, rel=1e-9, abs=1e-12 * moment)
 
 
 def test_estimate_from_amp_internal_identity():
     data, beta0, fa, _ = _fit_pair()
     est = estimate_from_amp(data, fa, 2.0)
+    assert est.w_hat > 0.0
+    _assert_w_hat_is_field_moment(
+        local_field(data, fa.beta_hat, fa.hazard, fa.tau_hat), est)
     assert est.provenance == "amp"
     assert est.w_valid and est.v_valid
     assert est.w ** 2 + est.v ** 2 == pytest.approx(est.diagnostics["A"],
@@ -248,7 +260,8 @@ def test_field_residual_gaussianity_at_scale():
     data, beta0, fa, _ = _fit_pair(p=2000, seed=11, nu=0.005)
     assert fa.converged
     est = estimate_from_amp(data, fa, 2.0)
-    psi = local_field(data, fa.beta_hat, fa.hazard, fa.tau, fa.tau_hat)
+    psi = local_field(data, fa.beta_hat, fa.hazard, fa.tau_hat)
+    _assert_w_hat_is_field_moment(psi, est)
     skew, ex_kurt = field_residual_moments(psi, beta0, 1.0, est.w_hat)
     assert abs(skew) <= 0.2
     assert abs(ex_kurt) <= 0.5

@@ -6,11 +6,12 @@ from coxfield import rs
 from coxfield.prox import ElasticNetPenalty, prox_enet, prox_enet_dot, prox_g
 from coxfield.rs import (OrderParameters, RsInconsistencyError,
                          RsNonConvergenceError, enet_prior_moments,
-                         rs_residuals_general, rs_rhs_enet, sample_population,
-                         sample_prior, solve_lambda, solve_rs, solve_rs_path)
+                         rs_rhs_enet, sample_population, sample_prior,
+                         solve_lambda, solve_rs, solve_rs_path)
 from coxfield.scalar import std_normal_pdf
 from coxfield.survival import nelson_aalen
 from coxfield.synthgen import GeneratorSpec
+from oracles import rs_residuals_general
 
 GEN = GeneratorSpec(zeta=2.0)
 PEN = ElasticNetPenalty.from_strength(0.3 / 0.75, 0.75)
@@ -237,6 +238,27 @@ def test_solve_rs_nonconvergence_reports_residuals(monkeypatch):
     with pytest.raises(ValueError):
         solve_rs(PEN, nu=0.02, zeta=2.0, pop=pop,
                  init=OrderParameters(0.5, 0.5, 0.0, 0.5, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("name", ["w", "v", "tau", "w_hat", "v_hat", "tau_hat"])
+def test_solve_rs_rejects_nonfinite_init(name):
+    # ValueError before the loop; a NaN used to run all _MAX_ITER steps and
+    # end in RsNonConvergenceError with NaN residuals
+    pop = sample_population(GEN, 1.0, 500, seed=13)
+    start = dict(w=0.5, v=0.5, tau=1.0, w_hat=0.5, v_hat=0.5, tau_hat=1.0)
+    for bad in (np.nan, np.inf):
+        init = OrderParameters(**{**start, name: bad})
+        with pytest.raises(ValueError, match="finite"):
+            solve_rs(PEN, nu=0.02, zeta=2.0, pop=pop, init=init)
+
+
+@pytest.mark.parametrize("args", [(np.nan, 0.5, 1.1), (0.4, np.nan, 1.1),
+                                  (0.4, 0.5, np.nan), (0.4, 0.5, np.inf),
+                                  (0.4, 0.5, -1.0)])
+def test_solve_lambda_rejects_nonfinite_or_nonpositive_tau(args):
+    pop = sample_population(GEN, 1.0, 500, seed=13)
+    with pytest.raises(ValueError, match="finite"):
+        solve_lambda(pop, *args)
 
 
 def test_order_parameters_diagnostics_stay_out_of_comparisons():

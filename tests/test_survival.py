@@ -56,6 +56,7 @@ def test_step_hazard_evaluation_semantics():
     ts = np.linspace(0, 3, 301)
     vals = hz.evaluate(ts)
     assert np.all(np.diff(vals) >= 0)
+    assert not callable(hz)             # evaluate is its one spelling
     with pytest.raises(ValueError):
         StepHazard(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
