@@ -17,10 +17,10 @@ import numpy as np
 from .prox import check_path_order, prox_g
 from .scalar import std_normal_pdf, std_normal_tail
 from .survival import RiskSets
-from .synthgen import _sample_times_given_eta
+from .synthgen import SignalSpec, _sample_times_given_eta
 
-# the RS loops' sup-norm bounds on the undamped hazard residual and scalar
-# change, their step limit, and the weight of the new iterate in each step
+# the RS loop's sup-norm bounds on the undamped hazard residual and scalar
+# change, its step limit, and the weight of the new iterate in each step
 _HAZARD_TOL = 1e-8
 _SCALAR_TOL = 1e-6
 _MAX_ITER = 500
@@ -32,15 +32,13 @@ class RsInconsistencyError(RuntimeError):
 
 
 class RsNonConvergenceError(RuntimeError):
-    """A fixed-point loop ran out of iterations; carries their number and
-    the last undamped hazard and (joint loop only) scalar residuals."""
+    """The RS fixed-point loop ran out of iterations; carries their number
+    and the last undamped hazard and scalar residuals."""
 
-    def __init__(self, message, iterations, hazard_residual,
-                 scalar_residual=None):
-        scalar = ("" if scalar_residual is None
-                  else f", scalar residual {scalar_residual:.3e}")
-        super().__init__(f"{message} after {iterations} iterations "
-                         f"(hazard residual {hazard_residual:.3e}{scalar})")
+    def __init__(self, iterations, hazard_residual, scalar_residual):
+        super().__init__(f"RS fixed point did not converge after {iterations} "
+                         f"iterations (hazard residual {hazard_residual:.3e}, "
+                         f"scalar residual {scalar_residual:.3e})")
         self.iterations = iterations
         self.hazard_residual = hazard_residual
         self.scalar_residual = scalar_residual
@@ -105,34 +103,45 @@ def sample_population(gen, theta0, n_pop=5000, seed=0):
                         t=t[order], theta0=theta0)
 
 
+def _fixed_point(pop, x, scalar_map):
+    # the one damped loop over the state (scalars x = (w, v, tau, ...),
+    # hazard at pop.t), from the Nelson-Aalen hazard at the raw field;
+    # scalar_map(x, u, xi) proposes the scalars.  Returns (x, StepHazard,
+    # iterations, hazard and scalar residuals) at the first iterate that
+    # meets both tolerances.  The start check is written so NaN fails it.
+    if not (np.all(np.isfinite(x)) and x[2] > 0):
+        raise ValueError("the start (w, v, tau, ...) must be finite, "
+                         "with tau positive")
+    risk = pop.risk_sets
+    lam = risk.hazard(x[0] * pop.z0 + x[1] * pop.q)
+    haz_res = scal_res = np.inf
+    for it in range(1, _MAX_ITER + 1):
+        u = x[0] * pop.z0 + x[1] * pop.q
+        xi = prox_g(u, lam, pop.delta, x[2])
+        lam_new = risk.hazard(xi)
+        prop = scalar_map(x, u, xi)
+        haz_res = float(np.max(np.abs(lam_new - lam)))
+        scal_res = float(np.max(np.abs(prop - x)))
+        if haz_res <= _HAZARD_TOL and scal_res <= _SCALAR_TOL:
+            return x, risk.step_hazard(lam), it, haz_res, scal_res
+        x = (1.0 - _DAMPING) * x + _DAMPING * prop
+        lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
+    raise RsNonConvergenceError(_MAX_ITER, haz_res, scal_res)
+
+
 def solve_lambda(pop, w, v, tau):
     """Solve the self-consistent cumulative-hazard equations at (w, v, tau).
 
-    The hazard half of the `solve_rs` loop with the scalars held fixed:
-    damped iteration of the hazard map S(t_i) = mean_j Theta(t_j - t_i)
-    e^{xi_j}, Lambda(t_i) = mean_j Theta(t_i - t_j) delta_j / S(t_j) (the
-    Nelson-Aalen estimator at linear predictors xi) at xi = prox_g(w Z0
-    + v Q, Lambda, Delta, tau), started from its value at the raw field.
-    Stops when the sup-norm of the *undamped* map residual falls below
-    _HAZARD_TOL and returns that iterate as a StepHazard, so it satisfies
-    the first hazard equation to that accuracy.  perfbench traces it;
-    it folds into `solve_rs` once the benchmark stops tracing it.
+    The `solve_rs` loop with the scalars held: the damped hazard map
+    S(t_i) = mean_j Theta(t_j - t_i) e^{xi_j}, Lambda(t_i) = mean_j
+    Theta(t_i - t_j) delta_j / S(t_j) (the Nelson-Aalen estimator at
+    linear predictors xi) at xi = prox_g(w Z0 + v Q, Lambda, Delta, tau).
+    Returns the first iterate whose undamped residual is at most
+    _HAZARD_TOL, as a StepHazard.  perfbench traces it; ROADMAP item 2
+    deletes it once the benchmark drops that tracer site.
     """
-    # written so that NaN fails it
-    if not (np.all(np.isfinite((w, v, tau))) and tau > 0):
-        raise ValueError("w, v and tau must be finite, and tau positive")
-    risk = pop.risk_sets
-    u = w * pop.z0 + v * pop.q
-    lam = risk.hazard(u)
-    residual = np.inf
-    for _ in range(_MAX_ITER):
-        lam_new = risk.hazard(prox_g(u, lam, pop.delta, tau))
-        residual = np.max(np.abs(lam_new - lam))
-        if residual <= _HAZARD_TOL:
-            return risk.step_hazard(lam)
-        lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
-    raise RsNonConvergenceError("hazard fixed point did not converge",
-                                _MAX_ITER, residual)
+    return _fixed_point(pop, np.array([w, v, tau], dtype=float),
+                        lambda x, u, xi: x)[1]
 
 
 def enet_prior_moments(w_hat, v_hat, tau_hat, pen, nu):
@@ -177,33 +186,31 @@ def rs_rhs_enet(op, pop, lam, pen, nu, zeta):
     """
     u = op.w * pop.z0 + op.v * pop.q
     xi = prox_g(u, lam.evaluate(pop.t), pop.delta, op.tau)
-    return _rhs_from_xi(op, pop, u, xi, pen, nu, zeta)
+    return OrderParameters.from_array(
+        _rhs_from_xi(op.as_array(), pop, u, xi, pen, nu, zeta))
 
 
-def _rhs_from_xi(op, pop, u, xi, pen, nu, zeta):
-    # the six right-hand sides given the proximal points xi of the field
-    # u = w Z0 + v Q, both in the order of `pop`
+def _rhs_from_xi(x, pop, u, xi, pen, nu, zeta):
+    # the six right-hand sides, as an array, at the scalars x given the
+    # proximal points xi of the field u = w Z0 + v Q, both in pop's order
+    w, v, tau, w_hat, v_hat, tau_hat = map(float, x)
     e_z0xi = np.mean(pop.z0 * xi)
     e_qxi = np.mean(pop.q * xi)
     e_sq = np.mean((xi - u) ** 2)
 
-    w_hat_new = op.w - (op.tau_hat / (zeta * op.tau)) * (op.w - e_z0xi)
-    denom = op.v - e_qxi
+    w_hat_new = w - (tau_hat / (zeta * tau)) * (w - e_z0xi)
+    denom = v - e_qxi
     if denom <= 0:
         raise RsInconsistencyError("nonpositive tau_hat denominator v - E[Q xi]")
-    tau_hat_new = zeta * op.tau * op.v / denom
-    v_hat_new = (op.tau_hat / op.tau) * np.sqrt(e_sq / zeta)
+    tau_hat_new = zeta * tau * v / denom
+    v_hat_new = (tau_hat / tau) * np.sqrt(e_sq / zeta)
 
-    overlap, active, second = enet_prior_moments(op.w_hat, op.v_hat, op.tau_hat,
-                                                 pen, nu)
-    w_new = overlap
-    tau_new = op.tau_hat * active
-    disc = second - w_new ** 2
+    overlap, active, second = enet_prior_moments(w_hat, v_hat, tau_hat, pen, nu)
+    disc = second - overlap ** 2
     if disc < 0:
         raise RsInconsistencyError("RS inconsistency: negative proposed v^2")
-    return OrderParameters(w=w_new, v=float(np.sqrt(disc)), tau=tau_new,
-                           w_hat=float(w_hat_new), v_hat=float(v_hat_new),
-                           tau_hat=float(tau_hat_new))
+    return np.array([overlap, np.sqrt(disc), tau_hat * active,
+                     w_hat_new, v_hat_new, tau_hat_new])
 
 
 # (w, v, tau, w_hat, v_hat, tau_hat); w and w_hat are scaled by theta0
@@ -213,13 +220,12 @@ _DEFAULT_INIT = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0])
 def solve_rs(pen, nu, zeta, pop, init=None):
     """Solve the six RS equations and the hazard equations jointly.
 
-    One damped fixed-point loop over (order parameters, hazard): each
-    step computes xi = prox_g(w Z0 + v Q, Lambda, Delta, tau) once,
-    applies the hazard map to it once, takes the six right-hand sides
-    from the same xi, and damps scalars and hazard together.  Stops when
-    the undamped hazard residual is at most _HAZARD_TOL = 1e-8 and the
-    undamped scalar change at most _SCALAR_TOL = 1e-6 (sup-norms), and
-    returns that verified iterate; at most _MAX_ITER = 500 joint steps.
+    The one damped fixed-point loop over (order parameters, hazard):
+    each step takes the hazard map and the six right-hand sides from one
+    xi = prox_g(w Z0 + v Q, Lambda, Delta, tau) and damps both.  Returns
+    the first iterate whose undamped hazard residual is at most
+    _HAZARD_TOL = 1e-8 and scalar change at most _SCALAR_TOL = 1e-6
+    (sup-norms); at most _MAX_ITER = 500 steps.
     `pop` (from `sample_population`) fixes theta0; reuse it and its risk
     sets across calls for common random numbers along a path.
 
@@ -230,30 +236,13 @@ def solve_rs(pen, nu, zeta, pop, init=None):
     start = perf_counter()
     x = (init.as_array() if init is not None
          else _DEFAULT_INIT * (pop.theta0, 1.0, 1.0, pop.theta0, 1.0, 1.0))
-    # written so that NaN fails it
-    if not (np.all(np.isfinite(x)) and x[2] > 0):
-        raise ValueError("init must be finite, with tau positive")
-    risk = pop.risk_sets
-    # tau-free start: the population Nelson-Aalen hazard at the raw field
-    lam = risk.hazard(x[0] * pop.z0 + x[1] * pop.q)
-    haz_res = scal_res = np.inf
-    for it in range(1, _MAX_ITER + 1):
-        op = OrderParameters.from_array(x)
-        u = op.w * pop.z0 + op.v * pop.q
-        xi = prox_g(u, lam, pop.delta, op.tau)
-        lam_new = risk.hazard(xi)
-        prop = _rhs_from_xi(op, pop, u, xi, pen, nu, zeta).as_array()
-        haz_res = float(np.max(np.abs(lam_new - lam)))
-        scal_res = float(np.max(np.abs(prop - x)))
-        if haz_res <= _HAZARD_TOL and scal_res <= _SCALAR_TOL:
-            op.diagnostics = {"iterations": it, "hazard_residual": haz_res,
-                              "scalar_residual": scal_res,
-                              "seconds": perf_counter() - start}
-            return op, risk.step_hazard(lam)
-        x = (1.0 - _DAMPING) * x + _DAMPING * prop
-        lam = (1.0 - _DAMPING) * lam + _DAMPING * lam_new
-    raise RsNonConvergenceError("RS fixed point did not converge", _MAX_ITER,
-                                haz_res, scal_res)
+    x, lam, it, haz_res, scal_res = _fixed_point(
+        pop, x, lambda x, u, xi: _rhs_from_xi(x, pop, u, xi, pen, nu, zeta))
+    op = OrderParameters.from_array(x)
+    op.diagnostics = {"iterations": it, "hazard_residual": haz_res,
+                      "scalar_residual": scal_res,
+                      "seconds": perf_counter() - start}
+    return op, lam
 
 
 def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
@@ -269,11 +258,8 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
     starts from the previous point's solution.
     """
     check_path_order(pens)
-    # the checks of synthgen.SignalSpec, written so that NaN fails them
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
-    if not 0.0 < theta0 < np.inf:
-        raise ValueError("theta0 must be finite and positive")
+    # the signal's own checks of nu and theta0
+    SignalSpec(1, nu, theta0, seed=seed)
     pop = sample_population(gen, theta0, n_pop, seed)
     results = []
     init = None

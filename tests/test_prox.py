@@ -113,9 +113,9 @@ def test_bundle_consistency():
     delta = rng.integers(0, 2, 100).astype(float)
     tau = 0.7
     z, md, mdd = cox_prox_bundle(u, lam, delta, tau)
-    assert np.allclose(z, prox_g(u, lam, delta, tau), rtol=1e-15)
-    assert np.allclose(md, moreau_dot_g(u, lam, delta, tau), rtol=1e-15)
-    assert np.allclose(mdd, moreau_ddot_g(u, lam, delta, tau), rtol=1e-15)
+    assert np.allclose(z, prox_g(u, lam, delta, tau), rtol=1e-15, atol=0)
+    assert np.allclose(md, moreau_dot_g(u, lam, delta, tau), rtol=1e-15, atol=0)
+    assert np.allclose(mdd, moreau_ddot_g(u, lam, delta, tau), rtol=1e-15, atol=0)
 
 
 def test_prox_g_overflow_guard():

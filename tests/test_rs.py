@@ -202,7 +202,8 @@ def test_solve_rs_path_requires_decreasing_strength():
 
 def test_solve_rs_returns_a_verified_fixed_point():
     # the returned hazard solves the hazard equations at the returned
-    # scalars, and one more RHS evaluation barely moves the scalars
+    # scalars, and one more RHS evaluation barely moves the scalars;
+    # solve_lambda, the same loop with the scalars held, meets it there
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
             for a in (0.5, 0.4, 0.3)]
     n_pop, seed = 800, 2
@@ -214,6 +215,9 @@ def test_solve_rs_returns_a_verified_fixed_point():
     assert np.array_equal(single[0].as_array(), points[0][0].as_array())
     for pen, (op, lam) in zip(pens, points):
         assert _hazard_oracle_gap(pop, op.w, op.v, op.tau, lam) <= 1e-8
+        held = solve_lambda(pop, op.w, op.v, op.tau)
+        assert np.array_equal(held.knots, lam.knots)
+        assert np.max(np.abs(held.values - lam.values)) <= 1e-7
         prop = rs_rhs_enet(op, pop, lam, pen, nu=0.02, zeta=2.0)
         assert np.max(np.abs(prop.as_array() - op.as_array())) <= 1e-5
         diag = op.diagnostics
@@ -234,7 +238,7 @@ def test_solve_rs_nonconvergence_reports_residuals(monkeypatch):
     monkeypatch.setattr(rs, "_MAX_ITER", 2)
     with pytest.raises(RsNonConvergenceError) as exc:
         solve_lambda(pop, 0.4, 0.5, 1.1)
-    assert exc.value.iterations == 2 and exc.value.scalar_residual is None
+    assert exc.value.iterations == 2 and exc.value.scalar_residual == 0.0
     with pytest.raises(ValueError):
         solve_rs(PEN, nu=0.02, zeta=2.0, pop=pop,
                  init=OrderParameters(0.5, 0.5, 0.0, 0.5, 0.5, 1.0))

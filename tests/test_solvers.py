@@ -488,6 +488,31 @@ def test_amp_stall_stops_early(monkeypatch):
                for a, b in zip(starts, starts[1:] + [res.epochs]))
 
 
+def test_damping_cut_rescues_stall_with_nothing_left_to_hold(monkeypatch):
+    # the last point stalls after coordinate 37 has been frozen and then
+    # switched, so it can no longer be held and the flip finder has nothing
+    # new: the damping cut alone lets the fit converge, to the CD fit
+    sig = SignalSpec(p=100, nu=0.05, theta0=1.0, seed=28)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=28)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    amp = reg_path(data, pens, "amp")[-1]
+    diag = amp.diagnostics
+    assert amp.converged and diag["stop_reason"] == "tol"
+    assert amp.epochs == 166 and diag["damping_cuts"] == [[165, 0.425]]
+    assert [s for _, k, s in diag["frozen"] if k == 37] == [1, -1]
+    assert diag["kkt_residual"] <= 1e-8
+    cd = reg_path(data, pens, "cd")[-1]
+    assert cd.converged
+    rel = np.linalg.norm(amp.beta_hat - cd.beta_hat) / np.linalg.norm(cd.beta_hat)
+    assert rel <= 1e-7
+    # no cut allowed: the same point ends where the cut fired
+    monkeypatch.setattr(solvers, "AMP_DAMPING_FLOOR", 1.0)
+    held = reg_path(data, pens, "amp")[-1]
+    assert not held.converged and held.diagnostics["stop_reason"] == "stalled"
+    assert held.epochs == 165 and held.diagnostics["damping_cuts"] == []
+
+
 def test_amp_recovers_after_damping_cut():
     # repetition 0 of the p=500 acceptance experiment, grid point 7: AMP
     # stalls at err ~2.6e-3 while one coordinate flips at the threshold;
