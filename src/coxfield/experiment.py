@@ -288,6 +288,9 @@ def _run_tasks(tasks, workers):
             return [_timed(*task) for task in tasks], 1
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        # numpy 2 imports numpy.random on first use, some 20 ms: once here,
+        # not again in every forked worker that generates a dataset
+        import numpy.random  # noqa: F401
         # fork, not the platform default: spawn and forkserver workers
         # import numpy and coxfield again, about 0.2 s each.  OpenBLAS
         # stops its own threads before a fork, and from Python 3.11 on the

@@ -86,6 +86,24 @@ def lambert_w0(x):
     return float(w[0]) if scalar else w
 
 
+def _newton_w0_exp(y, w):
+    """W0(e^y) from w = log(1 + e^y), in place: Winitzki's guess, a global
+    two-to-three-digit approximation, then the Newton steps."""
+    a = np.log1p(w)
+    b = w + 2.0
+    a /= b
+    np.subtract(1.0, a, out=a)
+    w *= a
+    y1 = y + 1.0
+    for _ in range(_NEWTON_STEPS):
+        np.log(w, out=a)
+        np.subtract(y1, a, out=a)
+        np.add(w, 1.0, out=b)
+        a /= b
+        w *= a
+    return w
+
+
 def lambert_w0_exp(y):
     """Compute W0(exp(y)) without forming exp(y).
 
@@ -97,31 +115,27 @@ def lambert_w0_exp(y):
     e^y (1 - e^y + ...) equals e^y to rounding and is returned as such,
     down to 0 at y = -inf; +inf gives +inf and NaN gives NaN.
     Overflow-safe for arbitrarily large y.  This is the kernel of the Cox
-    proximal map: about 30 numpy calls per evaluation, in two work
-    buffers.
+    proximal map: about 25 numpy calls per evaluation, in two work
+    buffers.  An array whose entries all lie in [-40, 36] (the Cox prox's
+    usual case) skips the overflow and underflow guards, which change
+    nothing there; any other array takes them, some 8 calls more, and
+    its entries in that range come out bit for bit the same.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = (y_arr.ndim == 0)
     y_arr = np.atleast_1d(y_arr)
+    # NaN fails the test, and an empty array has no min
+    if (y_arr.size and -40.0 <= np.minimum.reduce(y_arr)
+            and np.maximum.reduce(y_arr) <= 36.0):
+        w = _newton_w0_exp(y_arr, np.log1p(np.exp(y_arr)))
+        return float(w[0]) if scalar else w
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # log(1 + e^y) without overflow, then a global two-to-three-digit
-        # approximation of W0 in terms of it
+        # log(1 + e^y) without overflow
         ey = np.exp(np.minimum(y_arr, 36.0))
         big = np.maximum(y_arr - 36.0, 0.0)
         w = np.log1p(ey)
         w += big
-        a = np.log1p(w)
-        b = w + 2.0
-        a /= b
-        np.subtract(1.0, a, out=a)
-        w *= a
-        y1 = y_arr + 1.0
-        for _ in range(_NEWTON_STEPS):
-            np.log(w, out=a)
-            np.subtract(y1, a, out=a)
-            np.add(w, 1.0, out=b)
-            a /= b
-            w *= a
+        w = _newton_w0_exp(y_arr, w)
         # W0(e^y) >= max(y, 0)/2 >= big/2 (as log w < w), so this changes
         # no result but the NaN of inf - inf at y = +inf, into +inf
         big *= 0.5

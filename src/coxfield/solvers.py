@@ -115,6 +115,20 @@ def _check_finite(epoch, **fields):
                 "too weak for a minimizer to exist")
 
 
+def _err(*norms):
+    """The fits' err: the square root of the summed squares of the
+    sup-norm deltas, summed in the order given.  Where a square overflows
+    but every norm is finite, the sum is taken over the norms divided by
+    the largest, so err is finite whenever every norm is."""
+    err2 = 0.0
+    for x in norms:
+        err2 += x ** 2
+    if math.isfinite(err2) or not all(map(math.isfinite, norms)):
+        return math.sqrt(err2)
+    top = max(map(abs, norms))
+    return top * math.sqrt(sum((x / top) ** 2 for x in norms))
+
+
 def _fit_result(data, pen, rs, beta, hazard, epochs, err, stop_reason, t0,
                 diagnostics, **amp_state):
     # every finished fit: converged iff it stopped on tol or had no events
@@ -273,81 +287,86 @@ def fit_amp(data, pen, init=None, cfg=None):
     # stalls are judged against the errs from this epoch on
     window_start = 1
     epoch = 0
-    while epoch < max_epochs:
-        epoch += 1
-        # the epoch's three Cox-prox evaluations share tau*Delta, the last
-        # two also log(tau*Lambda); each forms only the outputs it uses
-        tau_delta = tau * D
-        # hazard refresh at the proximal points of the current field
-        lin = prox_g_w(xi, tau_delta, cox_w(xi, tau_delta, log_tau_lam(lamT, tau)))
-        lamT_new = rs.hazard(lin)
-        # np.maximum.reduce is np.max without its wrapper's overhead
-        err2 = np.maximum.reduce(np.abs(lamT_new - lamT)) ** 2
-        lamT = lamT_new
+    # floating-point warnings stay silent: from finite iterates a
+    # non-finite one makes err non-finite, which raises FitDivergedError
+    # naming it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while epoch < max_epochs:
+            epoch += 1
+            # the epoch's three Cox-prox evaluations share tau*Delta, the last
+            # two also log(tau*Lambda); each forms only the outputs it uses
+            tau_delta = tau * D
+            # hazard refresh at the proximal points of the current field
+            lin = prox_g_w(xi, tau_delta, cox_w(xi, tau_delta, log_tau_lam(lamT, tau)))
+            lamT_new = rs.hazard(lin)
+            # np.maximum.reduce is np.max without its wrapper's overhead
+            dlam = np.maximum.reduce(np.abs(lamT_new - lamT))
+            lamT = lamT_new
 
-        # field update (Onsager-corrected) under the refreshed hazard
-        log_tl = log_tau_lam(lamT, tau)
-        mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
-        xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
-        err2 += np.maximum.reduce(np.abs(xi_new - xi)) ** 2
-        xi = xi_new
+            # field update (Onsager-corrected) under the refreshed hazard
+            log_tl = log_tau_lam(lamT, tau)
+            mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
+            xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
+            dxi = np.maximum.reduce(np.abs(xi_new - xi))
+            xi = xi_new
 
-        w = cox_w(xi, tau_delta, log_tl)
-        mdot = moreau_dot_w(w, D, tau)
-        # np.add.reduce(x) / x.size is np.mean(x), without its overhead
-        tau_hat_new = (1 - d) * tau_hat + d * (
-            zeta / (np.add.reduce(moreau_ddot_w(w, tau)) / n))
-        err2 += (tau_hat_new - tau_hat) ** 2
-        tau_hat = tau_hat_new
+            w = cox_w(xi, tau_delta, log_tl)
+            mdot = moreau_dot_w(w, D, tau)
+            # np.add.reduce(x) / x.size is np.mean(x), without its overhead
+            tau_hat_new = (1 - d) * tau_hat + d * (
+                zeta / (np.add.reduce(moreau_ddot_w(w, tau)) / n))
+            dtau_hat = tau_hat_new - tau_hat
+            tau_hat = tau_hat_new
 
-        psi = beta - tau_hat * (X.T @ mdot)
-        recent.append((psi, tau_hat))
-        beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
-        err2 += np.maximum.reduce(np.abs(beta_new - beta)) ** 2
-        beta = beta_new
+            psi = beta - tau_hat * (X.T @ mdot)
+            recent.append((psi, tau_hat))
+            beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
+            dbeta = np.maximum.reduce(np.abs(beta_new - beta))
+            beta = beta_new
 
-        # beta keeps the true threshold; only the divergence holds sides
-        dot = prox_enet_dot(psi, tau_hat, pen)
-        if held.size:
-            dot[held] = (side[held] > 0) / (1.0 + pen.eta * tau_hat)
-        tau_new = (1 - d) * tau + d * (tau_hat * (np.add.reduce(dot) / p))
-        err2 += (tau_new - tau) ** 2
-        tau = tau_new
+            # beta keeps the true threshold; only the divergence holds sides
+            dot = prox_enet_dot(psi, tau_hat, pen)
+            if held.size:
+                dot[held] = (side[held] > 0) / (1.0 + pen.eta * tau_hat)
+            tau_new = (1 - d) * tau + d * (tau_hat * (np.add.reduce(dot) / p))
+            dtau = tau_new - tau
+            tau = tau_new
 
-        err = math.sqrt(err2)
-        err_history.append(err)
-        # from finite iterates, a non-finite new one makes err non-finite
-        if not math.isfinite(err):
-            _check_finite(epoch, beta=beta, xi=xi, tau=tau, tau_hat=tau_hat, err=err)
-        if err < cfg.tol:
-            # converged only where every held side is the true one, so the
-            # last update is the unheld one; a contradicted side is
-            # switched once, then released for good
-            wrong = held[(np.abs(psi[held]) > pen.alpha * tau_hat) != (side[held] > 0)]
-            if not wrong.size:
-                stop_reason = "tol"
-                break
-            side[wrong] = np.where(holds[wrong] == 1, -side[wrong], 0)
-            holds[wrong] += 1
-            frozen += [[epoch, int(k), int(side[k])] for k in wrong]
-            held = np.flatnonzero(side)
-            window_start = epoch
-            continue
-        if (epoch - window_start >= AMP_STALL_WINDOW and err > AMP_STALL_DROP
-                * err_history[epoch - 1 - AMP_STALL_WINDOW]):
-            new, new_side = _flipping(recent, pen.alpha, holds == 0)
-            if new.size:
-                side[new] = new_side
-                holds[new] = 1
-                frozen += [[epoch, int(k), int(s)] for k, s in zip(new, new_side)]
+            err = _err(dlam, dxi, dtau_hat, dbeta, dtau)
+            err_history.append(err)
+            if not math.isfinite(err):
+                _check_finite(epoch, hazard=lamT, xi=xi, tau_hat=tau_hat,
+                              beta=beta, tau=tau, err=err)
+            if err < cfg.tol:
+                # converged only where every held side is the true one, so the
+                # last update is the unheld one; a contradicted side is
+                # switched once, then released for good
+                wrong = held[(np.abs(psi[held]) > pen.alpha * tau_hat)
+                             != (side[held] > 0)]
+                if not wrong.size:
+                    stop_reason = "tol"
+                    break
+                side[wrong] = np.where(holds[wrong] == 1, -side[wrong], 0)
+                holds[wrong] += 1
+                frozen += [[epoch, int(k), int(side[k])] for k in wrong]
                 held = np.flatnonzero(side)
-            elif d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
-                stop_reason = "stalled"
-                break
-            else:
-                d *= AMP_DAMPING_CUT
-                damping_cuts.append([epoch, d])
-            window_start = epoch
+                window_start = epoch
+                continue
+            if (epoch - window_start >= AMP_STALL_WINDOW and err > AMP_STALL_DROP
+                    * err_history[epoch - 1 - AMP_STALL_WINDOW]):
+                new, new_side = _flipping(recent, pen.alpha, holds == 0)
+                if new.size:
+                    side[new] = new_side
+                    holds[new] = 1
+                    frozen += [[epoch, int(k), int(s)] for k, s in zip(new, new_side)]
+                    held = np.flatnonzero(side)
+                elif d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
+                    stop_reason = "stalled"
+                    break
+                else:
+                    d *= AMP_DAMPING_CUT
+                    damping_cuts.append([epoch, d])
+                window_start = epoch
 
     # one undamped prox application so the reported coefficients carry the
     # exact zeros of the soft threshold (the damped iterate only reaches
@@ -371,15 +390,17 @@ def fit_cd(data, pen, init=None, cfg=None):
     refreshes the hazard with the Nelson-Aalen estimator.  Only the
     curvature diagonal and per-coordinate row actions are ever formed.
 
-    After every CD_NEWTON_EVERY epochs but the last, a Newton step on the
-    support of the coefficients (`_newton_step`, conjugate gradients on
-    Hessian-vector products) proposes a candidate.  It replaces the
-    iterate only where its KKT residual is below the iterate's and its
-    penalized partial likelihood is not above the iterate's by more than
-    1e-12 relative (diagnostics["newton_tried"], ["newton_kept"] and
-    ["cg_iterations"]).  Each rejected candidate doubles the number of
-    epochs to the next Newton step; a kept one resets it to
-    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
+    Before the sweep after every CD_NEWTON_EVERY epochs, a Newton step on
+    the support of the coefficients (`_newton_step`, conjugate gradients
+    on Hessian-vector products) proposes a candidate; a warm start from a
+    nonzero beta also tries one before its first sweep, a predictor along
+    the regularization path (Park & Hastie, JRSS-B 69, 2007).  A candidate
+    replaces the iterate only where its KKT residual is below the
+    iterate's and its penalized partial likelihood is not above the
+    iterate's by more than 1e-12 relative (diagnostics["newton_tried"],
+    ["newton_kept"] and ["cg_iterations"]).  Each rejected candidate
+    doubles the number of epochs to the next Newton step; a kept one
+    resets it to CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
     less than tol: the fixed point, and so the fit within the tolerance,
     is that of the plain sweeps, and the coefficients returned are those
     of a sweep.  Newton steps are not counted as epochs.  Coordinates
@@ -404,9 +425,11 @@ def fit_cd(data, pen, init=None, cfg=None):
                            "all_censored", t0, {})
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
-    lamT, wdiag, grad = _breslow(X, D, rs, lp)[:3]
+    lamT, wdiag, grad, hess = _breslow(X, D, rs, lp)
     X2 = X * X
     cols = [X[:, k] for k in range(p)]
+    # the r update's product, formed in place
+    buf = np.empty(n)
     # the screen's relative slack on S; see the screen below
     slack = (n + 8) * (p + 1) * 2.0**-51 if (n + 8) * (p + 1) <= 2**33 else math.inf
 
@@ -416,9 +439,34 @@ def fit_cd(data, pen, init=None, cfg=None):
     skipped = screened = 0
     tried = kept = cg_iterations = 0
     # epochs between Newton steps: doubled after each rejected candidate,
-    # reset when one is kept
-    newton_gap = next_newton = CD_NEWTON_EVERY
+    # reset when one is kept.  A warm start from a nonzero beta tries one
+    # before its first sweep: at the previous point's optimum the step's
+    # right-hand side is the change in penalty, a predictor along the path
+    newton_gap = CD_NEWTON_EVERY
+    next_newton = 0 if beta.any() else CD_NEWTON_EVERY
     while epoch < max_epochs:
+        if CD_NEWTON_EVERY and epoch >= next_newton:
+            # the guarded Newton step: a kept candidate carries its own
+            # weights and gradient into the next sweep
+            tried += 1
+            cand, its = _newton_step(X, hess, beta, grad, pen)
+            cg_iterations += its
+            moved = np.flatnonzero(cand != beta)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                lp_c = lp + X[:, moved] @ (cand[moved] - beta[moved])
+                lamT_c, wdiag_c, grad_c = _breslow(X, D, rs, lp_c)[:3]
+                loss, loss_c = (rs.penalized_loss(lp, beta, pen),
+                                rs.penalized_loss(lp_c, cand, pen))
+            # the KKT residual decides, as the loss alone would tie on
+            # rounding near the optimum; the loss may not rise beyond rounding
+            if (_kkt_residual(grad_c, cand, pen) < _kkt_residual(grad, beta, pen)
+                    and loss_c <= loss + 1e-12 * abs(loss)):
+                kept += 1
+                beta, lp, lamT, wdiag, grad = cand, lp_c, lamT_c, wdiag_c, grad_c
+                newton_gap = CD_NEWTON_EVERY
+            else:
+                newton_gap *= 2
+            next_newton = epoch + newton_gap
         epoch += 1
         # the sweep runs on Python floats: numpy scalar arithmetic would
         # dominate it
@@ -469,7 +517,8 @@ def fit_cd(data, pen, init=None, cfg=None):
                     screened += 1
                     continue
             xk = cols[k]
-            dot = float(xk @ r)
+            # the ddot of xk @ r, without the matmul dispatch
+            dot = float(xk.dot(r))
             psi_k = (dot + mkk * phik - score[k]) / mkk
             # prox_enet(psi_k, tauhat, pen), the same operations on floats
             if psi_k > thresh:
@@ -481,7 +530,9 @@ def fit_cd(data, pen, init=None, cfg=None):
                 new = psi_k * 0.0
             if new != phik:
                 delta = new - phik
-                r -= wdiag * xk * delta
+                np.multiply(wdiag, xk, out=buf)
+                buf *= delta
+                r -= buf
                 t1 = delta * delta * mkk
                 t2 = 2.0 * delta * dot
                 S += t1 - t2
@@ -490,37 +541,14 @@ def fit_cd(data, pen, init=None, cfg=None):
         beta_new = np.array(phi)
         lp = X @ beta_new
         lamT_new, wdiag, grad, hess = _breslow(X, D, rs, lp)
-        err = math.sqrt(np.maximum.reduce(np.abs(beta_new - beta)) ** 2
-                        + np.maximum.reduce(np.abs(lamT_new - lamT)) ** 2)
+        err = _err(np.maximum.reduce(np.abs(beta_new - beta)),
+                   np.maximum.reduce(np.abs(lamT_new - lamT)))
         beta, lamT = beta_new, lamT_new
         if not math.isfinite(err):
             _check_finite(epoch, beta=beta, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
             break
-        if not CD_NEWTON_EVERY or epoch < next_newton or epoch == max_epochs:
-            continue
-        # the guarded Newton step: a kept candidate carries its own
-        # weights and gradient into the next sweep
-        tried += 1
-        cand, its = _newton_step(X, hess, beta, grad, pen)
-        cg_iterations += its
-        moved = np.flatnonzero(cand != beta)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            lp_c = lp + X[:, moved] @ (cand[moved] - beta[moved])
-            lamT_c, wdiag_c, grad_c = _breslow(X, D, rs, lp_c)[:3]
-            loss, loss_c = (rs.penalized_loss(lp, beta, pen),
-                            rs.penalized_loss(lp_c, cand, pen))
-        # the KKT residual decides, as the loss alone would tie on rounding
-        # near the optimum; the loss may not rise beyond rounding
-        if (_kkt_residual(grad_c, cand, pen) < _kkt_residual(grad, beta, pen)
-                and loss_c <= loss + 1e-12 * abs(loss)):
-            kept += 1
-            beta, lp, lamT, wdiag, grad = cand, lp_c, lamT_c, wdiag_c, grad_c
-            newton_gap = CD_NEWTON_EVERY
-        else:
-            newton_gap *= 2
-        next_newton = epoch + newton_gap
 
     return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
                        stop_reason, t0,

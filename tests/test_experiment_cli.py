@@ -323,6 +323,38 @@ def test_one_worker_runs_in_process(tmp_path, monkeypatch):
         assert _worker_blas_threads() == before
 
 
+# in a fresh process: `import coxfield` leaves numpy.random unloaded, and
+# the pool is built only once it is loaded, so no forked worker loads it
+_POOL_SEES_NUMPY_RANDOM = """
+import concurrent.futures, sys
+from coxfield import experiment
+assert "numpy.random" not in sys.modules
+seen = []
+
+def no_pool(*args, **kwargs):
+    seen.append("numpy.random" in sys.modules)
+    raise RuntimeError("no pool")
+
+concurrent.futures.ProcessPoolExecutor = no_pool
+try:
+    experiment._run_tasks([(abs, -1), (abs, -2)], 2)
+except RuntimeError:
+    pass
+assert seen == [True], seen
+"""
+
+
+def test_pool_is_built_after_numpy_random_loads():
+    if _pooled(2) != 2:
+        pytest.skip("this platform runs the tasks without a pool")
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _POOL_SEES_NUMPY_RANDOM],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_default_workers_capped_at_tasks(tmp_path, monkeypatch):
     # the default is the CPUs this process may run on, at most one worker
     # per task: the repetitions and the RS path

@@ -113,6 +113,23 @@ def test_lambert_exp_edge_values():
     assert np.array_equal(listed, got, equal_nan=True)
 
 
+@pytest.mark.parametrize("outside", [-40.5, 36.5, np.inf, -np.inf, np.nan])
+def test_lambert_exp_fast_path_is_bit_for_bit(outside):
+    # an array within [-40, 36] skips the overflow and underflow guards;
+    # one entry outside sends the whole array through them, which changes
+    # no entry inside
+    ys = np.concatenate([[-40.0, 36.0],
+                         np.random.default_rng(0).uniform(-40.0, 36.0, 300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = lambert_w0_exp(ys)
+        guarded = lambert_w0_exp(np.append(ys, outside))
+    assert fast.tobytes() == guarded[:-1].tobytes()
+    assert [lambert_w0_exp(y) for y in ys[:2]] == fast[:2].tolist()
+    assert lambert_w0_exp(np.array(ys[5])) == fast[5]
+    assert lambert_w0_exp(np.array([])).shape == (0,)
+
+
 def test_normal_trivials():
     assert std_normal_tail(0.0) == 0.5
     assert std_normal_pdf(0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-15)

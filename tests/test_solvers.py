@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -217,13 +218,51 @@ def test_reg_path_records_divergence(monkeypatch):
 @pytest.mark.parametrize("fit, scale", [(fit_cd, 1e3), (fit_amp, 1e6)])
 def test_divergence_names_the_field(fit, scale):
     # a far-off start overflows the at-risk weights; only err is tested
-    # each epoch, the message still names the first non-finite field
+    # each epoch, the message still names the first non-finite field in
+    # the epoch's update order: CD's beta, AMP's hazard (refreshed first)
     data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
     init = FitResult(beta_hat=np.full(data.p, scale), hazard=fit_cd(data, PEN).hazard,
                      converged=True, epochs=1, final_err=0.0)
+    name = "beta" if fit is fit_cd else "hazard"
     with np.errstate(all="ignore"), pytest.raises(
-            FitDivergedError, match=r"^non-finite beta at epoch \d+; the penalty"):
+            FitDivergedError, match=rf"^non-finite {name} at epoch \d+; the penalty"):
         fit(data, PEN, init=init)
+
+
+def test_err_is_finite_while_every_norm_is():
+    # the summed squares, in order, bit for bit; rescaled where a square
+    # overflows, so only a non-finite norm makes err non-finite
+    norms = [np.float64(x) for x in (3e-3, -2.5e-7, 1.25, 7e-12, -0.4)]
+    err2 = norms[0] ** 2
+    for x in norms[1:]:
+        err2 += x ** 2
+    assert solvers._err(*norms) == math.sqrt(err2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        big = solvers._err(np.float64(3e200), np.float64(-4e200))
+        assert solvers._err(np.float64(1e300), np.float64(np.inf)) == np.inf
+        assert math.isnan(solvers._err(np.float64(1e300), np.float64(np.nan)))
+    assert big == pytest.approx(5e200, rel=1e-15)
+
+
+def test_amp_err_overflow_is_not_divergence():
+    # undamped, the two strongest points' hazards grow past 1e154 two
+    # epochs before they overflow: err squares them, yet stays finite
+    # until an iterate is not, and the fit names that one.  No
+    # floating-point warning leaves a fit; the path goes on cold
+    sig = SignalSpec(p=60, nu=0.1, theta0=1.0, seed=36)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=36)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fits = reg_path(data, pens, "amp", cfg=SolverConfig(damping=1.0))
+    for fit, epoch in zip(fits[:2], (194, 205)):
+        assert fit.diagnostics["stop_reason"] == "diverged"
+        assert fit.diagnostics["error"].startswith(
+            f"non-finite hazard at epoch {epoch};")
+    assert [f.epochs for f in fits[2:]] == [286, 337, 200]
+    assert all(f.converged for f in fits[2:])
 
 
 def _with_tied_times(data):
@@ -400,6 +439,33 @@ def test_cd_newton_step_is_guarded(monkeypatch):
     last = fit_cd(data, PEN, cfg=short)
     assert last.diagnostics["newton_tried"] == 0
     assert np.array_equal(last.beta_hat, plain_short.beta_hat)
+
+
+def test_cd_predictor_at_each_warm_start(monkeypatch):
+    # a warm start from a nonzero beta tries a Newton step before its
+    # first sweep, a predictor along the path; a cold fit first tries one
+    # after CD_NEWTON_EVERY epochs.  Every point keeps the plain sweeps'
+    # fixed point
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    first, warm = reg_path(data, pens[:2], "cd", cfg=SolverConfig(max_epochs=1))
+    assert np.any(first.beta_hat) and first.diagnostics["newton_tried"] == 0
+    assert warm.diagnostics["newton_tried"] == 1
+    every = solvers.CD_NEWTON_EVERY
+    for max_epochs, tried in ((every, 0), (every + 1, 1)):
+        cold = fit_cd(data, pens[1], cfg=SolverConfig(max_epochs=max_epochs))
+        assert cold.epochs == max_epochs
+        assert cold.diagnostics["newton_tried"] == tried
+    fast = reg_path(data, pens, "cd")
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "CD_NEWTON_EVERY", 0)
+        plain = reg_path(data, pens, "cd")
+    assert sum(f.diagnostics["newton_kept"] for f in fast[1:]) >= len(pens) - 1
+    for f, pl in zip(fast, plain):
+        assert f.converged and pl.converged
+        rel = np.linalg.norm(f.beta_hat - pl.beta_hat) / np.linalg.norm(pl.beta_hat)
+        assert rel <= 1e-7
 
 
 def _plain_and_newton(data, pen, monkeypatch):
