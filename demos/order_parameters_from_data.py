@@ -10,10 +10,10 @@ fixed point (which *does* use the generating law) and the ground truth.
 
 import numpy as np
 
-from coxfield import (ElasticNetPenalty, GeneratorSpec, SignalSpec,
-                      SolverConfig, estimate_from_amp, estimate_from_cd,
-                      fit_amp, fit_cd, generate_dataset, sample_population,
-                      solve_rs, true_overlaps)
+from coxfield import (ElasticNetPenalty, GeneratorSpec, OrderParameters,
+                      SignalSpec, SolverConfig, estimate_from_amp,
+                      estimate_from_cd, fit_amp, fit_cd, generate_dataset,
+                      sample_population, solve_rs, true_overlaps)
 
 zeta, nu, theta0 = 2.0, 0.005, 1.0
 p = 2000
@@ -35,11 +35,11 @@ pop = sample_population(gen, theta0, n_pop=30000, seed=0)
 rs, _ = solve_rs(pen, nu, zeta, pop)
 
 w_true, v_true = true_overlaps(amp.beta_hat, beta0)
-names = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")
 print(f"\n{'':>8} {'AMP est':>9} {'CD est':>9} {'RS solve':>9}")
-for i, name in enumerate(names):
-    print(f"{name:>8} {est_amp.as_array()[i]:9.4f} "
-          f"{est_cd.as_array()[i]:9.4f} {rs.as_array()[i]:9.4f}")
+# the estimates and the RS solution are all OrderParameters
+for name in OrderParameters.NAMES:
+    print(f"{name:>8} {getattr(est_amp, name):9.4f} "
+          f"{getattr(est_cd, name):9.4f} {getattr(rs, name):9.4f}")
 print(f"\nground truth (needs beta0): w = {w_true:.4f}, v = {v_true:.4f}")
 print("estimated signal/noise ratio from data alone: "
       f"{est_amp.w / est_amp.v:.3f} (true {w_true / v_true:.3f})")

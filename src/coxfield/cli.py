@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import (_EST_FIELDS, PAPER_SCALE, ExperimentConfig,
-                         run_experiment, write_table_csv)
+from .experiment import (PAPER_SCALE, ExperimentConfig, run_experiment,
+                         write_table_csv)
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty, check_path_order
-from .rs import RsInconsistencyError, RsNonConvergenceError, solve_rs_path
+from .rs import (OrderParameters, RsInconsistencyError, RsNonConvergenceError,
+                 solve_rs_path)
 from .solvers import (FitDivergedError, FitResult, SolverConfig, reg_path,
                       _SOLVERS)
 from .survival import StepHazard, SurvivalDataset
@@ -177,11 +178,12 @@ def _cmd_rs_solve(args):
     alphas, pens = _penalty_grid(args)
     points = solve_rs_path(pens, args.nu, args.theta0, args.zeta,
                            _gen_spec(args), **_given(args, "n_pop", "seed"))
+    names = OrderParameters.NAMES
     rows = [{"alpha": alpha, "converged": int(point is not None),
-             **dict(zip(_EST_FIELDS, [np.nan] * 6 if point is None
-                        else point[0].as_array()))}
+             **{f: np.nan if point is None else getattr(point[0], f)
+                for f in names}}
             for alpha, point in zip(alphas, points)]
-    write_table_csv(args.output, ["alpha", *_EST_FIELDS, "converged"], rows)
+    write_table_csv(args.output, ["alpha", *names, "converged"], rows)
     n_ok = sum(1 for point in points if point is not None)
     _emit({"command": "rs-solve", "output": args.output, "alphas": alphas,
            "converged_points": n_ok,
@@ -200,8 +202,7 @@ def _cmd_estimate(args):
 
     def record(name, est):
         out["estimates"][name] = {
-            "w": est.w, "v": est.v, "tau": est.tau, "w_hat": est.w_hat,
-            "v_hat": est.v_hat, "tau_hat": est.tau_hat,
+            **{f: getattr(est, f) for f in est.NAMES},
             "v_hat_alt": est.v_hat_alt,
             "w_valid": est.w_valid, "v_valid": est.v_valid,
             "diagnostics": est.diagnostics}

@@ -19,12 +19,11 @@ import numpy as np
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty, check_path_order
-from .rs import solve_rs_path
+from .rs import OrderParameters, solve_rs_path
 from .solvers import SolverConfig, reg_path
 from .survival import harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
-_EST_FIELDS = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")
 _FIT_FIELDS = ("true_w", "true_v", "rscv", "test_c")
 # the paper-scale preset: dataclasses.replace(cfg, **PAPER_SCALE)
 PAPER_SCALE = {"p": 2000, "repetitions": 20, "nu": 0.005}
@@ -320,14 +319,14 @@ def _aggregate(alpha, l1, rs, point):
     """One table row from the RS point and the per-fit records of one grid
     point, and the number of values behind each `_mean` column."""
     row = {"alpha": alpha, "l1_ratio": l1, "rs_converged": int(rs is not None)}
-    rs_vals = rs[0].as_array() if rs is not None else [np.nan] * 6
-    row.update({f"rs_{f}": x for f, x in zip(_EST_FIELDS, rs_vals)})
+    row.update({f"rs_{f}": np.nan if rs is None else getattr(rs[0], f)
+                for f in OrderParameters.NAMES})
     counts = {}
     for solver, recs in point.items():
         row[f"{solver}_n_converged"] = sum(rec["converged"] for rec in recs)
         ests = [rec["estimate"] for rec in recs if rec["estimate"] is not None]
         values = {f"est_{f}": [est[j] for est in ests]
-                  for j, f in enumerate(_EST_FIELDS)}
+                  for j, f in enumerate(OrderParameters.NAMES)}
         values.update({f: [rec[f] for rec in recs] for f in _FIT_FIELDS})
         for name, vals in values.items():
             col = f"{solver}_{name}"

@@ -8,9 +8,11 @@ average) and then runs the same chain.  Ground-truth overlaps are provided
 for validation on synthetic data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .rs import OrderParameters
 
 # bound on the Newton steps of estimate_tau_cd; from tau = 0 they settle
 # in under 20 on every fit seen
@@ -21,33 +23,29 @@ class EstimationError(ValueError):
     """Order-parameter estimation is undefined for this input."""
 
 
-@dataclass(frozen=True)
-class OrderParameterEstimate:
-    """Data-only estimates of the six RS order parameters.
+@dataclass(frozen=True, kw_only=True)
+class OrderParameterEstimate(OrderParameters):
+    """Data-only estimates of the six RS order parameters, from the route
+    named by `provenance` ("amp" or "cd").
 
-    `provenance` records which route produced them ("amp" or "cd");
-    `w_valid` / `v_valid` flag the two derived overlaps, which can be
-    undefined when the local-field signal part vanishes or the quadratic
-    identity turns negative.  `v_hat_alt` is the curvature-based variant
+    w and v are NaN where undefined (the local-field signal part vanishes,
+    or the quadratic identity turns negative); `w_valid` / `v_valid` say
+    whether they are defined.  `v_hat_alt` is the curvature-based variant
     of the noise estimate (the mean-second-derivative form); the primary
-    `v_hat` uses the squared-gradient form.
+    `v_hat` uses the squared-gradient form.  `diagnostics` holds the
+    moments A and B of the two (w, v) identities.
     """
 
-    w: float
-    v: float
-    tau: float
-    w_hat: float
-    v_hat: float
-    tau_hat: float
     provenance: str
-    w_valid: bool = True
-    v_valid: bool = True
     v_hat_alt: float = np.nan
-    diagnostics: dict = field(default_factory=dict)
 
-    def as_array(self):
-        return np.array([self.w, self.v, self.tau,
-                         self.w_hat, self.v_hat, self.tau_hat])
+    @property
+    def w_valid(self):
+        return not np.isnan(self.w)
+
+    @property
+    def v_valid(self):
+        return not np.isnan(self.v)
 
 
 def _cox_gradients(data, beta_hat, hazard):
@@ -77,23 +75,17 @@ def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
         - 0.5 * zeta * v_hat_sq * tau ** 2 / tau_hat ** 2 \
         - 0.5 * a_moment * (1.0 - 2.0 * zeta * tau / tau_hat)
 
-    w_valid, v_valid = True, True
+    # NaN marks an undefined overlap, and v is undefined wherever w is
     if w_hat > 0.0:
         w = b_moment * tau_hat / (w_hat * zeta * tau)
-    elif b_moment == 0.0:
-        w = 0.0
     else:
-        w, w_valid = np.nan, False
-    disc = a_moment - (w ** 2 if w_valid else np.nan)
-    if w_valid and disc >= 0.0:
-        v = float(np.sqrt(disc))
-    else:
-        v, v_valid = np.nan, False
+        w = 0.0 if b_moment == 0.0 else np.nan
+    disc = a_moment - w ** 2
+    v = float(np.sqrt(disc)) if disc >= 0.0 else np.nan
     return OrderParameterEstimate(
         w=float(w), v=v, tau=float(tau), w_hat=w_hat,
         v_hat=float(np.sqrt(v_hat_sq)), tau_hat=float(tau_hat),
-        provenance=provenance, w_valid=w_valid, v_valid=v_valid,
-        v_hat_alt=v_hat_alt,
+        provenance=provenance, v_hat_alt=v_hat_alt,
         diagnostics={"A": float(a_moment), "B": float(b_moment)})
 
 

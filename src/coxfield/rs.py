@@ -11,6 +11,7 @@ expectations are population averages.
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,11 +45,14 @@ class RsNonConvergenceError(RuntimeError):
         self.scalar_residual = scalar_residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderParameters:
-    """The six RS scalars, with `solve_rs` diagnostics kept out of
+    """The six RS scalars, in the order of `NAMES`: the RS solution of
+    `solve_rs`, or a data-only estimate (`OrderParameterEstimate`).
+    `diagnostics` (what the solve or estimate did) stays out of
     comparisons."""
 
+    NAMES: ClassVar[tuple] = ("w", "v", "tau", "w_hat", "v_hat", "tau_hat")
     w: float
     v: float
     tau: float
@@ -58,12 +62,12 @@ class OrderParameters:
     diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_array(self):
-        return np.array([self.w, self.v, self.tau,
-                         self.w_hat, self.v_hat, self.tau_hat])
+        return np.array([getattr(self, name) for name in self.NAMES])
 
-    @staticmethod
-    def from_array(a):
-        return OrderParameters(*map(float, a))
+    @classmethod
+    def from_array(cls, a, **rest):
+        """`a` holds the six scalars in NAMES order; `rest` the other fields."""
+        return cls(*map(float, a), **rest)
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ def _rhs_from_xi(x, pop, u, xi, pen, nu, zeta):
                      w_hat_new, v_hat_new, tau_hat_new])
 
 
-# (w, v, tau, w_hat, v_hat, tau_hat); w and w_hat are scaled by theta0
+# the default start, in NAMES order; w and w_hat are scaled by theta0
 _DEFAULT_INIT = np.array([0.5, 0.5, 1.0, 0.5, 0.5, 1.0])
 
 
@@ -238,11 +242,9 @@ def solve_rs(pen, nu, zeta, pop, init=None):
          else _DEFAULT_INIT * (pop.theta0, 1.0, 1.0, pop.theta0, 1.0, 1.0))
     x, lam, it, haz_res, scal_res = _fixed_point(
         pop, x, lambda x, u, xi: _rhs_from_xi(x, pop, u, xi, pen, nu, zeta))
-    op = OrderParameters.from_array(x)
-    op.diagnostics = {"iterations": it, "hazard_residual": haz_res,
-                      "scalar_residual": scal_res,
-                      "seconds": perf_counter() - start}
-    return op, lam
+    return OrderParameters.from_array(x, diagnostics={
+        "iterations": it, "hazard_residual": haz_res,
+        "scalar_residual": scal_res, "seconds": perf_counter() - start}), lam
 
 
 def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,

@@ -10,6 +10,7 @@ from coxfield import experiment
 from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment
 from coxfield.prox import ElasticNetPenalty
+from coxfield.rs import OrderParameters
 from coxfield.solvers import SolverConfig, fit_cd, reg_path
 from coxfield.survival import SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
@@ -49,6 +50,9 @@ def test_experiment_config_validation(tmp_path):
     for bad, match in _BAD_VALUES:
         with pytest.raises(ValueError, match=match):
             _tiny_config(tmp_path, **bad)
+    # a generator for another aspect ratio than the config's
+    with pytest.raises(ValueError, match="gen.zeta must match"):
+        ExperimentConfig(zeta=2.0, gen=GeneratorSpec(zeta=3.0))
 
 
 def test_grid_order_is_the_path_rule(tmp_path, capsys):
@@ -205,7 +209,9 @@ def test_report_counts_the_values_behind_each_mean(tmp_path):
 
 def test_failures_list_invalid_estimates(tmp_path):
     # the strong penalties give null AMP fits whose (w, v) estimates are
-    # invalid: one failure each, after the fit's place in the order
+    # invalid: one failure each, after the fit's place in the order.  The
+    # null CD fits have no estimate at all (tau_hat is undefined), and so,
+    # lacking tau, no RSCV: one failure each with the estimator's reason
     cfg = _tiny_config(tmp_path, keep_raw=True,
                        pen_grid=[(5.0, 0.75), (2.0, 0.75), (0.3, 0.75)])
     report = run_experiment(cfg)
@@ -220,6 +226,16 @@ def test_failures_list_invalid_estimates(tmp_path):
                     for f in report["failures"]
                     if f["reason"].startswith("invalid estimate: "))
     assert listed == invalid
+    undefined = sorted((r, i) for i, point in enumerate(report["raw"])
+                       for r, rec in enumerate(point["cd"])
+                       if rec["converged"] and rec["estimate"] is None)
+    assert undefined
+    assert all(report["raw"][i]["cd"][r]["rscv"] is None
+               for r, i in undefined)
+    listed = sorted((f["repetition"], f["grid_index"])
+                    for f in report["failures"]
+                    if f["reason"] == "estimate: null model: tau_hat undefined")
+    assert listed == undefined
     order = [(f["repetition"], cfg.solvers.index(f["solver"]), f["grid_index"])
              for f in report["failures"]]
     assert order == sorted(order)
@@ -450,6 +466,33 @@ def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
     assert "true_overlaps" in est           # sidecar picked up implicitly
     amp_est = est["estimates"]["amp"]
     assert amp_est["w_valid"] and amp_est["v_valid"]
+    # each route's record starts with the six scalars in the type's order
+    for rec in est["estimates"].values():
+        assert tuple(rec) == (*OrderParameters.NAMES, "v_hat_alt", "w_valid",
+                              "v_valid", "diagnostics")
+
+
+def test_cli_estimate_on_an_unconverged_fit(tmp_path, capsys):
+    # the fit file of a stopped fit is written; neither route estimates
+    # from it, and each names why
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
+          "--output", str(data_csv)])
+    fit_json = tmp_path / "fit.json"
+    rc = main(["fit", "--input", str(data_csv), "--solver", "amp",
+               "--alpha", "0.4", "--max-epochs", "1",
+               "--output", str(fit_json)])
+    assert rc == 2
+    capsys.readouterr()
+    est_json = tmp_path / "est.json"
+    rc = main(["estimate", "--fit", str(fit_json), "--data", str(data_csv),
+               "--output", str(est_json)])
+    assert rc == 2
+    errors = {"amp": "AMP fit did not converge",
+              "cd": "CD fit did not converge"}
+    assert json.loads(capsys.readouterr().out)["errors"] == errors
+    est = json.loads(est_json.read_text())
+    assert est["estimates"] == {} and est["errors"] == errors
 
 
 def test_cli_path_and_rs_solve(tmp_path, capsys):
@@ -603,6 +646,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "f.json")])
     assert rc == 1
     capsys.readouterr()
+    # usage error: a CSV whose header is not the schema, or is wider than
+    # its rows
+    for lines, match in (
+            (["t,e,x1,x2", "1.0,1,0.1,0.2"], "expected header"),
+            (["time,event,x1,x2,x3", "1.0,1,0.1,0.2", "2.0,0,0.3,0.4"],
+             "row width does not match header")):
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", "--input", str(bad_csv), "--alpha", "0.4",
+                   "--output", str(tmp_path / "f.json")])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
     # usage error: a worker count that is no integer
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--workers", "abc"])

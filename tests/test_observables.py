@@ -86,6 +86,34 @@ def test_estimate_from_amp_internal_identity():
     assert 0.2 <= est.v_hat_alt / est.v_hat <= 5.0
 
 
+def test_estimate_is_an_order_parameters():
+    # one type carries the six scalars of the RS solution and of the
+    # estimate; the estimate adds its route and v_hat_alt, and reads its
+    # validity from NaN
+    import dataclasses
+
+    from coxfield.observables import OrderParameterEstimate
+    from coxfield.rs import OrderParameters
+
+    data, _, fa, _ = _fit_pair(p=120, seed=4)
+    est = estimate_from_amp(data, fa, 2.0)
+    assert isinstance(est, OrderParameters)
+    assert est.as_array().tolist() == [getattr(est, f)
+                                       for f in OrderParameters.NAMES]
+    assert set(OrderParameterEstimate.__annotations__) == {"provenance",
+                                                           "v_hat_alt"}
+    assert "as_array" not in vars(OrderParameterEstimate)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.w = 0.0
+    six = dict(zip(OrderParameters.NAMES, est.as_array()))
+    for w, v, valid in ((1.0, np.nan, (True, False)),
+                        (np.nan, np.nan, (False, False)),
+                        (0.0, 2.0, (True, True))):
+        other = OrderParameterEstimate(**{**six, "w": w, "v": v},
+                                       provenance="cd")
+        assert (other.w_valid, other.v_valid) == valid
+
+
 def test_estimate_requires_amp_scalars_and_convergence():
     data, _, fa, fc = _fit_pair(p=120, seed=4)
     with pytest.raises(EstimationError):

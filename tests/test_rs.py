@@ -267,7 +267,7 @@ def test_solve_lambda_rejects_nonfinite_or_nonpositive_tau(args):
 
 def test_order_parameters_diagnostics_stay_out_of_comparisons():
     a = OrderParameters(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    b = OrderParameters.from_array(a.as_array())
-    b.diagnostics = {"iterations": 7}
+    b = OrderParameters.from_array(a.as_array(),
+                                   diagnostics={"iterations": 7})
     assert a == b and a.diagnostics == {}
     assert a.as_array().shape == (6,)
