@@ -2,8 +2,8 @@
 
 Subcommands: generate | fit | path | rs-solve | estimate | experiment.
 Every subcommand prints a machine-readable JSON summary to stdout and
-writes its artifacts to --output.  Exit codes: 0 success, 1 usage error,
-2 numerical failure.
+writes its artifacts to --output, in standard JSON.  Exit codes: 0
+success, 1 usage error, 2 numerical failure (no converged result).
 """
 
 import argparse
@@ -15,14 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import (PAPER_SCALE, ExperimentConfig, run_experiment,
-                         write_table_csv)
+                         write_json, write_table_csv)
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty, check_path_order
-from .rs import (OrderParameters, RsInconsistencyError, RsNonConvergenceError,
-                 solve_rs_path)
-from .solvers import (FitDivergedError, FitResult, SolverConfig, reg_path,
-                      _SOLVERS)
+from .rs import OrderParameters, solve_rs_path
+from .solvers import FitResult, SolverConfig, reg_path, _SOLVERS
 from .survival import StepHazard, SurvivalDataset
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
@@ -35,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(summary):
-    json.dump(summary, sys.stdout, indent=1)
+    write_json(sys.stdout, summary)
     sys.stdout.write("\n")
 
 
@@ -95,7 +93,7 @@ def _penalty_grid(args):
 
 
 def _fit_record(fit, pen):
-    # a diverged path point: null, not NaN, for beta_hat and final_err
+    # a diverged fit: null, not NaN, for beta_hat and final_err
     diverged = fit.hazard is None
     return {
         "penalty": asdict(pen),
@@ -119,7 +117,11 @@ def _load_fit(path):
                          "`coxfield fit`")
     hazard = StepHazard(np.array(rec["hazard"]["knots"]),
                         np.cumsum(rec["hazard"]["jumps"]))
-    pen = ElasticNetPenalty(**rec["penalty"])
+    try:
+        pen = ElasticNetPenalty(**rec["penalty"])
+    except TypeError:
+        raise ValueError(f"{path}: penalty must be an object with keys "
+                         "alpha, eta, rho, l1_ratio") from None
     fit = FitResult(beta_hat=np.array(rec["beta_hat"]), hazard=hazard,
                     converged=rec["diagnostics"]["converged"],
                     epochs=rec["diagnostics"]["epochs"],
@@ -136,11 +138,11 @@ def _cmd_generate(args):
     data.to_csv(out)
     sidecar = out.with_suffix(".json")
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump({
+        write_json(fh, {
             "signal": {**asdict(sig), "s": sig.s},
             "generator": asdict(gen),
             "beta0": list(map(float, beta0)),
-        }, fh, indent=1)
+        })
     _emit({"command": "generate", "csv": str(out), "sidecar": str(sidecar),
            "n": data.n, "p": data.p,
            "event_fraction": float(data.events.mean())})
@@ -153,11 +155,13 @@ def _cmd_fit(args):
     fit = _SOLVERS[args.solver](data, pen, cfg=_solver_cfg(args))
     rec = _fit_record(fit, pen)
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(rec, fh, indent=1)
+        write_json(fh, rec)
     _emit({"command": "fit", "solver": args.solver, "output": args.output,
-           "converged": fit.converged, "epochs": fit.epochs,
-           "final_err": fit.final_err,
-           "nnz": int(np.count_nonzero(fit.beta_hat))})
+           "converged": fit.converged,
+           "stop_reason": fit.diagnostics["stop_reason"],
+           "epochs": fit.epochs, "final_err": fit.final_err,
+           "nnz": None if fit.hazard is None
+           else int(np.count_nonzero(fit.beta_hat))})
     return 0 if fit.converged else 2
 
 
@@ -167,7 +171,7 @@ def _cmd_path(args):
     fits = reg_path(data, pens, args.solver, cfg=_solver_cfg(args))
     records = [_fit_record(fit, pen) for fit, pen in zip(fits, pens)]
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=1)
+        write_json(fh, records)
     _emit({"command": "path", "solver": args.solver, "output": args.output,
            "alphas": alphas,
            "converged": [fit.converged for fit in fits]})
@@ -227,7 +231,7 @@ def _cmd_estimate(args):
         w_n, v_n = true_overlaps(fit.beta_hat, beta0)
         out["true_overlaps"] = {"w": w_n, "v": v_n}
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=1)
+        write_json(fh, out)
     summary["errors"] = errors
     _emit(summary)
     return 0 if out["estimates"] else 2
@@ -323,10 +327,6 @@ def main(argv=None):
     except (FileNotFoundError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (FitDivergedError, EstimationError, RsInconsistencyError,
-            RsNonConvergenceError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -392,16 +392,24 @@ def run_experiment(cfg, workers=None):
                  for solver in cfg.solvers} for key in ("path_s", "post_fit_s")},
         "rs_s": rs_s, "wall_s": perf_counter() - t0}
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, default=_json_default)
+        write_json(fh, report)
     return report
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _plain(obj):
+    # obj with numpy scalars as Python values and NaN, +-inf as None
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
+def write_json(fh, obj):
+    """Dump obj to the open text file fh as standard JSON, indented by
+    one: numpy scalars become Python values, NaN and +-inf null."""
+    json.dump(_plain(obj), fh, indent=1, allow_nan=False)
 
 
 def write_table_csv(path, columns, rows):

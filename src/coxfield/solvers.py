@@ -47,10 +47,6 @@ CD_CG_TOL = 1e-4
 CD_CG_MAX_ITER = 50
 
 
-class FitDivergedError(RuntimeError):
-    """A solver iterate became non-finite."""
-
-
 @dataclass
 class SolverConfig:
     """Common solver knobs.
@@ -81,11 +77,12 @@ class FitResult:
     """Solver output: coefficients, fitted hazard, convergence diagnostics.
 
     xi, tau, tau_hat are populated by the AMP solver only.  diagnostics
-    holds "stop_reason" ("tol", "max_epochs", "stalled" (AMP) or
-    "all_censored"; "diverged" with the "error" message on a diverged
-    `reg_path` point), "kkt_residual" (the largest subgradient violation
-    of the penalized loss at beta_hat, a certificate and no stop rule;
-    absent on a diverged point) and the wall time "seconds" of the fit.
+    holds "stop_reason" ("tol", "max_epochs", "stalled" (AMP),
+    "all_censored" or "diverged": NaN beta_hat and final_err, no hazard,
+    AMP scalars or "kkt_residual", and an "error" naming the first
+    non-finite field and the epoch), "kkt_residual" (the largest
+    subgradient violation of the penalized loss at beta_hat, a
+    certificate and no stop rule) and the wall time "seconds" of the fit.
     AMP adds "err_history" (err after each epoch), "damping_cuts"
     ([epoch, damping] after each cut) and "frozen" ([epoch, index, side]
     for each coordinate held in tau's divergence term, side +1 active or
@@ -107,12 +104,15 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_finite(epoch, **fields):
-    for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
-            raise FitDivergedError(
-                f"non-finite {name} at epoch {epoch}; the penalty is likely "
-                "too weak for a minimizer to exist")
+def _diverged(p, epoch, t0, **fields):
+    # every fit whose err turned non-finite; fields in update order, err last
+    name = next(k for k, v in fields.items() if not np.all(np.isfinite(v)))
+    error = (f"non-finite {name} at epoch {epoch}; the penalty is likely "
+             "too weak for a minimizer to exist")
+    return FitResult(beta_hat=np.full(p, np.nan), hazard=None,
+                     converged=False, epochs=epoch, final_err=np.nan,
+                     diagnostics={"stop_reason": "diverged", "error": error,
+                                  "seconds": perf_counter() - t0})
 
 
 def _err(*norms):
@@ -232,9 +232,8 @@ def fit_amp(data, pen, init=None, cfg=None):
     AMP_DAMPING_FLOOR stops the fit with stop_reason "stalled".  Fits
     that never stall are unaffected.  diagnostics["err_history"] holds
     err after each epoch, diagnostics["frozen"] the holds.  May
-    legitimately fail to converge at weak regularization; this is
-    reported through `converged`, while non-finite iterates raise
-    FitDivergedError.
+    legitimately fail to converge or diverge at weak regularization;
+    both are reported through `converged` and stop_reason.
 
     Parameters
     ----------
@@ -288,7 +287,7 @@ def fit_amp(data, pen, init=None, cfg=None):
     window_start = 1
     epoch = 0
     # floating-point warnings stay silent: from finite iterates a
-    # non-finite one makes err non-finite, which raises FitDivergedError
+    # non-finite one makes err non-finite, which ends the fit as diverged,
     # naming it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while epoch < max_epochs:
@@ -335,8 +334,8 @@ def fit_amp(data, pen, init=None, cfg=None):
             err = _err(dlam, dxi, dtau_hat, dbeta, dtau)
             err_history.append(err)
             if not math.isfinite(err):
-                _check_finite(epoch, hazard=lamT, xi=xi, tau_hat=tau_hat,
-                              beta=beta, tau=tau, err=err)
+                return _diverged(p, epoch, t0, hazard=lamT, xi=xi,
+                                 tau_hat=tau_hat, beta=beta, tau=tau, err=err)
             if err < cfg.tol:
                 # converged only where every held side is the true one, so the
                 # last update is the unheld one; a contradicted side is
@@ -408,7 +407,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     ["skipped_coordinates"]), and so is a zero coordinate whose update a
     Cauchy-Schwarz bound shows to be zero (diagnostics
     ["screened_coordinates"]): the screen is exact, every sweep is bit
-    for bit that without it.
+    for bit that without it.  A non-finite iterate ends the fit as
+    diverged (see `FitResult`).
     """
     t0 = perf_counter()
     cfg = cfg or SolverConfig()
@@ -545,7 +545,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                    np.maximum.reduce(np.abs(lamT_new - lamT)))
         beta, lamT = beta_new, lamT_new
         if not math.isfinite(err):
-            _check_finite(epoch, beta=beta, err=err)
+            return _diverged(p, epoch, t0, beta=beta, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
             break
@@ -565,9 +565,8 @@ def reg_path(data, pen_grid, solver, cfg=None):
     """Fit along a regularization path with warm starts.
 
     The grid must pass `check_path_order`.  Each point starts from the
-    previous point's result; a point that diverges is recorded as a
-    non-converged FitResult with its error message in diagnostics, and
-    the path continues from the last finite iterate.
+    last result with a hazard, so a point after a diverged one (stop
+    reason "diverged", see `FitResult`) starts from the last finite fit.
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -576,14 +575,8 @@ def reg_path(data, pen_grid, solver, cfg=None):
     results = []
     init = None
     for pen in pen_grid:
-        try:
-            res = fit(data, pen, init=init, cfg=cfg)
-        except FitDivergedError as exc:
-            res = FitResult(beta_hat=np.full(data.p, np.nan), hazard=None,
-                            converged=False, epochs=0, final_err=np.nan,
-                            diagnostics={"stop_reason": "diverged",
-                                         "error": str(exc)})
-        else:
+        res = fit(data, pen, init=init, cfg=cfg)
+        if res.hazard is not None:
             init = res
         results.append(res)
     return results

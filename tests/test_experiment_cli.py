@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -203,8 +204,13 @@ def test_report_counts_the_values_behind_each_mean(tmp_path):
     # the strong penalties give null fits: invalid AMP estimates (NaN)
     # and no CD estimate at all, which the counts record
     assert dropped > 0
-    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    on_disk = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert on_disk["counts"] == report["counts"]
+    # a mean over no values and an undefined estimate are null on disk
+    want = json.loads(json.dumps({key: report[key] for key in ("rows", "raw")})
+                      .replace("NaN", "null"))
+    assert {key: on_disk[key] for key in ("rows", "raw")} == want
+    assert None in on_disk["rows"][0].values()
 
 
 def test_failures_list_invalid_estimates(tmp_path):
@@ -337,6 +343,31 @@ def test_one_worker_runs_in_process(tmp_path, monkeypatch):
         with pytest.raises(AssertionError, match="process pool"):
             run_experiment(_tiny_config(tmp_path), workers=2)
         assert _worker_blas_threads() == before
+
+
+@pytest.mark.parametrize("missing", ["openblas", "sched_getaffinity"])
+def test_fallbacks_run_in_process(tmp_path, monkeypatch, missing):
+    # without a way to pin the loaded BLAS (no OpenBLAS), or without
+    # os.sched_getaffinity (macOS, Windows), two workers run the tasks in
+    # this process and write the one-worker table
+    import concurrent.futures
+
+    run_experiment(_tiny_config(tmp_path, output_dir=str(tmp_path / "one")),
+                   workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the fallback must not build a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    if missing == "openblas":
+        monkeypatch.setattr(experiment, "_openblas_threads", lambda: None)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    report = run_experiment(
+        _tiny_config(tmp_path, output_dir=str(tmp_path / "two")), workers=2)
+    assert report["timing"]["workers"] == 1
+    assert ((tmp_path / "two" / "table.csv").read_bytes()
+            == (tmp_path / "one" / "table.csv").read_bytes())
 
 
 # in a fresh process: `import coxfield` leaves numpy.random unloaded, and
@@ -493,6 +524,25 @@ def test_cli_estimate_on_an_unconverged_fit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["errors"] == errors
     est = json.loads(est_json.read_text())
     assert est["estimates"] == {} and est["errors"] == errors
+
+
+def test_cli_estimate_of_a_null_fit_is_standard_json(tmp_path, capsys):
+    # a null AMP fit leaves w and v undefined: null in est.json, not NaN
+    data_csv = tmp_path / "d.csv"
+    main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
+          "--output", str(data_csv)])
+    capsys.readouterr()
+    fit_json = tmp_path / "fit.json"
+    assert main(["fit", "--input", str(data_csv), "--solver", "amp",
+                 "--alpha", "5.0", "--output", str(fit_json)]) == 0
+    assert _strict_json(capsys.readouterr().out)["nnz"] == 0
+    est_json = tmp_path / "est.json"
+    assert main(["estimate", "--fit", str(fit_json), "--data", str(data_csv),
+                 "--output", str(est_json)]) == 0
+    _strict_json(capsys.readouterr().out)
+    amp = _strict_json(est_json.read_text())["estimates"]["amp"]
+    assert amp["w"] is None and amp["v"] is None
+    assert not amp["w_valid"] and not amp["v_valid"]
 
 
 def test_cli_path_and_rs_solve(tmp_path, capsys):
@@ -659,6 +709,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rc == 1
         assert match in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
+    # usage error: a zeta that leaves no sample, before anything is written
+    rc = main(["generate", "--p", "1", "--zeta", "3", "--nu", "1", "--seed",
+               "0", "--output", str(tmp_path / "g.csv")])
+    assert rc == 1
+    assert "zeta too large" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
     # usage error: a worker count that is no integer
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--workers", "abc"])
@@ -715,25 +771,28 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not (tmp_path / "rs.csv").exists()
 
 
-def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys,
-                                                   monkeypatch):
-    # a solver that diverges gives exit 2 and writes no fit file
-    from coxfield import solvers
-
-    def diverge(*args, **kwargs):
-        raise solvers.FitDivergedError("non-finite iterate")
-
-    monkeypatch.setitem(solvers._SOLVERS, "cd", diverge)
-    rng = np.random.default_rng(2)
+def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys):
+    # undamped AMP diverges at this point: exit 2, and the record a
+    # diverged path point gets, with null beta_hat, hazard and final_err
     data_csv = tmp_path / "d.csv"
-    SurvivalDataset(rng.uniform(0.5, 1.5, 30), np.ones(30),
-                    rng.normal(0, 0.3, (30, 4))).to_csv(data_csv)
+    main(["generate", "--p", "60", "--nu", "0.1", "--seed", "36",
+          "--output", str(data_csv)])
+    capsys.readouterr()
     fit_json = tmp_path / "f.json"
-    rc = main(["fit", "--input", str(data_csv), "--solver", "cd",
-               "--alpha", "0.4", "--output", str(fit_json)])
+    rc = main(["fit", "--input", str(data_csv), "--solver", "amp",
+               "--alpha", "0.5", "--damping", "1.0", "--output", str(fit_json)])
     assert rc == 2
-    assert "numerical failure:" in capsys.readouterr().err
-    assert not fit_json.exists()
+    out, err = capsys.readouterr()
+    assert err == ""
+    summary = _strict_json(out)
+    assert summary["stop_reason"] == "diverged" and summary["epochs"] == 194
+    assert summary["final_err"] is None and summary["nnz"] is None
+    rec = _strict_json(fit_json.read_text())
+    assert rec["beta_hat"] is None and rec["hazard"] is None
+    assert rec["diagnostics"]["final_err"] is None
+    assert rec["diagnostics"]["stop_reason"] == "diverged"
+    assert rec["diagnostics"]["error"].startswith(
+        "non-finite hazard at epoch 194; ")
 
 
 def _flaky_cd(monkeypatch, bad_alpha):
@@ -742,7 +801,7 @@ def _flaky_cd(monkeypatch, bad_alpha):
 
     def fit(data, pen, init=None, cfg=None):
         if pen.alpha == bad_alpha:
-            raise solvers.FitDivergedError("non-finite beta at epoch 2")
+            return solvers._diverged(data.p, 2, perf_counter(), beta=np.nan)
         return fit_cd(data, pen, init=init, cfg=cfg)
 
     monkeypatch.setitem(solvers._SOLVERS, "cd", fit)
@@ -779,7 +838,8 @@ def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
 
 
 def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
-    # a path list, or a diverged record, is a usage error, not a traceback
+    # a path list, a diverged record, or a record whose penalty is not the
+    # four weights, is a usage error, not a traceback
     data_csv = tmp_path / "d.csv"
     main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
           "--output", str(data_csv)])
@@ -792,12 +852,20 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
           "--output", str(diverged_json)])
     diverged_json.write_text(json.dumps(json.loads(
         diverged_json.read_text())[0]))
+    cases = [(path_json, "single record from `coxfield fit`"),
+             (diverged_json, "single record from `coxfield fit`")]
+    for i, penalty in enumerate(({"alpha": 0.3}, [1, 2])):
+        bad_json = tmp_path / f"pen{i}.json"
+        bad_json.write_text(json.dumps(
+            {**json.loads(path_json.read_text())[0], "penalty": penalty}))
+        cases.append((bad_json, "penalty must be an object with keys "
+                                "alpha, eta, rho, l1_ratio"))
     capsys.readouterr()
-    for fit_json in (path_json, diverged_json):
+    for fit_json, match in cases:
         rc = main(["estimate", "--fit", str(fit_json), "--data",
                    str(data_csv), "--output", str(tmp_path / "e.json")])
         assert rc == 1
-        assert "single record from `coxfield fit`" in capsys.readouterr().err
+        assert match in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
 
 

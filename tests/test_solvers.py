@@ -1,13 +1,14 @@
 import math
+import re
 import warnings
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from coxfield import solvers
 from coxfield.prox import ElasticNetPenalty, prox_g
-from coxfield.solvers import (FitDivergedError, FitResult, SolverConfig,
-                              fit_amp, fit_cd, reg_path)
+from coxfield.solvers import FitResult, SolverConfig, fit_amp, fit_cd, reg_path
 from coxfield.survival import (SurvivalDataset, nelson_aalen,
                                penalized_partial_likelihood)
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
@@ -203,16 +204,30 @@ def test_solver_config_max_epochs():
 
 
 def test_reg_path_records_divergence(monkeypatch):
+    # a diverged point is recorded as returned, and the next point starts
+    # from the last fit with a hazard
     data, _ = _instance(p=30, zeta=2.0, nu=0.1, seed=9)
+    pens = [ElasticNetPenalty.from_strength(r, 0.75) for r in (0.8, 0.6, 0.4)]
+    inits = []
 
-    def diverge(data, pen, init=None, cfg=None):
-        raise FitDivergedError("non-finite beta at epoch 3")
+    def flaky(data, pen, init=None, cfg=None):
+        inits.append(init)
+        if pen is pens[1]:
+            return solvers._diverged(data.p, 3, perf_counter(), beta=np.nan)
+        return fit_cd(data, pen, init=init, cfg=cfg)
 
-    monkeypatch.setitem(solvers._SOLVERS, "cd", diverge)
-    (res,) = reg_path(data, [PEN], "cd")
-    assert not res.converged and res.hazard is None
-    assert res.diagnostics == {"stop_reason": "diverged",
-                               "error": "non-finite beta at epoch 3"}
+    monkeypatch.setitem(solvers._SOLVERS, "cd", flaky)
+    fits = reg_path(data, pens, "cd")
+    res = fits[1]
+    assert not res.converged and res.hazard is None and res.epochs == 3
+    assert np.isnan(res.beta_hat).all() and math.isnan(res.final_err)
+    diagnostics = dict(res.diagnostics)
+    assert diagnostics.pop("seconds") >= 0.0
+    assert diagnostics == {
+        "stop_reason": "diverged",
+        "error": "non-finite beta at epoch 3; the penalty is likely too weak "
+                 "for a minimizer to exist"}
+    assert inits == [None, fits[0], fits[0]] and fits[2].converged
 
 
 @pytest.mark.parametrize("fit, scale", [(fit_cd, 1e3), (fit_amp, 1e6)])
@@ -224,9 +239,11 @@ def test_divergence_names_the_field(fit, scale):
     init = FitResult(beta_hat=np.full(data.p, scale), hazard=fit_cd(data, PEN).hazard,
                      converged=True, epochs=1, final_err=0.0)
     name = "beta" if fit is fit_cd else "hazard"
-    with np.errstate(all="ignore"), pytest.raises(
-            FitDivergedError, match=rf"^non-finite {name} at epoch \d+; the penalty"):
-        fit(data, PEN, init=init)
+    with np.errstate(all="ignore"):
+        res = fit(data, PEN, init=init)
+    assert res.diagnostics["stop_reason"] == "diverged"
+    assert re.match(rf"^non-finite {name} at epoch {res.epochs}; the penalty",
+                    res.diagnostics["error"])
 
 
 def test_err_is_finite_while_every_norm_is():

@@ -32,6 +32,9 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="design must be finite"):
         SurvivalDataset(np.array([1.0, 2.0]), np.array([1.0, 0.0]),
                         np.array([[0.1, np.nan], [0.2, 0.3]]))
+    with pytest.raises(ValueError, match="design must be a 2-d matrix"):
+        SurvivalDataset(np.array([1.0, 2.0]), np.array([1.0, 0.0]),
+                        np.array([0.1, 0.2]))
 
 
 def test_csv_roundtrip(tmp_path):
@@ -61,6 +64,8 @@ def test_step_hazard_evaluation_semantics():
         StepHazard(np.array([2.0, 1.0]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         StepHazard(np.array([1.0]), np.array([-0.1]))
+    with pytest.raises(ValueError, match="1-d of equal length"):
+        StepHazard(np.array([1.0, 2.0]), np.array([0.5]))
     # values are cumulative: decreasing ones are rejected, jumps derived
     assert np.array_equal(hz.jumps, [0.5, 1.0])
     with pytest.raises(ValueError, match="nondecreasing"):

@@ -37,6 +37,8 @@ def test_signal_determinism_and_validation():
     for bad in ({"nu": np.nan}, {"theta0": np.nan}, {"theta0": np.inf}):
         with pytest.raises(ValueError):
             SignalSpec(**{"p": 100, "nu": 0.2, "theta0": 1.0, "seed": 0, **bad})
+    with pytest.raises(ValueError, match="p must be positive"):
+        SignalSpec(p=0, nu=0.2, theta0=1.0, seed=0)
 
 
 def test_design_moments_and_determinism():
