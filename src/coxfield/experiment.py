@@ -150,11 +150,18 @@ def _rep_seeds(base_seed, r):
     return int(state[0]), int(state[1])
 
 
+def _rel_l2(a, b):
+    """||a - b|| relative to the larger of ||a|| and ||b||; 0 where a == b."""
+    diff = np.linalg.norm(a - b)
+    return float(diff / max(np.linalg.norm(a), np.linalg.norm(b))) if diff else 0.0
+
+
 def _run_repetition(cfg, r):
     """All per-repetition work: per solver, one record per grid point, and
     the failures with their reasons, in solver then grid order; and the
     seconds of its stages: data generation, and per solver the path and
-    the work after the fits."""
+    the work after the fits.  With both solvers, CD starts each point at
+    AMP's fit where AMP converged (see `run_experiment`)."""
     t0 = perf_counter()
     train_seed, test_seed = _rep_seeds(cfg.base_seed, r)
     sig = SignalSpec(p=cfg.p, nu=cfg.nu, theta0=cfg.theta0,
@@ -170,17 +177,31 @@ def _run_repetition(cfg, r):
         failures.append({"repetition": r, "grid_index": i, "solver": solver,
                          "reason": reason, **extra})
 
+    # CD after AMP starts at AMP's converged fits
+    inits = [None] * len(pens)
     for solver in cfg.solvers:
         t0 = perf_counter()
-        fits = reg_path(train, pens, solver, cfg=cfg.solver_cfg)
+        fits = reg_path(train, pens, solver, cfg=cfg.solver_cfg, inits=inits)
         t1 = perf_counter()
+        if solver == "amp":
+            inits = [fit if fit.converged else None for fit in fits]
         stages["path_s"][solver] = t1 - t0
         records[solver] = []
         for i, (pen, fit) in enumerate(zip(pens, fits)):
-            rec = dict.fromkeys(("converged", "kkt_residual", "estimate")
-                                + _FIT_FIELDS)
+            rec = dict.fromkeys(("converged", "epochs", "stop_reason",
+                                 "kkt_residual", "estimate") + _FIT_FIELDS)
             rec["converged"] = bool(fit.converged)
+            rec["epochs"] = fit.epochs
+            rec["stop_reason"] = fit.diagnostics["stop_reason"]
             rec["kkt_residual"] = fit.diagnostics.get("kkt_residual")
+            if solver == "cd":
+                rec["start"] = (
+                    "amp" if inits[i] is not None
+                    else "previous" if any(f.hazard is not None for f in fits[:i])
+                    else "cold")
+                rec["amp_rel_l2"] = (
+                    _rel_l2(fit.beta_hat, inits[i].beta_hat)
+                    if inits[i] is not None and fit.converged else None)
             records[solver].append(rec)
             if not fit.converged:
                 fail(i, solver, "solver did not converge",
@@ -345,7 +366,17 @@ def run_experiment(cfg, workers=None):
     run continues.  The per-fit records, grouped by grid point and solver
     in repetition order, give the table rows and, with keep_raw, the
     report's "raw"; "counts" holds the number of values behind each mean.
-    Writes table.csv and report.json to cfg.output_dir.
+    Each record holds the fit's "epochs" and "stop_reason"; a CD record
+    adds its "start" ("amp", "previous" or "cold") and "amp_rel_l2", the
+    relative L2 distance between the CD and AMP coefficients (None unless
+    both converged).  Writes table.csv and report.json to cfg.output_dir.
+
+    With solver "both", AMP runs first and CD certifies its fits: each CD
+    fit starts at AMP's fit where that converged, and at the previous CD
+    fit elsewhere.  CD's stop rule is unchanged, so the CD columns are
+    those of a CD path within the convergence tolerance, and the AMP and
+    RS columns those of a run without CD; "path_s" for CD then times a
+    certification, not a CD path.
 
     The repetitions and the RS path are independent tasks, each run on
     one BLAS thread.  `workers` (default: the CPUs this process may run

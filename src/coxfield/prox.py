@@ -49,11 +49,15 @@ class ElasticNetPenalty:
                                  float(rho), float(l1_ratio))
 
 
-def check_path_order(pen_grid):
-    """Raise ValueError unless pen_grid runs by decreasing strength rho."""
+def check_path_order(pen_grid, inits=None):
+    """Raise ValueError unless pen_grid runs by decreasing strength rho
+    and the per-point starts inits, when given, have one entry per point."""
     strengths = [pen.rho for pen in pen_grid]
     if not all(a >= b for a, b in zip(strengths, strengths[1:])):
         raise ValueError("pen_grid must be sorted by decreasing strength")
+    if inits is not None and len(inits) != len(strengths):
+        raise ValueError(f"inits has {len(inits)} entries for "
+                         f"{len(strengths)} grid points")
 
 
 def g_dot(x, lam, delta):

@@ -256,10 +256,11 @@ def solve_rs_path(pens, nu, theta0, zeta, gen, n_pop=5000, seed=0,
     drawn once and reused at every grid point.  Points that fail
     (non-convergence or RS inconsistency) are returned as None.
     `inits` optionally supplies a per-point starting OrderParameters (e.g.
-    a previously solved path on another population); otherwise each point
+    a previously solved path on another population), one entry per point
+    (ValueError otherwise); where it is None or its entry is, the point
     starts from the previous point's solution.
     """
-    check_path_order(pens)
+    check_path_order(pens, inits)
     # the signal's own checks of nu and theta0
     SignalSpec(1, nu, theta0, seed=seed)
     pop = sample_population(gen, theta0, n_pop, seed)

@@ -561,21 +561,24 @@ def fit_cd(data, pen, init=None, cfg=None):
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}
 
 
-def reg_path(data, pen_grid, solver, cfg=None):
+def reg_path(data, pen_grid, solver, cfg=None, inits=None):
     """Fit along a regularization path with warm starts.
 
-    The grid must pass `check_path_order`.  Each point starts from the
-    last result with a hazard, so a point after a diverged one (stop
-    reason "diverged", see `FitResult`) starts from the last finite fit.
+    The grid and `inits` must pass `check_path_order`.  Point i starts
+    from inits[i] (a FitResult) where inits is given and that entry is not
+    None; otherwise from the last result with a hazard, so a point after a
+    diverged one (stop reason "diverged", see `FitResult`) starts from the
+    last finite fit.
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    check_path_order(pen_grid)
+    check_path_order(pen_grid, inits)
     fit = _SOLVERS[solver]
     results = []
     init = None
-    for pen in pen_grid:
-        res = fit(data, pen, init=init, cfg=cfg)
+    for i, pen in enumerate(pen_grid):
+        start = inits[i] if inits is not None and inits[i] is not None else init
+        res = fit(data, pen, init=start, cfg=cfg)
         if res.hazard is not None:
             init = res
         results.append(res)

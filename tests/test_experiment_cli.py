@@ -166,6 +166,11 @@ def test_run_experiment_failures_match_records(tmp_path):
         rec = dict(report["raw"][i][solver][r])
         # a finished fit is certified whether or not it converged
         assert rec.pop("kkt_residual") > 0.0
+        assert rec.pop("epochs") == 3 and rec.pop("stop_reason") == "max_epochs"
+        if solver == "cd":
+            # AMP converged nowhere, so CD starts cold, then warm
+            assert rec.pop("start") == ("previous" if i else "cold")
+            assert rec.pop("amp_rel_l2") is None
         assert rec == {"converged": False, "estimate": None, "true_w": None,
                        "true_v": None, "rscv": None, "test_c": None}
     for row, count, point in zip(report["rows"], report["counts"],
@@ -174,6 +179,48 @@ def test_run_experiment_failures_match_records(tmp_path):
             n_conv = sum(rec["converged"] for rec in recs)
             assert row[f"{solver}_n_converged"] == n_conv
             assert count[f"{solver}_test_c_mean"] == n_conv
+
+
+def test_both_solvers_certify_amp_fits_with_cd(tmp_path):
+    # with both solvers, CD starts at AMP's fit where AMP converged and at
+    # its own previous fit elsewhere (30 epochs stop AMP at some points, not
+    # CD); the AMP columns are those of an AMP run, the CD fits those of a
+    # CD run within the tolerance, and the RS columns unchanged
+    kwargs = dict(pen_grid=[(0.5, 0.75), (0.35, 0.75), (0.225, 0.75)],
+                  repetitions=3, base_seed=0, pop_size=200, keep_raw=True,
+                  solver_cfg=SolverConfig(max_epochs=30))
+    both = run_experiment(_tiny_config(tmp_path, **kwargs), workers=1)
+    alone = {solver: run_experiment(_tiny_config(
+        tmp_path, solver=solver, output_dir=str(tmp_path / solver), **kwargs),
+        workers=1) for solver in ("amp", "cd")}
+
+    def columns(report, solver):
+        return json.dumps([{k: v for k, v in row.items() if k.startswith(solver)}
+                           for row in report["rows"]])
+
+    for prefix in ("amp", "rs"):
+        assert columns(both, prefix) == columns(alone["amp"], prefix)
+    starts = []
+    for i, point in enumerate(both["raw"]):
+        # JSON text, so NaN entries compare equal
+        assert json.dumps(point["amp"]) == json.dumps(alone["amp"]["raw"][i]["amp"])
+        for amp, cd, ref in zip(point["amp"], point["cd"],
+                                alone["cd"]["raw"][i]["cd"]):
+            start = "amp" if amp["converged"] else "previous" if i else "cold"
+            starts.append(start)
+            assert cd["start"] == start
+            assert ref["start"] == ("previous" if i else "cold")
+            assert cd["converged"] and ref["converged"]
+            assert ref["amp_rel_l2"] is None
+            if start == "amp":
+                # a certification: fewer sweeps than CD's own warm start
+                assert cd["epochs"] < ref["epochs"]
+                assert 0.0 <= cd["amp_rel_l2"] <= 1e-6
+            else:
+                assert cd["amp_rel_l2"] is None
+            for key in ("true_w", "true_v"):
+                assert abs(cd[key] - ref[key]) <= 1e-6 * abs(ref[key])
+    assert set(starts) == {"amp", "previous", "cold"}
 
 
 def test_report_counts_the_values_behind_each_mean(tmp_path):

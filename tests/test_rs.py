@@ -193,11 +193,21 @@ def test_solve_rs_path_warm_starts():
     assert ws == sorted(ws)  # weaker penalty -> larger signal recovery here
 
 
-def test_solve_rs_path_requires_decreasing_strength():
+def test_solve_rs_path_requires_decreasing_strength(monkeypatch):
     # reg_path's order rule, on the RS path too
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in (0.3, 0.5)]
     with pytest.raises(ValueError, match="decreasing strength"):
         solve_rs_path(pens, nu=0.05, theta0=1.0, zeta=2.0, gen=GEN, n_pop=400)
+    # and reg_path's rule on inits: one per point, checked before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("population drawn before the inits check")
+
+    monkeypatch.setattr(rs, "sample_population", no_work)
+    op = OrderParameters(0.5, 0.5, 1.0, 0.5, 0.5, 1.0)
+    for inits in ([op], [op, None, None]):
+        with pytest.raises(ValueError, match=f"inits has {len(inits)} entries"):
+            solve_rs_path(pens[::-1], nu=0.05, theta0=1.0, zeta=2.0, gen=GEN,
+                          n_pop=800, inits=inits)
 
 
 def test_solve_rs_returns_a_verified_fixed_point():

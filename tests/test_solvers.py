@@ -138,13 +138,45 @@ def test_reg_path_single_point_equals_direct():
     assert np.array_equal(path[0].beta_hat, direct.beta_hat)
 
 
-def test_reg_path_requires_decreasing_strength():
+def test_reg_path_requires_decreasing_strength(monkeypatch):
     data, _ = _instance(p=30, zeta=2.0, nu=0.1, seed=9)
     pens = [ElasticNetPenalty.from_strength(r, 0.75) for r in (0.1, 0.5)]
     with pytest.raises(ValueError):
         reg_path(data, pens, "cd")
     with pytest.raises(ValueError):
         reg_path(data, [PEN], "bogus")
+    # one start per point, checked before any fit
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the inits check")
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", no_fit)
+    for inits in ([None], [None, None, None]):
+        with pytest.raises(ValueError, match=f"inits has {len(inits)} entries"):
+            reg_path(data, pens[::-1], "cd", inits=inits)
+
+
+def test_reg_path_inits_override_the_warm_start(monkeypatch):
+    # inits[i] replaces the warm start where it is not None, and None falls
+    # back to the previous fit; CD started at AMP's fits reaches the fits
+    # of a CD path within the tolerance
+    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=12)
+    pens = [ElasticNetPenalty.from_strength(r, 0.75) for r in (0.8, 0.6, 0.4)]
+    cold = reg_path(data, pens, "cd")
+    amp = reg_path(data, pens, "amp")
+    assert all(fit.converged for fit in cold + amp)
+    starts = []
+
+    def recording(data, pen, init=None, cfg=None):
+        starts.append(init)
+        return fit_cd(data, pen, init=init, cfg=cfg)
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", recording)
+    fits = reg_path(data, pens, "cd", inits=[amp[0], None, amp[2]])
+    assert starts[0] is amp[0] and starts[1] is fits[0] and starts[2] is amp[2]
+    for fit, ref in zip(fits, cold):
+        assert fit.converged
+        assert (np.linalg.norm(fit.beta_hat - ref.beta_hat)
+                <= 1e-6 * np.linalg.norm(ref.beta_hat))
 
 
 def test_reg_path_support_growth():
