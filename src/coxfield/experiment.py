@@ -195,13 +195,11 @@ def _run_repetition(cfg, r):
             rec["stop_reason"] = fit.diagnostics["stop_reason"]
             rec["kkt_residual"] = fit.diagnostics.get("kkt_residual")
             if solver == "cd":
-                rec["start"] = (
-                    "amp" if inits[i] is not None
-                    else "previous" if any(f.hazard is not None for f in fits[:i])
-                    else "cold")
+                start = fit.diagnostics["start"]
+                rec["start"] = "amp" if start == "given" else start
                 rec["amp_rel_l2"] = (
                     _rel_l2(fit.beta_hat, inits[i].beta_hat)
-                    if inits[i] is not None and fit.converged else None)
+                    if start == "given" and fit.converged else None)
             records[solver].append(rec)
             if not fit.converged:
                 fail(i, solver, "solver did not converge",
@@ -367,16 +365,20 @@ def run_experiment(cfg, workers=None):
     in repetition order, give the table rows and, with keep_raw, the
     report's "raw"; "counts" holds the number of values behind each mean.
     Each record holds the fit's "epochs" and "stop_reason"; a CD record
-    adds its "start" ("amp", "previous" or "cold") and "amp_rel_l2", the
-    relative L2 distance between the CD and AMP coefficients (None unless
-    both converged).  Writes table.csv and report.json to cfg.output_dir.
+    adds its "start" (the start `reg_path` chose: "amp" for a given one,
+    "previous" or "cold") and "amp_rel_l2", the relative L2 distance
+    between the CD and AMP coefficients (None unless both converged).
+    Writes table.csv and report.json to cfg.output_dir.
 
     With solver "both", AMP runs first and CD certifies its fits: each CD
     fit starts at AMP's fit where that converged, and at the previous CD
-    fit elsewhere.  CD's stop rule is unchanged, so the CD columns are
-    those of a CD path within the convergence tolerance, and the AMP and
-    RS columns those of a run without CD; "path_s" for CD then times a
-    certification, not a CD path.
+    fit elsewhere.  CD tries no Newton predictor from a start whose KKT
+    residual is within tol, as that of AMP's converged fits typically is,
+    so a certification is typically one sweep.  CD's stop rule is
+    unchanged, so the CD columns are those of a CD path within the
+    convergence tolerance, and the AMP and RS columns those of a run
+    without CD; "path_s" for CD then times a certification, not a CD
+    path.
 
     The repetitions and the RS path are independent tasks, each run on
     one BLAS thread.  `workers` (default: the CPUs this process may run

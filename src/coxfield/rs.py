@@ -141,8 +141,8 @@ def solve_lambda(pop, w, v, tau):
     Theta(t_i - t_j) delta_j / S(t_j) (the Nelson-Aalen estimator at
     linear predictors xi) at xi = prox_g(w Z0 + v Q, Lambda, Delta, tau).
     Returns the first iterate whose undamped residual is at most
-    _HAZARD_TOL, as a StepHazard.  perfbench traces it; ROADMAP item 2
-    deletes it once the benchmark drops that tracer site.
+    _HAZARD_TOL, as a StepHazard.  perfbench traces it; ROADMAP item 3
+    deletes it once item 1 drops that tracer site.
     """
     return _fixed_point(pop, np.array([w, v, tau], dtype=float),
                         lambda x, u, xi: x)[1]

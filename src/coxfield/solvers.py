@@ -91,6 +91,8 @@ class FitResult:
     "skipped_coordinates" (visits to a zero-curvature coordinate),
     "screened_coordinates" (visits the screen skipped), "newton_tried",
     "newton_kept" and "cg_iterations" (summed over the Newton steps).
+    A fit from `reg_path` also holds "start" ("given", "previous" or
+    "cold"), the start that the path chose for it.
     """
 
     beta_hat: np.ndarray
@@ -129,14 +131,13 @@ def _err(*norms):
     return top * math.sqrt(sum((x / top) ** 2 for x in norms))
 
 
-def _fit_result(data, pen, rs, beta, hazard, epochs, err, stop_reason, t0,
+def _fit_result(pen, beta, grad, hazard, epochs, err, stop_reason, t0,
                 diagnostics, **amp_state):
     # every finished fit: converged iff it stopped on tol or had no events
     # (the origin with a vanishing hazard is then an exact fixed point of
-    # both iterations); the KKT residual at X beta with a fresh hazard,
-    # stop reason and wall time follow the solver's keys
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grad = _breslow(data.design, data.events, rs, data.design @ beta)[2]
+    # both iterations); the KKT residual at beta (grad: the loss gradient
+    # the solver formed there), stop reason and wall time follow the
+    # solver's keys
     return FitResult(beta_hat=beta, hazard=hazard,
                      converged=stop_reason in ("tol", "all_censored"),
                      epochs=epochs, final_err=float(err), **amp_state,
@@ -251,13 +252,13 @@ def fit_amp(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     zeta = p / n
 
-    # the times are sorted once, for every epoch and the returned hazard
-    rs = RiskSets(T, D)
     if not np.any(D == 1.0):
-        return _fit_result(data, pen, rs, np.zeros(p),
+        return _fit_result(pen, np.zeros(p), np.zeros(p),
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
+    # the times are sorted once, for every epoch and the returned hazard
+    rs = RiskSets(T, D)
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -367,13 +368,15 @@ def fit_amp(data, pen, init=None, cfg=None):
                     damping_cuts.append([epoch, d])
                 window_start = epoch
 
-    # one undamped prox application so the reported coefficients carry the
-    # exact zeros of the soft threshold (the damped iterate only reaches
-    # them in the limit); moves beta by O(err)
-    mdot = moreau_dot_g(xi, lamT, D, tau)
-    beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
+        # one undamped prox application so the reported coefficients carry
+        # the exact zeros of the soft threshold (the damped iterate only
+        # reaches them in the limit); moves beta by O(err).  The
+        # certificate's gradient is taken there
+        mdot = moreau_dot_g(xi, lamT, D, tau)
+        beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
+        grad = _breslow(X, D, rs, X @ beta)[2]
 
-    return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
+    return _fit_result(pen, beta, grad, rs.step_hazard(lamT), epoch, err,
                        stop_reason, t0,
                        {"err_history": err_history,
                         "damping_cuts": damping_cuts, "frozen": frozen},
@@ -392,14 +395,15 @@ def fit_cd(data, pen, init=None, cfg=None):
     Before the sweep after every CD_NEWTON_EVERY epochs, a Newton step on
     the support of the coefficients (`_newton_step`, conjugate gradients
     on Hessian-vector products) proposes a candidate; a warm start from a
-    nonzero beta also tries one before its first sweep, a predictor along
-    the regularization path (Park & Hastie, JRSS-B 69, 2007).  A candidate
-    replaces the iterate only where its KKT residual is below the
-    iterate's and its penalized partial likelihood is not above the
-    iterate's by more than 1e-12 relative (diagnostics["newton_tried"],
-    ["newton_kept"] and ["cg_iterations"]).  Each rejected candidate
-    doubles the number of epochs to the next Newton step; a kept one
-    resets it to CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
+    nonzero beta whose KKT residual (see `FitResult`) exceeds tol also
+    tries one before its first sweep, a predictor along the regularization
+    path (Park & Hastie, JRSS-B 69, 2007).  A candidate replaces the
+    iterate only where its KKT residual is below the iterate's and its
+    penalized partial likelihood is not above the iterate's by more than
+    1e-12 relative (diagnostics["newton_tried"], ["newton_kept"] and
+    ["cg_iterations"]).  Each rejected candidate doubles the number of
+    epochs to the next Newton step; a kept one resets it to
+    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
     less than tol: the fixed point, and so the fit within the tolerance,
     is that of the plain sweeps, and the coefficients returned are those
     of a sweep.  Newton steps are not counted as epochs.  Coordinates
@@ -417,12 +421,12 @@ def fit_cd(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     alpha, eta = pen.alpha, pen.eta
 
-    # the times are sorted once, for every epoch and the returned hazard
-    rs = RiskSets(T, D)
     if not np.any(D == 1.0):
-        return _fit_result(data, pen, rs, np.zeros(p),
+        return _fit_result(pen, np.zeros(p), np.zeros(p),
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {})
+    # the times are sorted once, for every epoch and the returned hazard
+    rs = RiskSets(T, D)
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
     lamT, wdiag, grad, hess = _breslow(X, D, rs, lp)
@@ -439,11 +443,13 @@ def fit_cd(data, pen, init=None, cfg=None):
     skipped = screened = 0
     tried = kept = cg_iterations = 0
     # epochs between Newton steps: doubled after each rejected candidate,
-    # reset when one is kept.  A warm start from a nonzero beta tries one
-    # before its first sweep: at the previous point's optimum the step's
-    # right-hand side is the change in penalty, a predictor along the path
+    # reset when one is kept.  A warm start from a nonzero beta that is no
+    # KKT point to tol tries one before its first sweep: at the previous
+    # point's optimum the step's right-hand side is the change in penalty,
+    # a predictor along the path
     newton_gap = CD_NEWTON_EVERY
-    next_newton = 0 if beta.any() else CD_NEWTON_EVERY
+    next_newton = (0 if beta.any() and _kkt_residual(grad, beta, pen) > cfg.tol
+                   else CD_NEWTON_EVERY)
     while epoch < max_epochs:
         if CD_NEWTON_EVERY and epoch >= next_newton:
             # the guarded Newton step: a kept candidate carries its own
@@ -550,7 +556,8 @@ def fit_cd(data, pen, init=None, cfg=None):
             stop_reason = "tol"
             break
 
-    return _fit_result(data, pen, rs, beta, rs.step_hazard(lamT), epoch, err,
+    # grad is the last sweep's, at the returned beta
+    return _fit_result(pen, beta, grad, rs.step_hazard(lamT), epoch, err,
                        stop_reason, t0,
                        {"skipped_coordinates": skipped,
                         "screened_coordinates": screened,
@@ -564,22 +571,29 @@ _SOLVERS = {"amp": fit_amp, "cd": fit_cd}
 def reg_path(data, pen_grid, solver, cfg=None, inits=None):
     """Fit along a regularization path with warm starts.
 
-    The grid and `inits` must pass `check_path_order`.  Point i starts
-    from inits[i] (a FitResult) where inits is given and that entry is not
-    None; otherwise from the last result with a hazard, so a point after a
-    diverged one (stop reason "diverged", see `FitResult`) starts from the
-    last finite fit.
+    The grid and `inits` must pass `check_path_order`.  Only a fit with a
+    hazard is a start, so none that diverged (stop reason "diverged", see
+    `FitResult`): point i starts from inits[i] (a FitResult) where inits
+    is given and that entry is one, otherwise from the last result that
+    is one, otherwise cold.  diagnostics["start"] records which:
+    "given", "previous" or "cold".
     """
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     check_path_order(pen_grid, inits)
     fit = _SOLVERS[solver]
     results = []
-    init = None
-    for i, pen in enumerate(pen_grid):
-        start = inits[i] if inits is not None and inits[i] is not None else init
-        res = fit(data, pen, init=start, cfg=cfg)
+    previous = None
+    for pen, given in zip(pen_grid, inits or [None] * len(pen_grid)):
+        if getattr(given, "hazard", None) is not None:
+            start, init = "given", given
+        elif previous is not None:
+            start, init = "previous", previous
+        else:
+            start, init = "cold", None
+        res = fit(data, pen, init=init, cfg=cfg)
+        res.diagnostics["start"] = start
         if res.hazard is not None:
-            init = res
+            previous = res
         results.append(res)
     return results

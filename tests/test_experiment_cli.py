@@ -881,6 +881,7 @@ def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
     want = _fit_record(fit_cd(data, pen), pen)
     for rec in (good, want):
         del rec["diagnostics"]["seconds"]
+    assert good["diagnostics"].pop("start") == "cold"
     assert good == json.loads(json.dumps(want))
 
 

@@ -9,7 +9,7 @@ import pytest
 from coxfield import solvers
 from coxfield.prox import ElasticNetPenalty, prox_g
 from coxfield.solvers import FitResult, SolverConfig, fit_amp, fit_cd, reg_path
-from coxfield.survival import (SurvivalDataset, nelson_aalen,
+from coxfield.survival import (RiskSets, SurvivalDataset, nelson_aalen,
                                penalized_partial_likelihood)
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 from oracles import (ppl_gradient, prox_gradient_minimizer, reference_amp,
@@ -179,6 +179,57 @@ def test_reg_path_inits_override_the_warm_start(monkeypatch):
                 <= 1e-6 * np.linalg.norm(ref.beta_hat))
 
 
+@pytest.mark.parametrize("solver", ["amp", "cd"])
+def test_reg_path_skips_a_given_fit_without_hazard(solver, monkeypatch):
+    # a diverged inits[i] is no start: the point starts from the previous
+    # fit instead of failing on the missing hazard (AMP) or blaming the
+    # penalty for the start's non-finite beta (CD)
+    data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=36)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75) for a in (0.6, 0.5)]
+    diverged = fit_amp(data, pens[1], cfg=SolverConfig(damping=1.0))
+    assert diverged.diagnostics["stop_reason"] == "diverged"
+    fit = solvers._SOLVERS[solver]
+    starts = []
+
+    def recording(data, pen, init=None, cfg=None):
+        starts.append(init)
+        return fit(data, pen, init=init, cfg=cfg)
+
+    monkeypatch.setitem(solvers._SOLVERS, solver, recording)
+    fits = reg_path(data, pens, solver, inits=[None, diverged])
+    assert starts[0] is None and starts[1] is fits[0]
+    assert [f.diagnostics["start"] for f in fits] == ["cold", "previous"]
+    assert all(f.converged for f in fits)
+
+
+def test_reg_path_labels_each_start(monkeypatch):
+    # diagnostics["start"] names the start reg_path chose: "cold" while no
+    # fit has a hazard, "previous" after one (past a diverged point), and
+    # "given" for an inits entry with a hazard
+    data, _ = _instance(p=30, zeta=2.0, nu=0.1, seed=9)
+    pens = [ElasticNetPenalty.from_strength(r, 0.75)
+            for r in (0.8, 0.6, 0.4, 0.3)]
+    given = fit_cd(data, pens[3])
+    starts = []
+
+    def flaky(data, pen, init=None, cfg=None):
+        starts.append(init)
+        if pen is pens[1]:
+            return solvers._diverged(data.p, 3, perf_counter(), beta=np.nan)
+        return fit_cd(data, pen, init=init, cfg=cfg)
+
+    monkeypatch.setitem(solvers._SOLVERS, "cd", flaky)
+    fits = reg_path(data, pens, "cd", inits=[None, None, None, given])
+    assert ([f.diagnostics["start"] for f in fits]
+            == ["cold", "previous", "previous", "given"])
+    assert starts[0] is None and starts[1] is fits[0]
+    assert starts[2] is fits[0] and starts[3] is given
+    starts.clear()
+    fits = reg_path(data, pens[1:3], "cd")
+    assert [f.diagnostics["start"] for f in fits] == ["cold", "cold"]
+    assert starts == [None, None]
+
+
 def test_reg_path_support_growth():
     data, _ = _instance(p=200, zeta=2.0, nu=0.02, seed=10)
     alphas = np.geomspace(0.8, 0.15, 7)
@@ -255,6 +306,7 @@ def test_reg_path_records_divergence(monkeypatch):
     assert np.isnan(res.beta_hat).all() and math.isnan(res.final_err)
     diagnostics = dict(res.diagnostics)
     assert diagnostics.pop("seconds") >= 0.0
+    assert diagnostics.pop("start") == "previous"
     assert diagnostics == {
         "stop_reason": "diverged",
         "error": "non-finite beta at epoch 3; the penalty is likely too weak "
@@ -580,6 +632,41 @@ def test_kkt_residual_certifies_both_solvers():
         got = res.diagnostics["kkt_residual"]
         assert abs(got - want) <= 1e-12 * want
         assert 0.0 < got <= 1e-6
+
+
+def test_kkt_residual_is_at_the_returned_beta():
+    # each solver certifies with the gradient it has at beta_hat, bit for
+    # bit that of a fresh Breslow pass there: warm, cold, unconverged and
+    # no-event fits
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    cens = _all_censored()
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.3, 0.16)]
+    for solver, fit in solvers._SOLVERS.items():
+        cases = [(data, pen, res) for pen, res in
+                 zip(pens, reg_path(data, pens, solver))]
+        cases.append((data, PEN, fit(data, PEN, cfg=SolverConfig(max_epochs=3))))
+        with pytest.warns(UserWarning, match="no events"):
+            cases.append((cens, PEN, fit(cens, PEN)))
+        for d, pen, res in cases:
+            X, beta = d.design, res.beta_hat
+            grad = solvers._breslow(X, d.events, RiskSets(d.times, d.events),
+                                    X @ beta)[2]
+            assert (res.diagnostics["kkt_residual"]
+                    == solvers._kkt_residual(grad, beta, pen))
+
+
+def test_cd_certifies_a_converged_amp_fit_in_one_sweep():
+    # a start that is a KKT point to tol gets no Newton predictor: CD from
+    # AMP's converged fit of the same penalty stops after one sweep
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    for a in (0.5, 0.3):
+        pen = ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+        amp = fit_amp(data, pen)
+        assert amp.converged
+        cert = fit_cd(data, pen, init=amp)
+        assert cert.converged and cert.epochs == 1
+        assert cert.diagnostics["newton_tried"] == 0
 
 
 def test_amp_stall_stops_early(monkeypatch):
