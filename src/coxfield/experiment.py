@@ -156,6 +156,17 @@ def _rel_l2(a, b):
     return float(diff / max(np.linalg.norm(a), np.linalg.norm(b))) if diff else 0.0
 
 
+def _fit_counts(solver, diag):
+    # what the fit did, as counts: AMP's holds (its "frozen" entries) and
+    # damping cuts, CD's Newton steps; None where a fit reports none
+    if solver == "amp":
+        return {key: len(diag[src]) if src in diag else None
+                for key, src in (("holds", "frozen"),
+                                 ("damping_cuts", "damping_cuts"))}
+    return {key: diag.get(key)
+            for key in ("newton_tried", "newton_kept", "cg_iterations")}
+
+
 def _run_repetition(cfg, r):
     """All per-repetition work: per solver, one record per grid point, and
     the failures with their reasons, in solver then grid order; and the
@@ -194,6 +205,7 @@ def _run_repetition(cfg, r):
             rec["epochs"] = fit.epochs
             rec["stop_reason"] = fit.diagnostics["stop_reason"]
             rec["kkt_residual"] = fit.diagnostics.get("kkt_residual")
+            rec.update(_fit_counts(solver, fit.diagnostics))
             if solver == "cd":
                 start = fit.diagnostics["start"]
                 rec["start"] = "amp" if start == "given" else start
@@ -364,9 +376,13 @@ def run_experiment(cfg, workers=None):
     run continues.  The per-fit records, grouped by grid point and solver
     in repetition order, give the table rows and, with keep_raw, the
     report's "raw"; "counts" holds the number of values behind each mean.
-    Each record holds the fit's "epochs" and "stop_reason"; a CD record
-    adds its "start" (the start `reg_path` chose: "amp" for a given one,
-    "previous" or "cold") and "amp_rel_l2", the relative L2 distance
+    Each record holds the fit's "epochs", "stop_reason" and
+    "kkt_residual", and counts of what it did: an AMP record "holds" (the
+    entries of diagnostics["frozen"]) and "damping_cuts", a CD record
+    "newton_tried", "newton_kept" and "cg_iterations" (each None where
+    the fit reports none: a diverged fit, or data without events).  A CD
+    record adds its "start" (the start `reg_path` chose: "amp" for a given
+    one, "previous" or "cold") and "amp_rel_l2", the relative L2 distance
     between the CD and AMP coefficients (None unless both converged).
     Writes table.csv and report.json to cfg.output_dir.
 

@@ -35,14 +35,15 @@ AMP_STALL_DROP = 0.5
 AMP_DAMPING_CUT = 0.5
 AMP_DAMPING_FLOOR = 0.1
 # a stall first holds the coordinates whose threshold activity changed at
-# least twice over the last AMP_FLIP_WINDOW epochs (see fit_amp)
+# least twice over the last AMP_FLIP_WINDOW epochs (see fit_amp); errs that
+# stay within AMP_FLAT_REL of each other over those epochs may hold them too
 AMP_FLIP_WINDOW = 10
+AMP_FLAT_REL = 1e-3
 CD_MAX_EPOCHS = 100
-# CD tries a guarded Newton step every CD_NEWTON_EVERY epochs, and after a
-# rejected one twice as many as before (0 runs the plain sweeps); its
-# conjugate gradients stop at relative residual
-# CD_CG_TOL or after CD_CG_MAX_ITER products
-CD_NEWTON_EVERY = 2
+# CD's Newton schedule (see fit_cd) tries a step every CD_NEWTON_EVERY
+# epochs (0 runs the plain sweeps); its conjugate gradients stop at
+# relative residual CD_CG_TOL or after CD_CG_MAX_ITER products
+CD_NEWTON_EVERY = 1
 CD_CG_TOL = 1e-4
 CD_CG_MAX_ITER = 50
 
@@ -115,6 +116,17 @@ def _diverged(p, epoch, t0, **fields):
                      converged=False, epochs=epoch, final_err=np.nan,
                      diagnostics={"stop_reason": "diverged", "error": error,
                                   "seconds": perf_counter() - t0})
+
+
+def _check_start(init, need_hazard):
+    # a start has finite coefficients (and for AMP a hazard); a diverged
+    # fit has neither
+    if init is not None and not np.all(np.isfinite(init.beta_hat)):
+        raise ValueError("the start init has a non-finite beta_hat; a "
+                         "diverged fit is no start")
+    if need_hazard and init is not None and init.hazard is None:
+        raise ValueError("the start init has no hazard; AMP starts from a "
+                         "fit with one")
 
 
 def _err(*norms):
@@ -212,6 +224,11 @@ def _flipping(recent, alpha, free):
     return new, np.where(margin[-2:, new].sum(axis=0) > 0.0, 1, -1)
 
 
+def _flat(errs):
+    """Whether errs lie within a relative AMP_FLAT_REL of each other."""
+    return max(errs) - min(errs) <= AMP_FLAT_REL * max(errs)
+
+
 def fit_amp(data, pen, init=None, cfg=None):
     """Approximate-message-passing solver for the penalized Cox model.
 
@@ -220,31 +237,38 @@ def fit_amp(data, pen, init=None, cfg=None):
     coefficients through the elastic-net prox, and the step size tau; the
     error is the square root of the summed squared sup-norm deltas.
     Damping `cfg.damping` is applied to the (xi, beta, tau, tau_hat)
-    updates.  When err has not halved over AMP_STALL_WINDOW epochs, the
-    fit holds each flipping coordinate (`_flipping`: a threshold 2-cycle,
-    which makes tau's divergence term jump every epoch whatever the
-    damping) on one side in that term, and restarts the stall window; the
-    beta prox keeps the true threshold.  At err < tol it stops only if
-    every held side is the coordinate's true activity, so the last update
-    is the unheld one and a converged fit is a fixed point of plain AMP to
-    tol; a contradicted side is switched once, then released, and the
-    window restarts.  A stall with no coordinate to hold halves the
-    damping (diagnostics["damping_cuts"]); one that would take it below
+    updates.  When err has not halved over AMP_STALL_WINDOW epochs (a
+    stall), or is flat (its last AMP_FLIP_WINDOW values lie within a
+    relative AMP_FLAT_REL of each other, as in a 2-cycle long before the
+    stall window ends), the fit holds each flipping coordinate
+    (`_flipping`: a threshold 2-cycle, which makes tau's divergence term
+    jump every epoch whatever the damping) on one side in that term, and
+    restarts the stall window; the beta prox keeps the true threshold.  At
+    err < tol it stops only if every held side is the coordinate's true
+    activity, so the last update is the unheld one and a converged fit is
+    a fixed point of plain AMP to tol; a contradicted side is switched
+    once, then released, and the window restarts.  A stall, not a flat
+    err, with no coordinate to hold halves the damping
+    (diagnostics["damping_cuts"]); one that would take it below
     AMP_DAMPING_FLOOR stops the fit with stop_reason "stalled".  Fits
-    that never stall are unaffected.  diagnostics["err_history"] holds
-    err after each epoch, diagnostics["frozen"] the holds.  May
-    legitimately fail to converge or diverge at weak regularization;
-    both are reported through `converged` and stop_reason.
+    whose err neither stalls nor goes flat are the plain AMP loop, bit for
+    bit.  diagnostics["err_history"] holds err after each epoch,
+    diagnostics["frozen"] the holds.  May legitimately fail to converge or
+    diverge at weak regularization; both are reported through `converged`
+    and stop_reason.
 
     Parameters
     ----------
     data : SurvivalDataset
     pen : ElasticNetPenalty with rho > 0
     init : FitResult, optional
-        Warm start (beta_hat, and xi/tau/tau_hat when present).
+        Warm start (beta_hat and hazard, and xi/tau/tau_hat when present).
+        A start with a non-finite beta_hat or no hazard, such as a fit
+        that diverged, raises ValueError.
     cfg : SolverConfig, optional
     """
     t0 = perf_counter()
+    _check_start(init, need_hazard=True)
     cfg = cfg or SolverConfig()
     max_epochs = AMP_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     d = cfg.damping
@@ -352,21 +376,24 @@ def fit_amp(data, pen, init=None, cfg=None):
                 held = np.flatnonzero(side)
                 window_start = epoch
                 continue
-            if (epoch - window_start >= AMP_STALL_WINDOW and err > AMP_STALL_DROP
-                    * err_history[epoch - 1 - AMP_STALL_WINDOW]):
+            stalled = (epoch - window_start >= AMP_STALL_WINDOW and err
+                       > AMP_STALL_DROP * err_history[epoch - 1 - AMP_STALL_WINDOW])
+            if stalled or (epoch - window_start >= AMP_FLIP_WINDOW
+                           and _flat(err_history[-AMP_FLIP_WINDOW:])):
                 new, new_side = _flipping(recent, pen.alpha, holds == 0)
                 if new.size:
                     side[new] = new_side
                     holds[new] = 1
                     frozen += [[epoch, int(k), int(s)] for k, s in zip(new, new_side)]
                     held = np.flatnonzero(side)
-                elif d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
-                    stop_reason = "stalled"
-                    break
-                else:
+                    window_start = epoch
+                elif stalled:
+                    if d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
+                        stop_reason = "stalled"
+                        break
                     d *= AMP_DAMPING_CUT
                     damping_cuts.append([epoch, d])
-                window_start = epoch
+                    window_start = epoch
 
         # one undamped prox application so the reported coefficients carry
         # the exact zeros of the soft threshold (the damped iterate only
@@ -392,29 +419,34 @@ def fit_cd(data, pen, init=None, cfg=None):
     refreshes the hazard with the Nelson-Aalen estimator.  Only the
     curvature diagonal and per-coordinate row actions are ever formed.
 
-    Before the sweep after every CD_NEWTON_EVERY epochs, a Newton step on
-    the support of the coefficients (`_newton_step`, conjugate gradients
-    on Hessian-vector products) proposes a candidate; a warm start from a
-    nonzero beta whose KKT residual (see `FitResult`) exceeds tol also
-    tries one before its first sweep, a predictor along the regularization
-    path (Park & Hastie, JRSS-B 69, 2007).  A candidate replaces the
-    iterate only where its KKT residual is below the iterate's and its
-    penalized partial likelihood is not above the iterate's by more than
-    1e-12 relative (diagnostics["newton_tried"], ["newton_kept"] and
+    The Newton schedule: a guarded Newton step on the support of the
+    coefficients (`_newton_step`, conjugate gradients on Hessian-vector
+    products) proposes a candidate before every sweep but the first
+    (CD_NEWTON_EVERY = 1 sweep apart; 0 runs the plain sweeps).  Before
+    the first sweep only a warm start from a nonzero beta whose KKT
+    residual (see `FitResult`) exceeds tol tries one, a predictor along
+    the regularization path (Park & Hastie, JRSS-B 69, 2007); a start
+    that is a KKT point to tol, such as a converged fit of the same
+    penalty, gets plain sweeps.  A candidate replaces the iterate only
+    where its KKT residual is below the iterate's and its penalized
+    partial likelihood is not above the iterate's by more than 1e-12
+    relative (diagnostics["newton_tried"], ["newton_kept"] and
     ["cg_iterations"]).  Each rejected candidate doubles the number of
-    epochs to the next Newton step; a kept one resets it to
-    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves
-    less than tol: the fixed point, and so the fit within the tolerance,
-    is that of the plain sweeps, and the coefficients returned are those
+    sweeps to the next Newton step; a kept one resets it to
+    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves less
+    than tol: the fixed point, and so the fit within the tolerance, is
+    that of the plain sweeps, and the coefficients returned are those
     of a sweep.  Newton steps are not counted as epochs.  Coordinates
     with zero curvature are skipped (counted in diagnostics
     ["skipped_coordinates"]), and so is a zero coordinate whose update a
     Cauchy-Schwarz bound shows to be zero (diagnostics
     ["screened_coordinates"]): the screen is exact, every sweep is bit
     for bit that without it.  A non-finite iterate ends the fit as
-    diverged (see `FitResult`).
+    diverged (see `FitResult`).  A warm start `init` needs a finite
+    beta_hat, else ValueError; its hazard is not read.
     """
     t0 = perf_counter()
+    _check_start(init, need_hazard=False)
     cfg = cfg or SolverConfig()
     max_epochs = CD_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     X, T, D = data.design, data.times, data.events
@@ -442,11 +474,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     epoch = 0
     skipped = screened = 0
     tried = kept = cg_iterations = 0
-    # epochs between Newton steps: doubled after each rejected candidate,
-    # reset when one is kept.  A warm start from a nonzero beta that is no
-    # KKT point to tol tries one before its first sweep: at the previous
-    # point's optimum the step's right-hand side is the change in penalty,
-    # a predictor along the path
+    # the Newton schedule of the docstring; from the previous point's
+    # optimum the step's right-hand side is the change in penalty
     newton_gap = CD_NEWTON_EVERY
     next_newton = (0 if beta.any() and _kkt_residual(grad, beta, pen) > cfg.tol
                    else CD_NEWTON_EVERY)

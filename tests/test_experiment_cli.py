@@ -167,6 +167,9 @@ def test_run_experiment_failures_match_records(tmp_path):
         # a finished fit is certified whether or not it converged
         assert rec.pop("kkt_residual") > 0.0
         assert rec.pop("epochs") == 3 and rec.pop("stop_reason") == "max_epochs"
+        counts = (("holds", "damping_cuts") if solver == "amp"
+                  else ("newton_tried", "newton_kept", "cg_iterations"))
+        assert all(isinstance(rec.pop(key), int) for key in counts)
         if solver == "cd":
             # AMP converged nowhere, so CD starts cold, then warm
             assert rec.pop("start") == ("previous" if i else "cold")
@@ -212,9 +215,17 @@ def test_both_solvers_certify_amp_fits_with_cd(tmp_path):
             assert ref["start"] == ("previous" if i else "cold")
             assert cd["converged"] and ref["converged"]
             assert ref["amp_rel_l2"] is None
+            # each record counts what its fit did
+            assert all(isinstance(amp[key], int) and amp[key] >= 0
+                       for key in ("holds", "damping_cuts"))
+            for rec in (cd, ref):
+                assert 0 <= rec["newton_kept"] <= rec["newton_tried"]
+                assert rec["cg_iterations"] >= 0
             if start == "amp":
-                # a certification: fewer sweeps than CD's own warm start
+                # a certification: fewer sweeps than CD's own warm start,
+                # and no Newton step
                 assert cd["epochs"] < ref["epochs"]
+                assert cd["newton_tried"] == 0
                 assert 0.0 <= cd["amp_rel_l2"] <= 1e-6
             else:
                 assert cd["amp_rel_l2"] is None
@@ -349,7 +360,8 @@ _SAME_KEYS = ("columns", "rows", "counts", "failures", "raw")
 
 @pytest.mark.parametrize("overrides", [
     {}, {"keep_raw": True},
-    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=3)},
+    # CD with a Newton step before every sweep converges within 3 epochs
+    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=2)},
     # large enough that numpy's matrix products split over BLAS threads
     {"keep_raw": True, "p": 1000, "repetitions": 1, "solver": "amp",
      "pen_grid": [(0.36, 0.75), (0.3, 0.75)], "pop_size": 200}],

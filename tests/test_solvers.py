@@ -362,7 +362,7 @@ def test_amp_err_overflow_is_not_divergence():
         assert fit.diagnostics["stop_reason"] == "diverged"
         assert fit.diagnostics["error"].startswith(
             f"non-finite hazard at epoch {epoch};")
-    assert [f.epochs for f in fits[2:]] == [286, 337, 200]
+    assert [f.epochs for f in fits[2:]] == [286, 337, 194]
     assert all(f.converged for f in fits[2:])
 
 
@@ -545,8 +545,8 @@ def test_cd_newton_step_is_guarded(monkeypatch):
 def test_cd_predictor_at_each_warm_start(monkeypatch):
     # a warm start from a nonzero beta tries a Newton step before its
     # first sweep, a predictor along the path; a cold fit first tries one
-    # after CD_NEWTON_EVERY epochs.  Every point keeps the plain sweeps'
-    # fixed point
+    # after CD_NEWTON_EVERY epochs (its first sweep).  Every point keeps
+    # the plain sweeps' fixed point
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
             for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
@@ -567,6 +567,41 @@ def test_cd_predictor_at_each_warm_start(monkeypatch):
         assert f.converged and pl.converged
         rel = np.linalg.norm(f.beta_hat - pl.beta_hat) / np.linalg.norm(pl.beta_hat)
         assert rel <= 1e-7
+
+
+def test_cd_newton_step_before_every_sweep():
+    # on a warm path where every candidate is kept, each sweep but the
+    # first has a Newton step before it, and the first one too where the
+    # predictor runs
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    for fit in reg_path(data, pens, "cd"):
+        diag = fit.diagnostics
+        assert fit.converged and diag["newton_kept"] == diag["newton_tried"]
+        assert diag["newton_tried"] >= fit.epochs - 1
+
+
+@pytest.mark.parametrize("fit", [fit_amp, fit_cd])
+def test_a_diverged_start_is_rejected(fit):
+    # a diverged fit (NaN beta_hat, no hazard) is no start: the solver
+    # says so, instead of failing on the hazard or blaming the penalty
+    data, _ = generate_dataset(SignalSpec(p=60, nu=0.1, theta0=1.0, seed=36),
+                               GeneratorSpec(zeta=2.0), seed=36)
+    pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
+    with np.errstate(all="ignore"):
+        diverged = fit_amp(data, pen, cfg=SolverConfig(damping=1.0))
+    assert diverged.diagnostics["stop_reason"] == "diverged"
+    with pytest.raises(ValueError, match="start init has a non-finite beta_hat"):
+        fit(data, pen, init=diverged)
+    # a finite beta without a hazard starts CD, not AMP
+    bare = FitResult(beta_hat=np.zeros(data.p), hazard=None, converged=True,
+                     epochs=1, final_err=0.0)
+    if fit is fit_amp:
+        with pytest.raises(ValueError, match="start init has no hazard"):
+            fit(data, pen, init=bare)
+    else:
+        assert fit(data, pen, init=bare).converged
 
 
 def _plain_and_newton(data, pen, monkeypatch):
@@ -701,8 +736,11 @@ def test_damping_cut_rescues_stall_with_nothing_left_to_hold(monkeypatch):
     amp = reg_path(data, pens, "amp")[-1]
     diag = amp.diagnostics
     assert amp.converged and diag["stop_reason"] == "tol"
-    assert amp.epochs == 166 and diag["damping_cuts"] == [[165, 0.425]]
+    assert amp.epochs == 144 and diag["damping_cuts"] == [[143, 0.425]]
     assert [s for _, k, s in diag["frozen"] if k == 37] == [1, -1]
+    # the switch restarts the stall window, which the cut closes
+    switched = max(e for e, k, _ in diag["frozen"] if k == 37)
+    assert diag["damping_cuts"][0][0] == switched + solvers.AMP_STALL_WINDOW
     assert diag["kkt_residual"] <= 1e-8
     cd = reg_path(data, pens, "cd")[-1]
     assert cd.converged
@@ -712,7 +750,7 @@ def test_damping_cut_rescues_stall_with_nothing_left_to_hold(monkeypatch):
     monkeypatch.setattr(solvers, "AMP_DAMPING_FLOOR", 1.0)
     held = reg_path(data, pens, "amp")[-1]
     assert not held.converged and held.diagnostics["stop_reason"] == "stalled"
-    assert held.epochs == 165 and held.diagnostics["damping_cuts"] == []
+    assert held.epochs == 143 and held.diagnostics["damping_cuts"] == []
 
 
 def test_amp_recovers_after_damping_cut():
@@ -766,6 +804,20 @@ def test_amp_freeze_resolves_threshold_cycle():
     assert again.diagnostics["frozen"] == []
 
 
+def test_amp_holds_a_flat_cycle_before_the_stall_window():
+    # point 1's err goes flat in a threshold 2-cycle long before a stall
+    # window ends: the flip finder holds the cycling coordinate then, and
+    # the fit converges within one stall window
+    data, pens = _fit_path_point_1()
+    amp = reg_path(data, pens, "amp")[-1]
+    diag = amp.diagnostics
+    [(epoch, k, side)] = diag["frozen"]
+    assert epoch < solvers.AMP_STALL_WINDOW
+    assert solvers._flat(diag["err_history"][epoch - solvers.AMP_FLIP_WINDOW:epoch])
+    assert amp.converged and diag["stop_reason"] == "tol"
+    assert amp.epochs <= solvers.AMP_STALL_WINDOW and diag["damping_cuts"] == []
+
+
 def test_amp_freeze_switches_a_wrong_side(monkeypatch):
     # a first side that the converged point contradicts is switched once
     # (a second entry for the coordinate, with the other sign), and the fit
@@ -804,3 +856,21 @@ def test_amp_without_stalls_is_the_plain_loop():
                           (fit.tau, ref.tau), (fit.tau_hat, ref.tau_hat),
                           (fit.hazard.values, ref.hazard.values)]:
             assert np.array_equal(got, want)
+
+
+def test_steady_amp_fit_holds_nothing():
+    # heavily damped, this fit takes some 400 epochs with err falling
+    # steadily: it never goes flat, holds nothing, and is bit for bit the
+    # plain AMP loop
+    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
+    fit = fit_amp(data, PEN, cfg=SolverConfig(damping=0.1))
+    ref = reference_amp(data, PEN, d=0.1)
+    assert fit.converged and fit.epochs == ref.epochs > 400
+    errs = fit.diagnostics["err_history"]
+    assert not any(solvers._flat(errs[i - solvers.AMP_FLIP_WINDOW:i])
+                   for i in range(solvers.AMP_FLIP_WINDOW, len(errs) + 1))
+    assert fit.diagnostics["frozen"] == fit.diagnostics["damping_cuts"] == []
+    for got, want in [(fit.beta_hat, ref.beta_hat), (fit.xi, ref.xi),
+                      (fit.tau, ref.tau), (fit.tau_hat, ref.tau_hat),
+                      (fit.hazard.values, ref.hazard.values)]:
+        assert np.array_equal(got, want)
