@@ -21,7 +21,7 @@ from .observables import (EstimationError, estimate_from_amp,
 from .prox import ElasticNetPenalty, check_path_order
 from .rs import OrderParameters, solve_rs_path
 from .solvers import SolverConfig, reg_path
-from .survival import harrell_c, rscv_c_index
+from .survival import check_ints, harrell_c, rscv_c_index
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 _FIT_FIELDS = ("true_w", "true_v", "rscv", "test_c")
@@ -57,6 +57,7 @@ class ExperimentConfig:
     keep_raw: bool = False
 
     def __post_init__(self):
+        check_ints(self, "p", "repetitions", "base_seed", "pop_size")
         if self.gen is None:
             self.gen = GeneratorSpec(zeta=self.zeta)
         elif self.gen.zeta != self.zeta:

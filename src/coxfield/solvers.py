@@ -23,7 +23,7 @@ import numpy as np
 from .prox import (check_path_order, cox_prox_bundle, cox_w, log_tau_lam,
                    moreau_ddot_w, moreau_dot_g, moreau_dot_w, prox_enet,
                    prox_enet_dot, prox_g, prox_g_w)
-from .survival import RiskSets, nelson_aalen
+from .survival import RiskSets, check_ints, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 # AMP stall handling: a stall is an err that has not fallen to
@@ -40,10 +40,8 @@ AMP_DAMPING_FLOOR = 0.1
 AMP_FLIP_WINDOW = 10
 AMP_FLAT_REL = 1e-3
 CD_MAX_EPOCHS = 100
-# CD's Newton schedule (see fit_cd) tries a step every CD_NEWTON_EVERY
-# epochs (0 runs the plain sweeps); its conjugate gradients stop at
+# the conjugate gradients of CD's Newton step (see fit_cd) stop at
 # relative residual CD_CG_TOL or after CD_CG_MAX_ITER products
-CD_NEWTON_EVERY = 1
 CD_CG_TOL = 1e-4
 CD_CG_MAX_ITER = 50
 
@@ -67,8 +65,10 @@ class SolverConfig:
         # the checks are written so that NaN fails them
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_epochs is not None and not self.max_epochs >= 1:
-            raise ValueError("max_epochs must be at least 1 (None: default)")
+        if self.max_epochs is not None:
+            check_ints(self, "max_epochs")
+            if self.max_epochs < 1:
+                raise ValueError("max_epochs must be at least 1 (None: default)")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -118,13 +118,22 @@ def _diverged(p, epoch, t0, **fields):
                                   "seconds": perf_counter() - t0})
 
 
-def _check_start(init, need_hazard):
-    # a start has finite coefficients (and for AMP a hazard); a diverged
-    # fit has neither
-    if init is not None and not np.all(np.isfinite(init.beta_hat)):
+def _check_start(init, data, amp):
+    # a start is a fit of data's p finite coefficients, for AMP with a
+    # hazard and, where it has one, a field of length n; a diverged fit
+    # has neither finite coefficients nor a hazard
+    if init is None:
+        return
+    for name, value, size in (("beta_hat", init.beta_hat, data.p),
+                              ("xi", init.xi if amp else None, data.n)):
+        if value is not None and np.shape(value) != (size,):
+            raise ValueError(f"the start init's {name} has shape "
+                             f"{np.shape(value)}, not ({size},); a fit of "
+                             "another dataset is no start")
+    if not np.all(np.isfinite(init.beta_hat)):
         raise ValueError("the start init has a non-finite beta_hat; a "
                          "diverged fit is no start")
-    if need_hazard and init is not None and init.hazard is None:
+    if amp and init.hazard is None:
         raise ValueError("the start init has no hazard; AMP starts from a "
                          "fit with one")
 
@@ -264,11 +273,12 @@ def fit_amp(data, pen, init=None, cfg=None):
     init : FitResult, optional
         Warm start (beta_hat and hazard, and xi/tau/tau_hat when present).
         A start with a non-finite beta_hat or no hazard, such as a fit
-        that diverged, raises ValueError.
+        that diverged, or a fit of another dataset (beta_hat not of length
+        p, or xi not of length n), raises ValueError.
     cfg : SolverConfig, optional
     """
     t0 = perf_counter()
-    _check_start(init, need_hazard=True)
+    _check_start(init, data, amp=True)
     cfg = cfg or SolverConfig()
     max_epochs = AMP_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     d = cfg.damping
@@ -421,32 +431,30 @@ def fit_cd(data, pen, init=None, cfg=None):
 
     The Newton schedule: a guarded Newton step on the support of the
     coefficients (`_newton_step`, conjugate gradients on Hessian-vector
-    products) proposes a candidate before every sweep but the first
-    (CD_NEWTON_EVERY = 1 sweep apart; 0 runs the plain sweeps).  Before
-    the first sweep only a warm start from a nonzero beta whose KKT
-    residual (see `FitResult`) exceeds tol tries one, a predictor along
-    the regularization path (Park & Hastie, JRSS-B 69, 2007); a start
-    that is a KKT point to tol, such as a converged fit of the same
-    penalty, gets plain sweeps.  A candidate replaces the iterate only
-    where its KKT residual is below the iterate's and its penalized
-    partial likelihood is not above the iterate's by more than 1e-12
-    relative (diagnostics["newton_tried"], ["newton_kept"] and
-    ["cg_iterations"]).  Each rejected candidate doubles the number of
-    sweeps to the next Newton step; a kept one resets it to
-    CD_NEWTON_EVERY.  A fit converges only when a plain sweep moves less
-    than tol: the fixed point, and so the fit within the tolerance, is
-    that of the plain sweeps, and the coefficients returned are those
-    of a sweep.  Newton steps are not counted as epochs.  Coordinates
-    with zero curvature are skipped (counted in diagnostics
-    ["skipped_coordinates"]), and so is a zero coordinate whose update a
-    Cauchy-Schwarz bound shows to be zero (diagnostics
-    ["screened_coordinates"]): the screen is exact, every sweep is bit
-    for bit that without it.  A non-finite iterate ends the fit as
-    diverged (see `FitResult`).  A warm start `init` needs a finite
-    beta_hat, else ValueError; its hazard is not read.
+    products) proposes a candidate before every sweep but the first.
+    Before the first sweep only a warm start from a nonzero beta whose
+    KKT residual (see `FitResult`) exceeds tol tries one, a predictor
+    along the regularization path (Park & Hastie, JRSS-B 69, 2007); a
+    start that is a KKT point to tol, such as a converged fit of the same
+    penalty, gets none.  A candidate replaces the iterate only where its
+    KKT residual is below the iterate's and its penalized partial
+    likelihood is not above the iterate's by more than 1e-12 relative
+    (diagnostics["newton_tried"], ["newton_kept"] and ["cg_iterations"]).
+    Each rejected candidate doubles the number of sweeps to the next
+    Newton step; a kept one resets it to one.  A fit converges only when
+    a plain sweep moves less than tol: the fixed point, and so the fit
+    within the tolerance, is that of the plain sweeps, and the
+    coefficients returned are those of a sweep.  Newton steps are not
+    counted as epochs.  Coordinates with zero curvature are skipped
+    (counted in diagnostics["skipped_coordinates"]), and so is a zero
+    coordinate whose update a Cauchy-Schwarz bound shows to be zero
+    (diagnostics["screened_coordinates"]): the screen is exact, every
+    sweep is bit for bit that without it.  A non-finite iterate ends the
+    fit as diverged (see `FitResult`).  A warm start `init` needs a
+    finite beta_hat of length p, else ValueError; its hazard is not read.
     """
     t0 = perf_counter()
-    _check_start(init, need_hazard=False)
+    _check_start(init, data, amp=False)
     cfg = cfg or SolverConfig()
     max_epochs = CD_MAX_EPOCHS if cfg.max_epochs is None else cfg.max_epochs
     X, T, D = data.design, data.times, data.events
@@ -476,11 +484,10 @@ def fit_cd(data, pen, init=None, cfg=None):
     tried = kept = cg_iterations = 0
     # the Newton schedule of the docstring; from the previous point's
     # optimum the step's right-hand side is the change in penalty
-    newton_gap = CD_NEWTON_EVERY
-    next_newton = (0 if beta.any() and _kkt_residual(grad, beta, pen) > cfg.tol
-                   else CD_NEWTON_EVERY)
+    newton_gap = 1
+    next_newton = 0 if beta.any() and _kkt_residual(grad, beta, pen) > cfg.tol else 1
     while epoch < max_epochs:
-        if CD_NEWTON_EVERY and epoch >= next_newton:
+        if epoch >= next_newton:
             # the guarded Newton step: a kept candidate carries its own
             # weights and gradient into the next sweep
             tried += 1
@@ -498,7 +505,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                     and loss_c <= loss + 1e-12 * abs(loss)):
                 kept += 1
                 beta, lp, lamT, wdiag, grad = cand, lp_c, lamT_c, wdiag_c, grad_c
-                newton_gap = CD_NEWTON_EVERY
+                newton_gap = 1
             else:
                 newton_gap *= 2
             next_newton = epoch + newton_gap

@@ -5,6 +5,7 @@ its own observed time; all-censored data yield an identically-zero hazard
 (with a warning), not an error.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,6 +13,16 @@ from functools import cached_property
 import numpy as np
 
 from .prox import g_dot
+
+
+def check_ints(obj, *names):
+    """Raise ValueError naming the first field of obj among names that
+    holds no integer (a bool holds none), so that a config fails when it
+    is built, not in the work that reads it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 @dataclass(frozen=True)

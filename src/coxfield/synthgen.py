@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SurvivalDataset
+from .survival import SurvivalDataset, check_ints
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class SignalSpec:
             raise ValueError("nu must lie in (0, 1]")
         if not 0.0 < self.theta0 < np.inf:
             raise ValueError("theta0 must be finite and positive")
-        if not self.p >= 1:
+        check_ints(self, "p")
+        if self.p < 1:
             raise ValueError("p must be positive")
 
     @property

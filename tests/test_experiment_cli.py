@@ -51,6 +51,12 @@ def test_experiment_config_validation(tmp_path):
     for bad, match in _BAD_VALUES:
         with pytest.raises(ValueError, match=match):
             _tiny_config(tmp_path, **bad)
+    # a float or bool count or seed used to pass, and run_experiment then
+    # failed with a TypeError inside its tasks
+    for name in ("p", "repetitions", "pop_size", "base_seed"):
+        for bad in (60.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                _tiny_config(tmp_path, **{name: bad})
     # a generator for another aspect ratio than the config's
     with pytest.raises(ValueError, match="gen.zeta must match"):
         ExperimentConfig(zeta=2.0, gen=GeneratorSpec(zeta=3.0))

@@ -272,6 +272,11 @@ def test_solver_config_validation():
                 {"damping": np.nan}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # max_epochs=2.5 used to pass, and CD then ran 3 epochs
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_epochs must be an int"):
+            SolverConfig(max_epochs=bad)
+    assert SolverConfig(max_epochs=np.int64(3)).max_epochs == 3
 
 
 def test_solver_config_max_epochs():
@@ -366,6 +371,16 @@ def test_amp_err_overflow_is_not_divergence():
     assert all(f.converged for f in fits[2:])
 
 
+def _plain_sweeps(m):
+    """Make CD run its plain sweeps, through the monkeypatch m: every Newton
+    proposal is the iterate itself, which the guard rejects, as its KKT
+    residual equals the iterate's rather than falling below it.  Neither
+    the iterate nor a sweep changes, so a fit is bit for bit the sweeps
+    alone; it still counts the proposals as tried."""
+    m.setattr(solvers, "_newton_step",
+              lambda X, hess, beta, grad, pen: (beta.copy(), 0))
+
+
 def _with_tied_times(data):
     # one decimal: most event times are shared by several subjects
     return SurvivalDataset(np.round(data.times, 1) + 0.1, data.events,
@@ -383,7 +398,7 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
     # proximal points).  CD runs its plain sweeps, without Newton steps;
     # these AMP fits never stall, and both sides run at the default damping.
     if solver == "cd":
-        monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
+        _plain_sweeps(monkeypatch)
     ref_kw = {"d": SolverConfig().damping} if solver == "amp" else {}
     data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
     tied = _with_tied_times(data)
@@ -474,7 +489,7 @@ def test_cd_screening_is_exact(seed, monkeypatch):
     # the screen skips a zero coordinate only where the update would give
     # a zero: the plain sweep equals the reference loop, which has no
     # screen, bit for bit
-    monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
+    _plain_sweeps(monkeypatch)
     data, pen, init = _screening_instance(seed)
     fit = fit_cd(data, pen, init=init)
     ref = reference_cd(data, pen, init=init)
@@ -491,12 +506,13 @@ def test_accelerated_cd_matches_plain_cd(monkeypatch):
     # the Newton step changes the iteration, not its fixed point
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
     fast = fit_cd(data, PEN)
-    monkeypatch.setattr(solvers, "CD_NEWTON_EVERY", 0)
+    _plain_sweeps(monkeypatch)
     plain = fit_cd(data, PEN)
     assert fast.converged and plain.converged
     assert fast.diagnostics["newton_kept"] > 0
     assert fast.diagnostics["cg_iterations"] > 0
-    assert plain.diagnostics["newton_tried"] == 0
+    assert plain.diagnostics["newton_kept"] == 0
+    assert plain.diagnostics["cg_iterations"] == 0
     assert fast.epochs <= plain.epochs
     assert np.max(np.abs(fast.beta_hat - plain.beta_hat)) <= 1e-6
     assert np.array_equal(fast.hazard.knots, plain.hazard.knots)
@@ -513,13 +529,25 @@ def test_cd_newton_step_is_guarded(monkeypatch):
     # a Newton candidate is kept only where it lowers the KKT residual
     # without raising the penalized partial likelihood, and none is tried
     # after the last epoch, so the coefficients returned are a sweep's;
-    # an overflowing candidate is rejected without a warning
+    # an overflowing candidate is rejected without a warning.  The
+    # iterate itself, as _plain_sweeps proposes it, is tried and never
+    # kept, at no CG cost, and leaves the plain sweeps of reference_cd
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
-    short = SolverConfig(max_epochs=solvers.CD_NEWTON_EVERY)
+    short = SolverConfig(max_epochs=1)
     with monkeypatch.context() as m:
-        m.setattr(solvers, "CD_NEWTON_EVERY", 0)
+        _plain_sweeps(m)
         plain = fit_cd(data, PEN)
         plain_short = fit_cd(data, PEN, cfg=short)
+    assert plain.converged
+    assert plain.diagnostics["newton_tried"] > 0
+    assert plain.diagnostics["newton_kept"] == 0
+    assert plain.diagnostics["cg_iterations"] == 0
+    ref = reference_cd(data, PEN)
+    assert plain.epochs == ref.epochs
+    assert np.array_equal(plain.beta_hat, ref.beta_hat)
+    assert np.array_equal(plain.hazard.knots, ref.hazard.knots)
+    assert np.array_equal(plain.hazard.values, ref.hazard.values)
+    assert plain.final_err == ref.final_err
     for shift in (10.0, 1e3):
         monkeypatch.setattr(solvers, "_newton_step",
                             lambda X, hess, beta, *_: (beta + shift, 0))
@@ -545,22 +573,21 @@ def test_cd_newton_step_is_guarded(monkeypatch):
 def test_cd_predictor_at_each_warm_start(monkeypatch):
     # a warm start from a nonzero beta tries a Newton step before its
     # first sweep, a predictor along the path; a cold fit first tries one
-    # after CD_NEWTON_EVERY epochs (its first sweep).  Every point keeps
-    # the plain sweeps' fixed point
+    # after its first sweep.  Every point keeps the plain sweeps' fixed
+    # point
     data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
             for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
     first, warm = reg_path(data, pens[:2], "cd", cfg=SolverConfig(max_epochs=1))
     assert np.any(first.beta_hat) and first.diagnostics["newton_tried"] == 0
     assert warm.diagnostics["newton_tried"] == 1
-    every = solvers.CD_NEWTON_EVERY
-    for max_epochs, tried in ((every, 0), (every + 1, 1)):
+    for max_epochs, tried in ((1, 0), (2, 1)):
         cold = fit_cd(data, pens[1], cfg=SolverConfig(max_epochs=max_epochs))
         assert cold.epochs == max_epochs
         assert cold.diagnostics["newton_tried"] == tried
     fast = reg_path(data, pens, "cd")
     with monkeypatch.context() as m:
-        m.setattr(solvers, "CD_NEWTON_EVERY", 0)
+        _plain_sweeps(m)
         plain = reg_path(data, pens, "cd")
     assert sum(f.diagnostics["newton_kept"] for f in fast[1:]) >= len(pens) - 1
     for f, pl in zip(fast, plain):
@@ -602,6 +629,22 @@ def test_a_diverged_start_is_rejected(fit):
             fit(data, pen, init=bare)
     else:
         assert fit(data, pen, init=bare).converged
+    # a fit of another dataset is no start: its p coefficients must be
+    # the data's, and for AMP its field xi, when present, has length n.
+    # CD reads only beta, so it starts from a fit with the same p
+    start = FitResult(beta_hat=np.zeros(data.p), converged=True, epochs=1,
+                      final_err=0.0, xi=np.zeros(data.n),
+                      hazard=nelson_aalen(data.times, data.events, np.zeros(data.n)))
+    wider, _ = generate_dataset(SignalSpec(p=80, nu=0.1, theta0=1.0, seed=36),
+                                GeneratorSpec(zeta=2.0), seed=36)
+    with pytest.raises(ValueError, match=r"start init's beta_hat has shape \(60,\), not \(80,\)"):
+        fit(wider, pen, init=start)
+    fewer = SurvivalDataset(data.times[:-5], data.events[:-5], data.design[:-5])
+    if fit is fit_amp:
+        with pytest.raises(ValueError, match=r"start init's xi has shape \(30,\), not \(25,\)"):
+            fit(fewer, pen, init=start)
+    else:
+        assert fit(fewer, pen, init=start).converged
 
 
 def _plain_and_newton(data, pen, monkeypatch):
@@ -610,7 +653,7 @@ def _plain_and_newton(data, pen, monkeypatch):
         warnings.simplefilter("error")
         fast = fit_cd(data, pen, cfg=cfg)
         with monkeypatch.context() as m:
-            m.setattr(solvers, "CD_NEWTON_EVERY", 0)
+            _plain_sweeps(m)
             plain = fit_cd(data, pen, cfg=cfg)
     return fast, plain
 

@@ -39,6 +39,9 @@ def test_signal_determinism_and_validation():
             SignalSpec(**{"p": 100, "nu": 0.2, "theta0": 1.0, "seed": 0, **bad})
     with pytest.raises(ValueError, match="p must be positive"):
         SignalSpec(p=0, nu=0.2, theta0=1.0, seed=0)
+    for bad in (60.5, True):
+        with pytest.raises(ValueError, match="p must be an int"):
+            SignalSpec(p=bad, nu=0.2, theta0=1.0, seed=0)
 
 
 def test_design_moments_and_determinism():
