@@ -226,7 +226,8 @@ def _run_repetition(cfg, r):
                 rec["estimate"] = est.as_array().tolist()
                 if not (est.w_valid and est.v_valid):
                     fail(i, solver, f"invalid estimate: w_valid={est.w_valid}, "
-                                    f"v_valid={est.v_valid}")
+                                    f"v_valid={est.v_valid}; "
+                                    f"{est.failing_step()}")
             except EstimationError as exc:
                 fail(i, solver, f"estimate: {exc}")
             rec["true_w"], rec["true_v"] = true_overlaps(fit.beta_hat, beta0)

@@ -33,7 +33,11 @@ class OrderParameterEstimate(OrderParameters):
     whether they are defined.  `v_hat_alt` is the curvature-based variant
     of the noise estimate (the mean-second-derivative form); the primary
     `v_hat` uses the squared-gradient form.  `diagnostics` holds the
-    moments A and B of the two (w, v) identities.
+    moments A and B of the two (w, v) identities, and the margin of the
+    w_hat clip: "w_hat_margin" = ||psi||^2/p - v_hat^2, which is clipped
+    to w_hat = 0 where it is negative, and "w_hat_margin_sd", the same
+    over sqrt(2/p) v_hat^2, the standard deviation of ||psi||^2/p for a
+    pure-noise local field (NaN where v_hat = 0).
     """
 
     provenance: str
@@ -46,6 +50,19 @@ class OrderParameterEstimate(OrderParameters):
     @property
     def v_valid(self):
         return not np.isnan(self.v)
+
+    def failing_step(self):
+        """The first step of the chain that left w or v undefined, with its
+        margin, or None for a valid estimate: the w_hat clip, or the
+        discriminant A - w^2 of v."""
+        diag = self.diagnostics
+        if not self.w_valid:
+            return (f"w_hat clipped to 0: ||psi||^2/p - v_hat^2 = "
+                    f"{diag['w_hat_margin']:.3e} "
+                    f"({diag['w_hat_margin_sd']:.3g} sd)")
+        if not self.v_valid:
+            return f"v undefined: A - w^2 = {diag['A'] - self.w ** 2:.3e}"
+        return None
 
 
 def _cox_gradients(data, beta_hat, hazard):
@@ -68,7 +85,9 @@ def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
     # the local field of AMP's beta update; under the RS theory it is
     # Gaussian around w_hat * beta0 / theta0 with standard deviation v_hat
     psi = beta_hat - tau_hat * (data.design.T @ gd)
-    w_hat = float(np.sqrt(max(0.0, np.sum(psi ** 2) / p - v_hat_sq)))
+    margin = float(np.sum(psi ** 2) / p - v_hat_sq)
+    w_hat = float(np.sqrt(max(0.0, margin)))
+    noise_sd = float(np.sqrt(2.0 / p) * v_hat_sq)
 
     a_moment = np.sum((lp + tau * gd) ** 2) / n
     b_moment = 0.5 * np.sum(lp ** 2) / n \
@@ -86,7 +105,10 @@ def _estimate_chain(data, beta_hat, hazard, tau, tau_hat, zeta, provenance):
         w=float(w), v=v, tau=float(tau), w_hat=w_hat,
         v_hat=float(np.sqrt(v_hat_sq)), tau_hat=float(tau_hat),
         provenance=provenance, v_hat_alt=v_hat_alt,
-        diagnostics={"A": float(a_moment), "B": float(b_moment)})
+        diagnostics={"A": float(a_moment), "B": float(b_moment),
+                     "w_hat_margin": margin,
+                     "w_hat_margin_sd": (margin / noise_sd if noise_sd > 0.0
+                                         else np.nan)})
 
 
 def estimate_from_amp(data, fit, zeta):

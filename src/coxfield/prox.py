@@ -129,18 +129,24 @@ def cox_prox_bundle(u, lam, delta, tau):
             moreau_ddot_w(w, tau))
 
 
-def prox_enet(u, tauhat, pen):
-    """Elastic-net proximal map st(u, alpha*tauhat) / (1 + eta*tauhat)."""
-    return soft_threshold(u, pen.alpha * tauhat) / (1.0 + pen.eta * tauhat)
+def prox_enet(u, tauhat, pen, abs_u=None):
+    """Elastic-net proximal map st(u, alpha*tauhat) / (1 + eta*tauhat).
+
+    abs_u, when given, is |u|, formed once by a caller that also takes
+    `prox_enet_dot` at u.
+    """
+    return soft_threshold(u, pen.alpha * tauhat, abs_u) / (1.0 + pen.eta * tauhat)
 
 
-def prox_enet_dot(u, tauhat, pen):
+def prox_enet_dot(u, tauhat, pen, abs_u=None):
     """Derivative in u of the elastic-net proximal map.
 
     Takes the value 1/(1 + eta*tauhat) on the active set |u| > alpha*tauhat
     and 0 elsewhere; the kink |u| = alpha*tauhat is assigned 0 (left limit)
-    so it never inflates the active-set fraction.
+    so it never inflates the active-set fraction.  abs_u, when given, is
+    |u| (see `prox_enet`).
     """
-    u = np.asarray(u, dtype=float)
-    out = (np.abs(u) > pen.alpha * tauhat) / (1.0 + pen.eta * tauhat)
+    if abs_u is None:
+        abs_u = np.abs(np.asarray(u, dtype=float))
+    out = (abs_u > pen.alpha * tauhat) / (1.0 + pen.eta * tauhat)
     return float(out) if out.ndim == 0 else out

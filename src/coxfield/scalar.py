@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 _INV_E = 1.0 / np.e
+_FLOAT64 = np.dtype(np.float64)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_2 = math.sqrt(2.0)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -115,15 +116,21 @@ def lambert_w0_exp(y):
     e^y (1 - e^y + ...) equals e^y to rounding and is returned as such,
     down to 0 at y = -inf; +inf gives +inf and NaN gives NaN.
     Overflow-safe for arbitrarily large y.  This is the kernel of the Cox
-    proximal map: about 25 numpy calls per evaluation, in two work
-    buffers.  An array whose entries all lie in [-40, 36] (the Cox prox's
-    usual case) skips the overflow and underflow guards, which change
-    nothing there; any other array takes them, some 8 calls more, and
-    its entries in that range come out bit for bit the same.
+    proximal map, in two work buffers.  A 1-d float64 array (the Cox
+    prox's input) enters directly, with no conversion; if its entries all
+    lie in [-40, 36], the usual case, it also skips the overflow and
+    underflow guards, which change nothing there, and costs 25 numpy
+    calls: the two range reductions, exp and log1p, six calls for the
+    guess and five per Newton step.  Any other array takes the guards,
+    some 8 calls more, and its entries in that range come out bit for bit
+    the same; scalars and other inputs go through asarray/atleast_1d.
     """
-    y_arr = np.asarray(y, dtype=float)
-    scalar = (y_arr.ndim == 0)
-    y_arr = np.atleast_1d(y_arr)
+    if type(y) is np.ndarray and y.ndim == 1 and y.dtype is _FLOAT64:
+        y_arr, scalar = y, False
+    else:
+        y_arr = np.asarray(y, dtype=float)
+        scalar = (y_arr.ndim == 0)
+        y_arr = np.atleast_1d(y_arr)
     # NaN fails the test, and an empty array has no min
     if (y_arr.size and -40.0 <= np.minimum.reduce(y_arr)
             and np.maximum.reduce(y_arr) <= 36.0):
@@ -166,8 +173,11 @@ def std_normal_tail(x):
     return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT_2)
 
 
-def soft_threshold(x, a):
-    """Soft-thresholding operator relu(x - a) - relu(-x - a), a >= 0."""
+def soft_threshold(x, a, abs_x=None):
+    """Soft-thresholding operator relu(x - a) - relu(-x - a), a >= 0;
+    abs_x, when given, is |x|, formed once by a caller that reads it too."""
     x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.maximum(np.abs(x) - a, 0.0)
+    if abs_x is None:
+        abs_x = np.abs(x)
+    out = np.sign(x) * np.maximum(abs_x - a, 0.0)
     return float(out) if out.ndim == 0 else out

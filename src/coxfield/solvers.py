@@ -20,10 +20,10 @@ import numpy as np
 
 # cox_prox_bundle and prox_g are unused here but stay bound: perfbench's
 # tracer wraps them as names of this module
-from .prox import (check_path_order, cox_prox_bundle, cox_w, log_tau_lam,
-                   moreau_ddot_w, moreau_dot_g, moreau_dot_w, prox_enet,
-                   prox_enet_dot, prox_g, prox_g_w)
-from .survival import RiskSets, check_ints, nelson_aalen
+from .prox import (check_path_order, cox_prox_bundle, cox_w, moreau_ddot_w,
+                   moreau_dot_g, moreau_dot_w, prox_enet, prox_enet_dot,
+                   prox_g, prox_g_w)
+from .survival import check_ints, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 # AMP stall handling: a stall is an err that has not fallen to
@@ -223,10 +223,10 @@ def _newton_step(X, hess, beta, grad, pen):
 
 def _flipping(recent, alpha, free):
     """The free coordinates whose activity |psi_k| > alpha tau_hat changed
-    at least twice over the (psi, tau_hat) pairs in recent, and the side
+    at least twice over the (|psi|, tau_hat) pairs in recent, and the side
     of each: the sign (+1, or -1 for <= 0) of its mean margin
     |psi_k| - alpha tau_hat over the last two, one period of a 2-cycle."""
-    margin = np.array([np.abs(psi) - alpha * th for psi, th in recent])
+    margin = np.array([abs_psi - alpha * th for abs_psi, th in recent])
     active = margin > 0.0
     flips = np.count_nonzero(active[1:] != active[:-1], axis=0)
     new = np.flatnonzero((flips >= 2) & free)
@@ -264,7 +264,9 @@ def fit_amp(data, pen, init=None, cfg=None):
     bit.  diagnostics["err_history"] holds err after each epoch,
     diagnostics["frozen"] the holds.  May legitimately fail to converge or
     diverge at weak regularization; both are reported through `converged`
-    and stop_reason.
+    and stop_reason.  The times are sorted once per dataset
+    (`SurvivalDataset.risk_sets`): every epoch's hazard, every fit of the
+    dataset and the returned hazard share that one sort.
 
     Parameters
     ----------
@@ -291,8 +293,7 @@ def fit_amp(data, pen, init=None, cfg=None):
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
-    # the times are sorted once, for every epoch and the returned hazard
-    rs = RiskSets(T, D)
+    rs = data.risk_sets
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -309,7 +310,7 @@ def fit_amp(data, pen, init=None, cfg=None):
     err = np.inf
     err_history = []
     damping_cuts = []
-    # the last epochs' (psi, tau_hat), read when a stall fires
+    # the last epochs' (|psi|, tau_hat), read when a stall fires
     recent = deque(maxlen=AMP_FLIP_WINDOW)
     # tau's divergence term holds coordinate k active (side +1) or inactive
     # (-1) while side[k] != 0; holds[k] counts its freeze, switch and
@@ -323,7 +324,8 @@ def fit_amp(data, pen, init=None, cfg=None):
     epoch = 0
     # floating-point warnings stay silent: from finite iterates a
     # non-finite one makes err non-finite, which ends the fit as diverged,
-    # naming it
+    # naming it.  Under them log(tau*Lambda) is formed as `log_tau_lam`
+    # forms it: -inf where Lambda = 0, so that W0 = 0 there exactly
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while epoch < max_epochs:
             epoch += 1
@@ -331,14 +333,14 @@ def fit_amp(data, pen, init=None, cfg=None):
             # two also log(tau*Lambda); each forms only the outputs it uses
             tau_delta = tau * D
             # hazard refresh at the proximal points of the current field
-            lin = prox_g_w(xi, tau_delta, cox_w(xi, tau_delta, log_tau_lam(lamT, tau)))
+            lin = prox_g_w(xi, tau_delta, cox_w(xi, tau_delta, np.log(tau * lamT)))
             lamT_new = rs.hazard(lin)
             # np.maximum.reduce is np.max without its wrapper's overhead
             dlam = np.maximum.reduce(np.abs(lamT_new - lamT))
             lamT = lamT_new
 
             # field update (Onsager-corrected) under the refreshed hazard
-            log_tl = log_tau_lam(lamT, tau)
+            log_tl = np.log(tau * lamT)
             mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
             xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
             dxi = np.maximum.reduce(np.abs(xi_new - xi))
@@ -353,13 +355,15 @@ def fit_amp(data, pen, init=None, cfg=None):
             tau_hat = tau_hat_new
 
             psi = beta - tau_hat * (X.T @ mdot)
-            recent.append((psi, tau_hat))
-            beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
+            # |psi| serves the prox, its derivative and the holds
+            abs_psi = np.abs(psi)
+            recent.append((abs_psi, tau_hat))
+            beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen, abs_psi)
             dbeta = np.maximum.reduce(np.abs(beta_new - beta))
             beta = beta_new
 
             # beta keeps the true threshold; only the divergence holds sides
-            dot = prox_enet_dot(psi, tau_hat, pen)
+            dot = prox_enet_dot(psi, tau_hat, pen, abs_psi)
             if held.size:
                 dot[held] = (side[held] > 0) / (1.0 + pen.eta * tau_hat)
             tau_new = (1 - d) * tau + d * (tau_hat * (np.add.reduce(dot) / p))
@@ -375,7 +379,7 @@ def fit_amp(data, pen, init=None, cfg=None):
                 # converged only where every held side is the true one, so the
                 # last update is the unheld one; a contradicted side is
                 # switched once, then released for good
-                wrong = held[(np.abs(psi[held]) > pen.alpha * tau_hat)
+                wrong = held[(abs_psi[held] > pen.alpha * tau_hat)
                              != (side[held] > 0)]
                 if not wrong.size:
                     stop_reason = "tol"
@@ -452,6 +456,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     sweep is bit for bit that without it.  A non-finite iterate ends the
     fit as diverged (see `FitResult`).  A warm start `init` needs a
     finite beta_hat of length p, else ValueError; its hazard is not read.
+    The times are sorted once per dataset (`SurvivalDataset.risk_sets`),
+    for every hazard, gradient and Hessian product of every fit of it.
     """
     t0 = perf_counter()
     _check_start(init, data, amp=False)
@@ -465,13 +471,12 @@ def fit_cd(data, pen, init=None, cfg=None):
         return _fit_result(pen, np.zeros(p), np.zeros(p),
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {})
-    # the times are sorted once, for every epoch and the returned hazard
-    rs = RiskSets(T, D)
+    rs = data.risk_sets
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     lp = X @ beta
     lamT, wdiag, grad, hess = _breslow(X, D, rs, lp)
     X2 = X * X
-    cols = [X[:, k] for k in range(p)]
+    cols = list(X.T)
     # the r update's product, formed in place
     buf = np.empty(n)
     # the screen's relative slack on S; see the screen below
@@ -513,19 +518,28 @@ def fit_cd(data, pen, init=None, cfg=None):
         # the sweep runs on Python floats: numpy scalar arithmetic would
         # dominate it
         score = grad.tolist()
-        curv = (X2.T @ wdiag).tolist()
+        mkks = X2.T @ wdiag
+        # each coordinate's step 1/mkk, threshold and shrink, the divisions
+        # and products of the per-coordinate prox on floats, as vectors
+        # (a zero curvature's inf and NaN are never read)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tauhats = 1.0 / mkks
+            threshs = (alpha * tauhats).tolist()
+            shrinks = (1.0 + eta * tauhats).tolist()
+        curv = mkks.tolist()
         phi = beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero.  S tracks its
-        # squared norm sum_i r_i^2 / wdiag_i, A the sum of |terms| of S
+        # squared norm sum_i r_i^2 / wdiag_i, A the sum of |terms| of S,
+        # SA the screen's S + slack A (NaN where slack is inf and A = 0)
         r = np.zeros(n)
         S = A = 0.0
+        SA = S + slack * A
         for k in range(p):
             mkk = curv[k]
             if mkk <= 0.0:
                 skipped += 1
                 continue
-            tauhat = 1.0 / mkk
-            thresh = alpha * tauhat
+            thresh = threshs[k]
             phik = phi[k]
             # Screen: skip a zero coordinate whose update is provably zero,
             # before its dot product; the plain update would leave phi and
@@ -554,7 +568,7 @@ def fit_cd(data, pen, init=None, cfg=None):
             #   psi_k is finite and the update takes the zero branch, a
             #   signed zero equal to phik.  NaN fails every comparison.
             if phik == 0.0:
-                bound = mkk * (S + slack * A)
+                bound = mkk * SA
                 if bound >= 0.0 and (abs(score[k]) + math.sqrt(bound)) / mkk < thresh:
                     screened += 1
                     continue
@@ -562,11 +576,11 @@ def fit_cd(data, pen, init=None, cfg=None):
             # the ddot of xk @ r, without the matmul dispatch
             dot = float(xk.dot(r))
             psi_k = (dot + mkk * phik - score[k]) / mkk
-            # prox_enet(psi_k, tauhat, pen), the same operations on floats
+            # prox_enet(psi_k, 1 / mkk, pen), the same operations on floats
             if psi_k > thresh:
-                new = (psi_k - thresh) / (1.0 + eta * tauhat)
+                new = (psi_k - thresh) / shrinks[k]
             elif psi_k < -thresh:
-                new = (psi_k + thresh) / (1.0 + eta * tauhat)
+                new = (psi_k + thresh) / shrinks[k]
             else:
                 # a signed zero, or NaN that the divergence check reports
                 new = psi_k * 0.0
@@ -579,6 +593,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                 t2 = 2.0 * delta * dot
                 S += t1 - t2
                 A += t1 + abs(t2)
+                SA = S + slack * A
                 phi[k] = new
         beta_new = np.array(phi)
         lp = X @ beta_new

@@ -62,6 +62,12 @@ class SurvivalDataset:
     def p(self):
         return self.design.shape[1]
 
+    @cached_property
+    def risk_sets(self):
+        """The risk sets of the times, sorted once per dataset and shared
+        by every fit and loss evaluated on it (the fields are read-only)."""
+        return RiskSets(self.times, self.events)
+
     def to_csv(self, path):
         """Write the dataset as CSV with header time,event,x1,...,xp."""
         header = "time,event," + ",".join(f"x{j + 1}" for j in range(self.p))
@@ -125,23 +131,35 @@ class RiskSets:
     (ties share one), in any order.  The sample is sorted once and its
     index maps composed once, for loops that evaluate many hazards on it:
     arrays go in and come out in the sample's own order, and the step
-    functions share one knots array."""
+    functions share one knots array.
+
+    Every risk-set sum is a cumulative sum over the sample in descending
+    time order (Simon, Friedman, Hastie & Tibshirani, J. Stat. Softw.
+    39(5), 2011): the order and the positions read from the sums are
+    reversed once, here, so an evaluation takes one gather and one
+    accumulate, with neither reversed views nor a concatenate.  The
+    instance holds no scratch buffer, so any number of loops may share
+    one (`SurvivalDataset.risk_sets`, `RsPopulation.risk_sets`)."""
 
     def __init__(self, times, events):
         times = np.asarray(times, dtype=float)
         self._is_event = np.asarray(events) == 1.0
         self._order = np.argsort(times, kind="stable")
+        n = self._order.size
         inverse = np.empty_like(self._order)
-        inverse[self._order] = np.arange(self._order.size)
+        inverse[self._order] = np.arange(n)
         self._times = times[self._order]
         self._event_idx = np.flatnonzero(self._is_event[self._order])
         first = np.searchsorted(self._times, self._times, side="left")
         last = np.searchsorted(self._times, self._times, side="right")
-        # the first sorted position of the risk set of each sample index
-        # and of each event, and the number of events at or before each
-        # time (its ties included), per sample index
-        self._first = first[inverse]
-        self._event_first = first[self._event_idx]
+        # the sample indices in descending time order, and in that order
+        # the last position of the risk set of each sample index and of
+        # each event, where the running sum is its risk sum; and the
+        # number of events at or before each time (its ties included),
+        # per sample index
+        self._rorder = self._order[::-1].copy()
+        self._rfirst = (n - 1) - first[inverse]
+        self._revent_first = (n - 1) - first[self._event_idx]
         self._upto = np.searchsorted(self._event_idx, last)[inverse]
 
     @cached_property
@@ -153,12 +171,13 @@ class RiskSets:
         return knots, self._order[ev[pos]]
 
     def _tail_sums(self, weights):
-        # sums of the weights at the sorted positions i and after
-        return np.cumsum(weights[self._order][::-1])[::-1]
+        # at descending position j, the sum of the weights at positions
+        # 0..j: the sum over the ascending positions n - 1 - j and after
+        return np.add.accumulate(weights[self._rorder])
 
     def risk_sums(self, weights):
         """R_i = sum_{j : t_j >= t_i} weights_j."""
-        return self._tail_sums(weights)[self._first]
+        return self._tail_sums(weights)[self._rfirst]
 
     def penalized_loss(self, lin_pred, beta, pen):
         """`penalized_partial_likelihood` at coefficients beta whose linear
@@ -175,12 +194,15 @@ class RiskSets:
         # the Nelson-Aalen increment 1/R at each event, weights e: only
         # events add one, so a censored time whose whole risk set
         # underflowed (R_i = 0) adds no 0/0 = NaN to the later levels
-        return 1.0 / self._tail_sums(e)[self._event_first]
+        return 1.0 / self._tail_sums(e)[self._revent_first]
 
     def _levels(self, steps):
         # at each time, the sum of the per-event steps up to it (ties
-        # included)
-        return np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
+        # included), 0 before the first event
+        levels = np.empty(steps.size + 1)
+        levels[0] = 0.0
+        np.add.accumulate(steps, out=levels[1:])
+        return levels[self._upto]
 
     def hazard(self, lin_pred):
         """Nelson-Aalen hazard at each time, weights e^lin_pred."""
@@ -203,7 +225,7 @@ class RiskSets:
 
         def hessian(u):
             return w * u - e * self._levels(
-                self._tail_sums(e * u)[self._event_first] * steps2)
+                self._tail_sums(e * u)[self._revent_first] * steps2)
         return lam, w, hessian
 
     def step_hazard(self, levels):
@@ -244,8 +266,7 @@ def penalized_partial_likelihood(data, beta, pen):
     Overflowing linear predictors surface as +/- inf, not an exception.
     """
     beta = np.asarray(beta, dtype=float)
-    return RiskSets(data.times, data.events).penalized_loss(
-        data.design @ beta, beta, pen)
+    return data.risk_sets.penalized_loss(data.design @ beta, beta, pen)
 
 
 _HARRELL_BLOCK = 256

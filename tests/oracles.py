@@ -11,7 +11,10 @@ The rest restate quantities from their definitions, apart from the
 forms the package computes them in: the envelope curvature from g'' at
 the proximal point, not from the Lambert factor; the local field and
 the moments of its residual; and the six RS equations in their general
-Monte Carlo form, with no closed-form prior moments.
+Monte Carlo form, with no closed-form prior moments.  `CumsumRiskSets`
+is the risk-set kernel in its first form (cumulative sums over reversed
+views, levels through a concatenate), which pins the package's kernel
+bit for bit where the reference loops, running on it, would move along.
 """
 
 import numpy as np
@@ -21,9 +24,71 @@ from coxfield.prox import (ElasticNetPenalty, cox_prox_bundle, prox_enet,
                            prox_enet_dot, prox_g)
 from coxfield.rs import solve_lambda
 from coxfield.solvers import FitResult
-from coxfield.survival import nelson_aalen, penalized_partial_likelihood
+from coxfield.survival import (StepHazard, nelson_aalen,
+                               penalized_partial_likelihood)
 
 _NO_PEN = ElasticNetPenalty.from_weights(0.0, 0.0)
+
+
+class CumsumRiskSets:
+    """`coxfield.survival.RiskSets` as first written: each tail sum a
+    np.cumsum over a reversed view of the sorted weights, reversed back,
+    and each level a np.cumsum behind a concatenated leading zero."""
+
+    def __init__(self, times, events):
+        times = np.asarray(times, dtype=float)
+        self._is_event = np.asarray(events) == 1.0
+        self._order = np.argsort(times, kind="stable")
+        inverse = np.empty_like(self._order)
+        inverse[self._order] = np.arange(self._order.size)
+        self._times = times[self._order]
+        self._event_idx = np.flatnonzero(self._is_event[self._order])
+        first = np.searchsorted(self._times, self._times, side="left")
+        last = np.searchsorted(self._times, self._times, side="right")
+        self._first = first[inverse]
+        self._event_first = first[self._event_idx]
+        self._upto = np.searchsorted(self._event_idx, last)[inverse]
+
+    def _tail_sums(self, weights):
+        return np.cumsum(weights[self._order][::-1])[::-1]
+
+    def _levels(self, steps):
+        return np.concatenate(([0.0], np.cumsum(steps)))[self._upto]
+
+    def _steps(self, e):
+        return 1.0 / self._tail_sums(e)[self._event_first]
+
+    def risk_sums(self, weights):
+        return self._tail_sums(weights)[self._first]
+
+    def penalized_loss(self, lin_pred, beta, pen):
+        with np.errstate(over="ignore"):
+            risk = self.risk_sums(np.exp(lin_pred))
+        ev = self._is_event
+        with np.errstate(divide="ignore"):
+            loss = np.sum(np.log(risk[ev] / risk.size) - lin_pred[ev])
+        return loss + pen.alpha * np.sum(np.abs(beta)) \
+            + 0.5 * pen.eta * np.sum(beta * beta)
+
+    def hazard(self, lin_pred):
+        return self._levels(self._steps(np.exp(lin_pred)))
+
+    def breslow(self, lin_pred):
+        e = np.exp(lin_pred)
+        steps = self._steps(e)
+        lam = self._levels(steps)
+        w = lam * e
+        steps2 = steps * steps
+
+        def hessian(u):
+            return w * u - e * self._levels(
+                self._tail_sums(e * u)[self._event_first] * steps2)
+        return lam, w, hessian
+
+    def step_hazard(self, levels):
+        ev = self._event_idx
+        knots, pos = np.unique(self._times[ev], return_index=True)
+        return StepHazard(knots, levels[self._order[ev[pos]]])
 
 
 def bisect_lambert(x, lo=-1.0, hi=800.0, iters=200):

@@ -6,7 +6,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from coxfield import solvers
+from coxfield import solvers, survival
 from coxfield.prox import ElasticNetPenalty, prox_g
 from coxfield.solvers import FitResult, SolverConfig, fit_amp, fit_cd, reg_path
 from coxfield.survival import (RiskSets, SurvivalDataset, nelson_aalen,
@@ -387,25 +387,36 @@ def _with_tied_times(data):
                            data.design)
 
 
+def _with_earliest_censored(data):
+    # the hazard is 0 up to the first event, so log(tau Lambda) = -inf at
+    # the earliest time, where the Lambert factor takes its guarded path
+    events = data.events.copy()
+    events[np.argmin(data.times)] = 0.0
+    return SurvivalDataset(data.times, events, data.design)
+
+
 @pytest.mark.parametrize("solver, reference", [("cd", reference_cd),
                                                ("amp", reference_amp)])
 def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
-    # the solvers sort the times once per fit and run the CD sweep on
+    # the solvers sort the times once per dataset and run the CD sweep on
     # floats; the reference loops call nelson_aalen every epoch and
     # prox_enet per coordinate.  nelson_aalen runs on the solvers' own
-    # risk-set kernel, so on untied and tied times alike the arithmetic
-    # is the same, bit for bit (AMP's hazard is the one at its final
-    # proximal points).  CD runs its plain sweeps, without Newton steps;
-    # these AMP fits never stall, and both sides run at the default damping.
+    # risk-set kernel, so on untied and tied times, and with the earliest
+    # time censored (Lambda = 0 there), the arithmetic is the same, bit
+    # for bit (AMP's hazard is the one at its final proximal points).  CD
+    # runs its plain sweeps, without Newton steps; these AMP fits never
+    # stall, and both sides run at the default damping.
     if solver == "cd":
         _plain_sweeps(monkeypatch)
     ref_kw = {"d": SolverConfig().damping} if solver == "amp" else {}
     data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=13)
     tied = _with_tied_times(data)
     assert np.unique(tied.times).size < tied.n // 2
+    censored_first = _with_earliest_censored(data)
+    assert censored_first.risk_sets.hazard(np.zeros(data.n)).min() == 0.0
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
             for a in (0.42, 0.37, 0.32)]
-    for d in (data, tied):
+    for d in (data, tied, censored_first):
         init = None
         for pen, fit in zip(pens, reg_path(d, pens, solver)):
             ref = reference(d, pen, init=init, **ref_kw)
@@ -421,6 +432,28 @@ def test_solvers_reproduce_reference_loops(solver, reference, monkeypatch):
                           (fit.tau_hat, ref.tau_hat)]
             for got, want in pairs:
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("solver", ["amp", "cd"])
+def test_one_sort_per_dataset(solver, monkeypatch):
+    # a path's fits, and the losses taken after them, share the dataset's
+    # risk sets: the times are sorted once, and the hazards share knots
+    data, _ = _instance(p=60, zeta=2.0, nu=0.05, seed=5)
+    built = 0
+    init = survival.RiskSets.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(survival.RiskSets, "__init__", counted)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.42, 0.37, 0.32)]
+    fits = reg_path(data, pens, solver)
+    penalized_partial_likelihood(data, fits[-1].beta_hat, pens[-1])
+    assert built == 1
+    assert all(f.hazard.knots is fits[0].hazard.knots for f in fits)
 
 
 def _start_score(data, beta):

@@ -6,7 +6,7 @@ from coxfield.survival import (RiskSets, StepHazard, SurvivalDataset,
                                harrell_c, nelson_aalen,
                                penalized_partial_likelihood, rscv_c_index,
                                rscv_predictors)
-from oracles import harrell_c_loop, prox_gradient_minimizer
+from oracles import CumsumRiskSets, harrell_c_loop, prox_gradient_minimizer
 
 
 def _toy_dataset(seed=0, n=40, p=3, scale=0.6):
@@ -186,6 +186,77 @@ def test_risk_sets_hazard_where_weights_underflow():
             got = rs.hazard(lp)
         assert np.array_equal(got, want)
         assert not np.any(np.isnan(got)) and np.isinf(got[-1])
+
+
+def _kernel_samples():
+    # a shuffled untied sample, its times tied, its earliest time censored,
+    # and weights that underflow to 0 over the latest times
+    rng = np.random.default_rng(31)
+    n = 60
+    times = rng.uniform(0.1, 3.0, n)
+    events = (rng.uniform(size=n) < 0.6).astype(float)
+    lp = rng.normal(0, 1, n)
+    censored_first = events.copy()
+    censored_first[np.argmin(times)] = 0.0
+    underflow = np.where(times > np.quantile(times, 0.7), -800.0, lp)
+    return {"untied": (times, events, lp),
+            "tied": (np.round(times, 0) + 0.5, events, lp),
+            "earliest_censored": (times, censored_first, lp),
+            "underflow": (times, events, underflow)}
+
+
+@pytest.mark.parametrize("sample", sorted(_kernel_samples()))
+def test_risk_sets_match_the_cumsum_kernel(sample):
+    # the kernel's sums run over one descending order fixed at
+    # construction; they are those of cumulative sums over reversed views,
+    # bit for bit, in every product the solvers take
+    times, events, lp = _kernel_samples()[sample]
+    rng = np.random.default_rng(32)
+    rs, old = RiskSets(times, events), CumsumRiskSets(times, events)
+    beta = rng.normal(0, 1, 4)
+    pen = ElasticNetPenalty.from_strength(0.3, 0.75)
+    us = [rng.normal(0, 1, times.size), np.ones(times.size),
+          np.eye(times.size)[np.argmin(times)]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pairs = [(rs.hazard(lp), old.hazard(lp)),
+                 (rs.risk_sums(np.exp(lp)), old.risk_sums(np.exp(lp))),
+                 (rs.penalized_loss(lp, beta, pen),
+                  old.penalized_loss(lp, beta, pen))]
+        (lam, w, hess), (lam0, w0, hess0) = rs.breslow(lp), old.breslow(lp)
+        pairs += [(lam, lam0), (w, w0)] + [(hess(u), hess0(u)) for u in us]
+        steps, steps0 = rs.step_hazard(lam), old.step_hazard(lam0)
+    pairs += [(steps.knots, steps0.knots), (steps.values, steps0.values)]
+    for got, want in pairs:
+        assert np.array_equal(got, want, equal_nan=True)
+    if sample == "underflow":
+        assert np.isinf(lam).any()
+
+
+def test_risk_sets_are_reentrant():
+    # one RiskSets serves every fit of a dataset: hazards and Hessian
+    # products interleaved on it give the bits of fresh instances
+    rng = np.random.default_rng(33)
+    n = 50
+    times = np.round(rng.uniform(0.1, 3.0, n), 1)
+    events = (rng.uniform(size=n) < 0.6).astype(float)
+    lps = [rng.normal(0, 1, n) for _ in range(3)]
+    us = [rng.normal(0, 1, n) for _ in range(2)]
+    shared = RiskSets(times, events)
+    lam_a, _, hess_a = shared.breslow(lps[0])
+    lam_b, _, hess_b = shared.breslow(lps[1])
+    got = [hess_a(us[0]), shared.hazard(lps[2]), hess_b(us[0]),
+           hess_a(us[1]), shared.risk_sums(np.exp(lps[2])), hess_b(us[1]),
+           lam_a, lam_b]
+
+    def fresh():
+        return RiskSets(times, events)
+
+    want = [fresh().breslow(lps[0])[2](us[0]), fresh().hazard(lps[2]),
+            fresh().breslow(lps[1])[2](us[0]), fresh().breslow(lps[0])[2](us[1]),
+            fresh().risk_sums(np.exp(lps[2])), fresh().breslow(lps[1])[2](us[1]),
+            fresh().hazard(lps[0]), fresh().hazard(lps[1])]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_nelson_aalen_shift_covariance():
