@@ -244,7 +244,7 @@ def _cmd_experiment(args):
         # the preset's fields replace the config's, every other field stays
         cfg = replace(cfg, **PAPER_SCALE)
     if args.output:
-        cfg.output_dir = args.output
+        cfg = replace(cfg, output_dir=args.output)
     report = run_experiment(cfg, workers=args.workers)
     _emit({"command": "experiment", "output_dir": cfg.output_dir,
            "grid_points": len(cfg.pen_grid),

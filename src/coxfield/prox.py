@@ -8,7 +8,9 @@ time and delta the event indicator.
 All maps are elementwise and accept scalars or numpy arrays.
 """
 
-from dataclasses import dataclass
+import numbers
+import types
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +33,7 @@ class ElasticNetPenalty:
     l1_ratio: float
 
     def __post_init__(self):
+        check_fields(self)
         # written so that NaN fails it
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.eta < np.inf):
             raise ValueError("penalty weights must be finite and nonnegative")
@@ -47,6 +50,41 @@ class ElasticNetPenalty:
             raise ValueError("l1_ratio must lie in [0, 1]")
         return ElasticNetPenalty(float(rho * l1_ratio), float(rho * (1.0 - l1_ratio)),
                                  float(rho), float(l1_ratio))
+
+
+def _holds(value, ftype):
+    # whether value may fill a field annotated ftype (see check_fields)
+    if isinstance(ftype, types.UnionType):
+        return any(_holds(value, t) for t in ftype.__args__)
+    if isinstance(ftype, types.GenericAlias):
+        if not isinstance(value, (list, tuple)):
+            return False
+        args = ftype.__args__ * (len(value) if ftype.__origin__ is list else 1)
+        return len(value) == len(args) and all(map(_holds, value, args))
+    return isinstance(value, bool) == (ftype is bool) and isinstance(
+        value, {int: numbers.Integral, float: numbers.Real}.get(ftype, ftype))
+
+
+def _type_name(ftype):
+    if isinstance(ftype, types.UnionType):
+        return " or ".join(map(_type_name, ftype.__args__))
+    if isinstance(ftype, types.GenericAlias):
+        return str(ftype)
+    return {int: "an int", float: "a number",
+            type(None): "None"}.get(ftype, f"a {ftype.__name__}")
+
+
+def check_fields(obj):
+    """Raise ValueError naming the first field of the dataclass obj not of
+    its annotated type: int takes any integer (numpy's too), float any
+    real number, neither a bool; `T | None` also None; `list[T]` and
+    `tuple[T, U]` a list or tuple, as JSON has no tuples.  Every config
+    class runs it first in __post_init__, so it fails when it is built."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _holds(value, f.type):
+            raise ValueError(f"{f.name} must be {_type_name(f.type)}, not "
+                             f"{value!r} ({type(obj).__name__} field {f.name!r})")
 
 
 def check_path_order(pen_grid, inits=None):

@@ -20,10 +20,10 @@ import numpy as np
 
 # cox_prox_bundle and prox_g are unused here but stay bound: perfbench's
 # tracer wraps them as names of this module
-from .prox import (check_path_order, cox_prox_bundle, cox_w, moreau_ddot_w,
-                   moreau_dot_g, moreau_dot_w, prox_enet, prox_enet_dot,
-                   prox_g, prox_g_w)
-from .survival import check_ints, nelson_aalen
+from .prox import (check_fields, check_path_order, cox_prox_bundle, cox_w,
+                   moreau_ddot_w, moreau_dot_g, moreau_dot_w, prox_enet,
+                   prox_enet_dot, prox_g, prox_g_w)
+from .survival import nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 # AMP stall handling: a stall is an err that has not fallen to
@@ -62,13 +62,12 @@ class SolverConfig:
     damping: float = 0.85
 
     def __post_init__(self):
+        check_fields(self)
         # the checks are written so that NaN fails them
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and positive")
-        if self.max_epochs is not None:
-            check_ints(self, "max_epochs")
-            if self.max_epochs < 1:
-                raise ValueError("max_epochs must be at least 1 (None: default)")
+        if self.max_epochs is not None and self.max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1 (None: default)")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
 

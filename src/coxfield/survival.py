@@ -5,7 +5,6 @@ its own observed time; all-censored data yield an identically-zero hazard
 (with a warning), not an error.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -13,16 +12,6 @@ from functools import cached_property
 import numpy as np
 
 from .prox import g_dot
-
-
-def check_ints(obj, *names):
-    """Raise ValueError naming the first field of obj among names that
-    holds no integer (a bool holds none), so that a config fails when it
-    is built, not in the work that reads it."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an int, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +81,9 @@ class SurvivalDataset:
 class StepHazard:
     """Right-continuous nondecreasing step function for a cumulative hazard.
 
-    `knots` are strictly increasing jump locations (event times) and
-    `values` the nonnegative, nondecreasing hazard at each knot; the value
-    at t is the value at the last knot <= t, zero before the first knot.
+    `knots` are strictly increasing jump locations (event times), `values`
+    the nonnegative, nondecreasing hazard at each knot (+inf passes, NaN
+    fails); the value at t is that at the last knot <= t, zero before.
     """
 
     knots: np.ndarray
@@ -107,7 +96,7 @@ class StepHazard:
             raise ValueError("knots and values must be 1-d of equal length")
         if knots.size and np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
-        if np.any(np.diff(values, prepend=0.0) < 0):
+        if not (np.all(values[:1] >= 0) and np.all(values[1:] >= values[:-1])):
             raise ValueError("values must be nonnegative and nondecreasing")
         knots.setflags(write=False)
         values.setflags(write=False)
@@ -239,8 +228,8 @@ def nelson_aalen(times, events, lin_pred):
     """Nelson-Aalen cumulative-hazard estimator given linear predictors.
 
     Lambda(t) = sum_i Delta_i Theta(t - T_i) / sum_j Theta(T_j - T_i) e^{lp_j},
-    one knot per distinct event time.  With no events an empty StepHazard
-    is returned and a warning is issued.
+    one knot per distinct event time.  No events give an empty StepHazard
+    and a warning; an underflowed risk set gives +inf levels, silently.
 
     Parameters
     ----------
@@ -254,7 +243,8 @@ def nelson_aalen(times, events, lin_pred):
         warnings.warn("no events: returning identically-zero hazard")
         return StepHazard(np.empty(0), np.empty(0))
     rs = RiskSets(times, events)
-    return rs.step_hazard(rs.hazard(np.asarray(lin_pred, dtype=float)))
+    with np.errstate(divide="ignore"):
+        return rs.step_hazard(rs.hazard(np.asarray(lin_pred, dtype=float)))
 
 
 def penalized_partial_likelihood(data, beta, pen):

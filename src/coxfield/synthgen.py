@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SurvivalDataset, check_ints
+from .prox import check_fields
+from .survival import SurvivalDataset
 
 
 @dataclass(frozen=True)
@@ -26,12 +27,12 @@ class SignalSpec:
     seed: int
 
     def __post_init__(self):
+        check_fields(self)
         # the checks are written so that NaN fails them
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must lie in (0, 1]")
         if not 0.0 < self.theta0 < np.inf:
             raise ValueError("theta0 must be finite and positive")
-        check_ints(self, "p")
         if self.p < 1:
             raise ValueError("p must be positive")
 
@@ -52,6 +53,7 @@ class GeneratorSpec:
     zeta: float = 2.0
 
     def __post_init__(self):
+        check_fields(self)
         # the checks are written so that NaN fails them
         if not 0.0 < self.tau1 < self.tau2 < np.inf:
             raise ValueError("need 0 < tau1 < tau2 < inf")

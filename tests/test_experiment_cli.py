@@ -60,6 +60,18 @@ def test_experiment_config_validation(tmp_path):
     # a generator for another aspect ratio than the config's
     with pytest.raises(ValueError, match="gen.zeta must match"):
         ExperimentConfig(zeta=2.0, gen=GeneratorSpec(zeta=3.0))
+    # a value of the wrong type fails when the config is built in Python,
+    # as in JSON, naming the field: not inside the tasks, nor after
+    # table.csv is written
+    for name, bad in (("zeta", "2"), ("keep_raw", "no"),
+                      ("solver_cfg", {"tol": 1e-6}), ("gen", {"zeta": 2.0}),
+                      ("pen_grid", [("0.5", 0.75)]), ("pen_grid", [(0.5,)]),
+                      ("output_dir", tmp_path / "out")):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            _tiny_config(tmp_path, **{name: bad})
+    # a JSON pair, a list, is stored as the tuple a Python grid holds
+    assert (_tiny_config(tmp_path, pen_grid=[[0.5, 0.75]])
+            == _tiny_config(tmp_path, pen_grid=[(0.5, 0.75)]))
 
 
 def test_grid_order_is_the_path_rule(tmp_path, capsys):

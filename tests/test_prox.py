@@ -144,6 +144,8 @@ def test_penalty_roundtrip_and_validation():
             ElasticNetPenalty.from_strength(bad, 0.75)
     with pytest.raises(ValueError):
         ElasticNetPenalty.from_strength(1.0, np.nan)
+    with pytest.raises(ValueError, match="'alpha'"):
+        ElasticNetPenalty(alpha="0.3", eta=0.1, rho=0.4, l1_ratio=0.75)
 
 
 def test_prox_enet_values():

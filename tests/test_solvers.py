@@ -277,6 +277,9 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="max_epochs must be an int"):
             SolverConfig(max_epochs=bad)
     assert SolverConfig(max_epochs=np.int64(3)).max_epochs == 3
+    for name, bad in (("tol", "1e-6"), ("damping", None)):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            SolverConfig(**{name: bad})
 
 
 def test_solver_config_max_epochs():

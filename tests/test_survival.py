@@ -70,6 +70,11 @@ def test_step_hazard_evaluation_semantics():
     assert np.array_equal(hz.jumps, [0.5, 1.0])
     with pytest.raises(ValueError, match="nondecreasing"):
         StepHazard(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
+    # NaN is neither nonnegative nor nondecreasing; +inf levels pass
+    for bad in ([np.nan, 1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            StepHazard(np.array([1.0, 2.0]), np.array(bad))
+    StepHazard(np.array([1.0, 2.0, 3.0]), np.array([0.5, np.inf, np.inf]))
 
 
 def test_risk_sets_any_order():
@@ -147,6 +152,16 @@ def test_nelson_aalen_all_censored_warns():
         hz = nelson_aalen(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
     assert hz.knots.size == 0
     assert hz.evaluate(5.0) == 0.0
+
+
+def test_nelson_aalen_underflowed_risk_sets():
+    # the latest risk sets' weights underflow to 0: their levels are +inf,
+    # without a warning (pytest.ini turns a RuntimeWarning into an error)
+    times = np.arange(1.0, 7.0)
+    lp = np.array([0.0, 0.0, 0.0, 0.0, -800.0, -800.0])
+    hz = nelson_aalen(times, np.ones(6), lp)
+    assert np.all(np.isfinite(hz.values[:4]))
+    assert np.array_equal(hz.values[4:], [np.inf, np.inf])
 
 
 def test_nelson_aalen_double_sum_oracle_random():

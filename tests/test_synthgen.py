@@ -42,6 +42,10 @@ def test_signal_determinism_and_validation():
     for bad in (60.5, True):
         with pytest.raises(ValueError, match="p must be an int"):
             SignalSpec(p=bad, nu=0.2, theta0=1.0, seed=0)
+    for name, bad in (("seed", 1.5), ("nu", "0.1")):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            SignalSpec(**{"p": 100, "nu": 0.2, "theta0": 1.0, "seed": 0,
+                          name: bad})
 
 
 def test_design_moments_and_determinism():
@@ -122,6 +126,9 @@ def test_generator_validation():
                 {"zeta": np.nan}):
         with pytest.raises(ValueError):
             GeneratorSpec(**bad)
+    for name, bad in (("phi0", "x"), ("tau1", None)):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            GeneratorSpec(**{name: bad})
     gen = GeneratorSpec()
     ts = np.linspace(0.0, 5.0, 101)
     lam = gen.cumulative_hazard(ts)
