@@ -115,8 +115,11 @@ def _load_fit(path):
     if not isinstance(rec, dict) or rec.get("hazard") is None:
         raise ValueError(f"{path}: estimate needs a single record from "
                          "`coxfield fit`")
-    hazard = StepHazard(np.array(rec["hazard"]["knots"]),
-                        np.cumsum(rec["hazard"]["jumps"]))
+    knots = np.array(rec["hazard"]["knots"], dtype=float)
+    values = np.cumsum(np.array(rec["hazard"]["jumps"], dtype=float))
+    if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+        raise ValueError(f"{path}: the fit's hazard is not finite")
+    hazard = StepHazard(knots, values)
     try:
         pen = ElasticNetPenalty(**rec["penalty"])
     except TypeError:

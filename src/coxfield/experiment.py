@@ -150,6 +150,7 @@ def _run_repetition(cfg, r):
                      seed=cfg.base_seed + r)
     train, beta0 = generate_dataset(sig, cfg.gen, seed=train_seed)
     test, _ = generate_dataset(sig, cfg.gen, seed=test_seed)
+    zeta = train.p / train.n  # the data's own: n = round(p / cfg.zeta)
     stages = {"generate_s": perf_counter() - t0, "path_s": {}, "post_fit_s": {}}
     pens = cfg.penalties
     records = {}
@@ -190,9 +191,9 @@ def _run_repetition(cfg, r):
                 continue
             est = None
             try:
-                est = (estimate_from_amp(train, fit, cfg.zeta)
+                est = (estimate_from_amp(train, fit, zeta)
                        if solver == "amp"
-                       else estimate_from_cd(train, fit, pen, cfg.zeta))
+                       else estimate_from_cd(train, fit, pen, zeta))
                 rec["estimate"] = est.as_array().tolist()
                 if not (est.w_valid and est.v_valid):
                     fail(i, solver, f"invalid estimate: w_valid={est.w_valid}, "

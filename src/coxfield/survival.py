@@ -105,8 +105,10 @@ class StepHazard:
 
     @property
     def jumps(self):
-        """The increments of the hazard at the knots."""
-        return np.diff(self.values, prepend=0.0)
+        """The increments at the knots: 0 at a repeated level, +inf too."""
+        v = np.concatenate(([0.0], self.values))
+        return np.subtract(v[1:], v[:-1], out=np.zeros(v.size - 1),
+                           where=v[1:] != v[:-1])
 
     def evaluate(self, t):
         """Evaluate the cumulative hazard at time(s) t."""

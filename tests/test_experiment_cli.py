@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -9,11 +10,12 @@ import pytest
 
 from coxfield import experiment
 from coxfield.cli import _fit_record, _load_fit, main
-from coxfield.experiment import ExperimentConfig, run_experiment
+from coxfield.experiment import ExperimentConfig, run_experiment, write_json
+from coxfield.observables import estimate_from_amp
 from coxfield.prox import ElasticNetPenalty
 from coxfield.rs import OrderParameters
 from coxfield.solvers import SolverConfig, fit_cd, reg_path
-from coxfield.survival import SurvivalDataset
+from coxfield.survival import StepHazard, SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 
@@ -287,6 +289,23 @@ def test_report_counts_the_values_behind_each_mean(tmp_path):
                       .replace("NaN", "null"))
     assert {key: on_disk[key] for key in ("rows", "raw")} == want
     assert None in on_disk["rows"][0].values()
+
+
+def test_estimates_use_the_data_aspect_ratio(tmp_path):
+    # p = 61 at zeta 2 gives n = round(30.5) = 30: the estimates, sums over
+    # the data, take its own p / n = 61/30, not the config's 2
+    cfg = _tiny_config(tmp_path, p=61, solver="amp", repetitions=1,
+                       pen_grid=[(0.2, 0.75)], keep_raw=True)
+    report = run_experiment(cfg, workers=1)
+    train_seed, _ = experiment._rep_seeds(cfg.base_seed, 0)
+    sig = SignalSpec(p=61, nu=cfg.nu, theta0=cfg.theta0, seed=cfg.base_seed)
+    train, _ = generate_dataset(sig, cfg.gen, seed=train_seed)
+    assert (train.p, train.n) == (61, 30)
+    (fit,) = reg_path(train, cfg.penalties, "amp", cfg=cfg.solver_cfg)
+    want = estimate_from_amp(train, fit, 61 / 30).as_array().tolist()
+    assert np.all(np.isfinite(want))
+    assert report["raw"][0]["amp"][0]["estimate"] == want
+    assert estimate_from_amp(train, fit, 2.0).as_array().tolist() != want
 
 
 def test_failures_list_invalid_estimates(tmp_path):
@@ -938,6 +957,23 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
             {**json.loads(path_json.read_text())[0], "penalty": penalty}))
         cases.append((bad_json, "penalty must be an object with keys "
                                 "alpha, eta, rho, l1_ratio"))
+    # where the latest risk sets underflow the hazard's levels are +inf: the
+    # first one's jump is +inf (null on disk), the repeated one's 0
+    pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
+    fit = fit_cd(SurvivalDataset.from_csv(data_csv), pen)
+    values = fit.hazard.values.copy()
+    values[-2:] = np.inf
+    rec = _fit_record(replace(fit, hazard=StepHazard(fit.hazard.knots,
+                                                     values)), pen)
+    assert rec["hazard"]["jumps"][-2:] == [np.inf, 0.0]
+    null_json, inf_json = tmp_path / "null.json", tmp_path / "inf.json"
+    with open(null_json, "w", encoding="utf-8") as fh:
+        write_json(fh, rec)
+    assert _strict_json(null_json.read_text())["hazard"]["jumps"][-2:] == [
+        None, 0.0]
+    inf_json.write_text(json.dumps(rec))  # the Infinity token json reads
+    for bad_json in (null_json, inf_json):
+        cases.append((bad_json, f"{bad_json}: the fit's hazard is not finite"))
     capsys.readouterr()
     for fit_json, match in cases:
         rc = main(["estimate", "--fit", str(fit_json), "--data",

@@ -48,6 +48,31 @@ def test_lambert_domain_error():
     assert lambert_w0(-1.0 / np.e - 1e-13) == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_lambert_negative_branch_mpmath():
+    # relative error on [-1/e, 0], where the branch-point series and the
+    # Halley steps set the value: a dense grid, a log grid down to the
+    # smallest subnormal and random draws.  The residual test above scales
+    # by max(1, |x|), so it cannot see W0(-1e-300) returned as 0.0
+    import mpmath
+    rng = np.random.default_rng(27)
+    xs = np.concatenate([
+        np.linspace(-1.0 / np.e, 0.0, 3001),
+        -np.logspace(np.log10(1.0 / np.e), -323.0, 700),
+        [-1e-300, -np.nextafter(0.0, 1.0)],
+        rng.uniform(-1.0 / np.e, 0.0, 2000),
+    ])
+    with mpmath.workdps(50):
+        # a float just below the true -1/e has W0 = -1 plus an imaginary part
+        ref = np.array([float(mpmath.re(mpmath.lambertw(mpmath.mpf(x))))
+                        for x in xs])
+    got = lambert_w0(xs)
+    nz = ref != 0.0
+    assert nz.sum() == xs.size - 1
+    assert np.all(np.abs(got - ref)[nz] <= 1e-14 * np.abs(ref[nz]))
+    assert got[~nz].tolist() == [0.0]
+    assert lambert_w0(-0.0) == 0.0
+
+
 def test_lambert_exp_matches_direct():
     ys = np.linspace(-30.0, 600.0, 2001)
     assert np.allclose(lambert_w0_exp(ys), lambert_w0(np.exp(ys)), rtol=1e-12,

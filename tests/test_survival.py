@@ -162,6 +162,10 @@ def test_nelson_aalen_underflowed_risk_sets():
     hz = nelson_aalen(times, np.ones(6), lp)
     assert np.all(np.isfinite(hz.values[:4]))
     assert np.array_equal(hz.values[4:], [np.inf, np.inf])
+    # the first +inf level is an infinite jump, the repeated one none; the
+    # finite jumps are the differences, bit for bit
+    assert np.array_equal(hz.jumps[4:], [np.inf, 0.0])
+    assert hz.jumps[:4].tolist() == np.diff(hz.values[:4], prepend=0.0).tolist()
 
 
 def test_nelson_aalen_double_sum_oracle_random():
