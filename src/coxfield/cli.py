@@ -64,16 +64,6 @@ def _solver_cfg(args):
     return SolverConfig(**_given(args, "tol", "max_epochs", "damping"))
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
-    return value
-
-
 def _penalty(alpha, l1_ratio):
     if l1_ratio <= 0:
         raise ValueError("--l1-ratio must be positive (alpha = rho * l1_ratio)")
@@ -203,6 +193,9 @@ def _cmd_rs_solve(args):
 def _cmd_estimate(args):
     data = SurvivalDataset.from_csv(args.data)
     fit, pen = _load_fit(args.fit)
+    if len(fit.beta_hat) != data.p:
+        raise ValueError(f"{args.fit}: beta_hat has length {len(fit.beta_hat)}"
+                         f", but {args.data} has p = {data.p}")
     zeta = data.p / data.n
     out = {"zeta": zeta, "estimates": {}}
     summary = {"command": "estimate", "output": args.output, "routes": []}
@@ -231,6 +224,9 @@ def _cmd_estimate(args):
     if sidecar.exists():
         with open(sidecar, "r", encoding="utf-8") as fh:
             beta0 = np.array(json.load(fh)["beta0"])
+        if len(beta0) != data.p:
+            raise ValueError(f"{sidecar}: beta0 has length {len(beta0)}, "
+                             f"but {args.data} has p = {data.p}")
         w_n, v_n = true_overlaps(fit.beta_hat, beta0)
         out["true_overlaps"] = {"w": w_n, "v": v_n}
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -314,7 +310,7 @@ def build_parser():
                      help="paper-scale preset: " + ", ".join(
                          f"{k} = {v}" for k, v in PAPER_SCALE.items()))
     exp.add_argument("--output", default=None, help="output directory")
-    exp.add_argument("--workers", type=_positive_int, default=None,
+    exp.add_argument("--workers", type=int, default=None,
                      help="worker processes for the repetitions and the RS "
                           "path (default: the usable CPUs, at most "
                           "repetitions + 1; 1 runs in this process)")
@@ -327,7 +323,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

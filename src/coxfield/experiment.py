@@ -97,7 +97,8 @@ class ExperimentConfig:
             raw = _known_keys(ExperimentConfig, json.load(fh), "config")
         if raw.get("gen") is not None:
             gen = _known_keys(GeneratorSpec, raw["gen"], "gen")
-            raw["gen"] = GeneratorSpec(**{"zeta": raw.get("zeta", 2.0), **gen})
+            raw["gen"] = GeneratorSpec(
+                **{"zeta": raw.get("zeta", ExperimentConfig.zeta), **gen})
         if raw.get("solver_cfg") is not None:
             raw["solver_cfg"] = SolverConfig(
                 **_known_keys(SolverConfig, raw["solver_cfg"], "solver_cfg"))
@@ -269,8 +270,6 @@ def _run_tasks(tasks, workers):
     without a way to pin the loaded BLAS there too, on its own threads.
     """
     import os
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, not {workers}")
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         workers = 1
     elif workers is None:
@@ -278,7 +277,7 @@ def _run_tasks(tasks, workers):
     workers = min(workers, len(tasks))
     blas = _openblas_threads()
     if blas is None:
-        return [_timed(*task) for task in tasks], 1
+        blas, workers = [], 1
     # the workers fill the cores, so each runs one BLAS thread, inherited
     # from this process: set_num_threads in a fresh fork would start the
     # BLAS thread pool (numpy 2.4.6, OpenBLAS 0.3.31), and its idle threads
@@ -357,7 +356,8 @@ def run_experiment(cfg, workers=None):
     record adds its "start" (the start `reg_path` chose: "amp" for a given
     one, "previous" or "cold") and "amp_rel_l2", the relative L2 distance
     between the CD and AMP coefficients (None unless both converged).
-    Writes table.csv and report.json to cfg.output_dir.
+    Checks `workers`, then makes cfg.output_dir, before any task runs;
+    writes table.csv and report.json there.
 
     With solver "both", AMP runs first and CD certifies its fits: each CD
     fit starts at AMP's fit where that converged, and at the previous CD
@@ -385,6 +385,10 @@ def run_experiment(cfg, workers=None):
     report write.
     """
     t0 = perf_counter()
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(_run_repetition, cfg, r) for r in range(cfg.repetitions)]
     results, workers = _run_tasks(tasks + [(_solve_rs_path, cfg)], workers)
     *rep_runs, (rs_points, rs_s) = results
@@ -402,8 +406,6 @@ def run_experiment(cfg, workers=None):
     }
     if cfg.keep_raw:
         report["raw"] = raw
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_table_csv(out_dir / "table.csv", report["columns"], rows)
     stages = [stage for _, _, stage in reps]
     report["timing"] = {

@@ -11,7 +11,7 @@ import pytest
 from coxfield import experiment
 from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment, write_json
-from coxfield.observables import estimate_from_amp
+from coxfield.observables import EstimationError, estimate_from_amp
 from coxfield.prox import ElasticNetPenalty
 from coxfield.rs import OrderParameters
 from coxfield.solvers import SolverConfig, fit_cd, reg_path
@@ -342,6 +342,47 @@ def test_failures_list_invalid_estimates(tmp_path):
     assert order == sorted(order)
 
 
+@pytest.mark.parametrize("name, error, field", [
+    ("estimate_from_amp", EstimationError, "estimate"),
+    ("rscv_c_index", ValueError, "rscv"), ("harrell_c", ValueError, "test_c")])
+def test_failures_carry_the_stage_that_raised(tmp_path, monkeypatch, name,
+                                              error, field):
+    # the first AMP fit's estimate, RSCV or test C raises: the run goes on,
+    # lists one failure whose reason starts with the stage, leaves that
+    # record's field None and its mean one value short; all else unchanged
+    cfg = _tiny_config(tmp_path, keep_raw=True)
+    base = run_experiment(cfg, workers=1)
+    real, calls = getattr(experiment, name), []
+
+    def first_raises(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error("injected")
+        return real(*args)
+
+    monkeypatch.setattr(experiment, name, first_raises)
+    report = run_experiment(cfg, workers=1)
+    assert report["failures"] == [
+        {"repetition": 0, "grid_index": 0, "solver": "amp",
+         "reason": f"{field}: injected"}] + base["failures"]
+    hit, was = report["raw"][0]["amp"][0], base["raw"][0]["amp"][0]
+    assert hit[field] is None and was[field] is not None
+    changed = {field}
+    if field == "estimate":
+        # without the estimate, RSCV takes the fit's own tau
+        assert hit["rscv"] is not None
+        changed.add("rscv")
+    assert {k: v for k, v in hit.items() if k not in changed} == {
+        k: v for k, v in was.items() if k not in changed}
+    report["raw"][0]["amp"][0] = was
+    assert json.dumps(report["raw"]) == json.dumps(base["raw"])
+    short = ([f"amp_est_{f}_mean" for f in OrderParameters.NAMES]
+             if field == "estimate" else [f"amp_{field}_mean"])
+    assert report["counts"][0] == {
+        key: n - (key in short) for key, n in base["counts"][0].items()}
+    assert report["counts"][1:] == base["counts"][1:]
+
+
 @pytest.mark.parametrize("bad, key", [
     ({"p": "500"}, "p"), ({"nu": "0.1"}, "nu"), ({"keep_raw": "yes"}, "keep_raw"),
     ({"repetitions": True}, "repetitions"),
@@ -554,12 +595,25 @@ def test_bad_worker_counts_are_usage_errors(tmp_path, capsys, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_experiment(cfg, workers=workers)
     assert not (tmp_path / "out").exists()
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--workers", str(workers),
-              "--output", str(tmp_path / "cli")])
-    assert exc.value.code == 1
-    assert "--workers: must be >= 1" in capsys.readouterr().err
+    # the CLI takes the library's check: exit 1 with its message
+    assert main(["experiment", "--workers", str(workers),
+                 "--output", str(tmp_path / "cli")]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "cli").exists()
+
+
+def test_output_dir_is_made_before_any_task(tmp_path, monkeypatch):
+    # an output path that cannot be a directory fails before any work
+    def no_task(cfg, r):
+        raise AssertionError("a task ran before the output directory")
+
+    monkeypatch.setattr(experiment, "_run_repetition", no_task)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    with pytest.raises(FileExistsError):
+        run_experiment(_tiny_config(tmp_path, output_dir=str(taken)),
+                       workers=1)
+    assert taken.read_text() == "a file"
 
 
 def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
@@ -865,6 +919,31 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert rc == 1
         assert match in capsys.readouterr().err
         assert not (tmp_path / "rs.csv").exists()
+    # usage error: an output path that cannot be written, a directory
+    # where a file goes or a file where the experiment's directory goes
+    d_csv = tmp_path / "d.csv"
+    assert main(["generate", "--p", "60", "--nu", "0.1", "--seed", "6",
+                 "--output", str(d_csv)]) == 0
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_text("taken")
+    cfg_path = tmp_path / "one_rep.json"
+    cfg_path.write_text(json.dumps({"p": 60, "nu": 0.1, "repetitions": 1,
+                                    "pen_grid": [[0.5, 0.75]],
+                                    "pop_size": 400}))
+    for argv, out in (
+            (["fit", "--input", str(d_csv), "--alpha", "0.4"], a_dir),
+            (["rs-solve", "--zeta", "2", "--nu", "0.1", "--alpha-grid",
+              "0.5", "--pop-size", "400"], a_dir),
+            (["experiment", "--config", str(cfg_path), "--workers", "1"],
+             a_file)):
+        capsys.readouterr()
+        rc = main([*argv, "--output", str(out)])
+        assert rc == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(out) in err
+        assert out_text == ""
+    assert a_file.read_text() == "taken" and not any(a_dir.iterdir())
 
 
 def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys):
@@ -974,12 +1053,30 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     inf_json.write_text(json.dumps(rec))  # the Infinity token json reads
     for bad_json in (null_json, inf_json):
         cases.append((bad_json, f"{bad_json}: the fit's hazard is not finite"))
+    # a fit of another dataset: beta_hat of another length than the data's
+    # p, and so a sidecar whose beta0 is of another length
+    first = json.loads(path_json.read_text())[0]
+    good_json, short_json = tmp_path / "good.json", tmp_path / "short.json"
+    good_json.write_text(json.dumps(first))
+    short_json.write_text(json.dumps({**first,
+                                      "beta_hat": first["beta_hat"][:-1]}))
+    cases.append((short_json, f"{short_json}: beta_hat has length 99, but "
+                              f"{data_csv} has p = 100"))
+    side = json.loads((tmp_path / "d.json").read_text())
+    short_side = tmp_path / "short_side.json"
+    short_side.write_text(json.dumps({**side, "beta0": side["beta0"][:-1]}))
     capsys.readouterr()
     for fit_json, match in cases:
         rc = main(["estimate", "--fit", str(fit_json), "--data",
                    str(data_csv), "--output", str(tmp_path / "e.json")])
         assert rc == 1
         assert match in capsys.readouterr().err
+    rc = main(["estimate", "--fit", str(good_json), "--data", str(data_csv),
+               "--sidecar", str(short_side),
+               "--output", str(tmp_path / "e.json")])
+    assert rc == 1
+    assert (f"{short_side}: beta0 has length 99, but {data_csv} has p = 100"
+            in capsys.readouterr().err)
     assert not (tmp_path / "e.json").exists()
 
 
