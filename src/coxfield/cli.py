@@ -8,6 +8,7 @@ success, 1 usage error, 2 numerical failure (no converged result).
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -82,6 +83,16 @@ def _penalty_grid(args):
     return alphas, pens
 
 
+def _check_output(path):
+    # a path that cannot be written fails before the work: opened for
+    # appending, an existing file stays as it is, and a new one is removed
+    new = not os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if new:
+        os.remove(path)
+
+
 def _fit_record(fit, pen):
     # a diverged fit: null, not NaN, for beta_hat and final_err
     diverged = fit.hazard is None
@@ -145,6 +156,7 @@ def _cmd_generate(args):
 def _cmd_fit(args):
     data = SurvivalDataset.from_csv(args.input)
     pen = _penalty(args.alpha, args.l1_ratio)
+    _check_output(args.output)
     fit = _SOLVERS[args.solver](data, pen, cfg=_solver_cfg(args))
     rec = _fit_record(fit, pen)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -161,6 +173,7 @@ def _cmd_fit(args):
 def _cmd_path(args):
     data = SurvivalDataset.from_csv(args.input)
     alphas, pens = _penalty_grid(args)
+    _check_output(args.output)
     fits = reg_path(data, pens, args.solver, cfg=_solver_cfg(args))
     records = [_fit_record(fit, pen) for fit, pen in zip(fits, pens)]
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -173,6 +186,7 @@ def _cmd_path(args):
 
 def _cmd_rs_solve(args):
     alphas, pens = _penalty_grid(args)
+    _check_output(args.output)
     points = solve_rs_path(pens, args.nu, args.theta0, args.zeta,
                            _gen_spec(args), **_given(args, "n_pop", "seed"))
     names = OrderParameters.NAMES

@@ -8,7 +8,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from coxfield import experiment
+from coxfield import cli, experiment
 from coxfield.cli import _fit_record, _load_fit, main
 from coxfield.experiment import ExperimentConfig, run_experiment, write_json
 from coxfield.observables import EstimationError, estimate_from_amp
@@ -438,8 +438,9 @@ _SAME_KEYS = ("columns", "rows", "counts", "failures", "raw")
 
 @pytest.mark.parametrize("overrides", [
     {}, {"keep_raw": True},
-    # CD with a Newton step before every sweep converges within 3 epochs
-    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=2)},
+    # one epoch: no fit of this config converges; with its Newton steps
+    # chained, a CD fit of it converges at 2 epochs
+    {"keep_raw": True, "solver_cfg": SolverConfig(max_epochs=1)},
     # large enough that numpy's matrix products split over BLAS threads
     {"keep_raw": True, "p": 1000, "repetitions": 1, "solver": "amp",
      "pen_grid": [(0.36, 0.75), (0.3, 0.75)], "pop_size": 200}],
@@ -511,7 +512,7 @@ def test_fallbacks_run_in_process(tmp_path, monkeypatch, missing):
 # the pool is built only once it is loaded, so no forked worker loads it
 _POOL_SEES_NUMPY_RANDOM = """
 import concurrent.futures, sys
-from coxfield import experiment
+from coxfield import cli, experiment
 assert "numpy.random" not in sys.modules
 seen = []
 
@@ -944,6 +945,37 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert err.startswith("error: ") and str(out) in err
         assert out_text == ""
     assert a_file.read_text() == "taken" and not any(a_dir.iterdir())
+
+
+def test_cli_output_is_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    # fit, path and rs-solve check that --output can be written before
+    # they solve anything: with a directory there, the solver is never
+    # called.  A path that can be written is left as it was found
+    d_csv = tmp_path / "d.csv"
+    assert main(["generate", "--p", "60", "--nu", "0.1", "--seed", "6",
+                 "--output", str(d_csv)]) == 0
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before the output was checked")
+
+    monkeypatch.setitem(cli._SOLVERS, "cd", no_work)
+    monkeypatch.setattr(cli, "reg_path", no_work)
+    monkeypatch.setattr(cli, "solve_rs_path", no_work)
+    for argv in (["fit", "--input", str(d_csv), "--alpha", "0.4"],
+                 ["path", "--input", str(d_csv), "--alpha-grid", "0.5,0.4"],
+                 ["rs-solve", "--zeta", "2", "--nu", "0.1", "--alpha-grid",
+                  "0.5", "--pop-size", "400"]):
+        capsys.readouterr()
+        assert main([*argv, "--output", str(a_dir)]) == 1
+        out_text, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(a_dir) in err
+        assert out_text == ""
+        with pytest.raises(AssertionError, match="the work ran"):
+            main([*argv, "--output", str(tmp_path / "new.json")])
+        assert not (tmp_path / "new.json").exists()
+    assert not any(a_dir.iterdir())
 
 
 def test_cli_fit_divergence_is_a_numerical_failure(tmp_path, capsys):

@@ -645,6 +645,26 @@ def test_cd_newton_step_before_every_sweep():
         assert diag["newton_tried"] >= fit.epochs - 1
 
 
+def test_cd_newton_steps_chain_while_the_support_holds(monkeypatch):
+    # a kept step that keeps the support and gains well over its CG
+    # tolerance is followed at once by another, without a sweep between:
+    # some fit takes more Newton steps than sweeps.  Every step is kept,
+    # and each fit keeps the plain sweeps' fixed point
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    fast = reg_path(data, pens, "cd")
+    with monkeypatch.context() as m:
+        _plain_sweeps(m)
+        plain = reg_path(data, pens, "cd")
+    assert any(f.diagnostics["newton_tried"] > f.epochs for f in fast)
+    for f, pl in zip(fast, plain):
+        assert f.converged and pl.converged
+        assert f.diagnostics["newton_kept"] == f.diagnostics["newton_tried"]
+        rel = np.linalg.norm(f.beta_hat - pl.beta_hat) / np.linalg.norm(pl.beta_hat)
+        assert rel <= 1e-7
+
+
 @pytest.mark.parametrize("fit", [fit_amp, fit_cd])
 def test_a_diverged_start_is_rejected(fit):
     # a diverged fit (NaN beta_hat, no hazard) is no start: the solver
