@@ -110,6 +110,19 @@ def _fit_record(fit, pen):
     }
 
 
+def _finite(path, name, value, ndim):
+    # value read as floats, a number (ndim 0) or a list (1), all finite;
+    # anything else is a usage error naming the file and the key
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        kind = "a list of finite numbers" if ndim else "a finite number"
+        raise ValueError(f"{path}: {name} must be {kind}")
+    return arr if ndim else float(arr)
+
+
 def _load_fit(path):
     with open(path, "r", encoding="utf-8") as fh:
         rec = json.load(fh)
@@ -126,11 +139,14 @@ def _load_fit(path):
     except TypeError:
         raise ValueError(f"{path}: penalty must be an object with keys "
                          "alpha, eta, rho, l1_ratio") from None
-    fit = FitResult(beta_hat=np.array(rec["beta_hat"]), hazard=hazard,
-                    converged=rec["diagnostics"]["converged"],
+    # tau and tau_hat: an AMP fit's, null for CD
+    tau, tau_hat = (None if rec.get(k) is None else _finite(path, k, rec[k], 0)
+                    for k in ("tau", "tau_hat"))
+    fit = FitResult(beta_hat=_finite(path, "beta_hat", rec["beta_hat"], 1),
+                    hazard=hazard, converged=rec["diagnostics"]["converged"],
                     epochs=rec["diagnostics"]["epochs"],
                     final_err=rec["diagnostics"]["final_err"],
-                    tau=rec.get("tau"), tau_hat=rec.get("tau_hat"))
+                    tau=tau, tau_hat=tau_hat)
     return fit, pen
 
 
@@ -210,6 +226,14 @@ def _cmd_estimate(args):
     if len(fit.beta_hat) != data.p:
         raise ValueError(f"{args.fit}: beta_hat has length {len(fit.beta_hat)}"
                          f", but {args.data} has p = {data.p}")
+    sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
+    beta0 = None
+    if sidecar.exists():
+        with open(sidecar, "r", encoding="utf-8") as fh:
+            beta0 = _finite(sidecar, "beta0", json.load(fh)["beta0"], 1)
+        if len(beta0) != data.p:
+            raise ValueError(f"{sidecar}: beta0 has length {len(beta0)}, "
+                             f"but {args.data} has p = {data.p}")
     zeta = data.p / data.n
     out = {"zeta": zeta, "estimates": {}}
     summary = {"command": "estimate", "output": args.output, "routes": []}
@@ -234,13 +258,7 @@ def _cmd_estimate(args):
         errors["cd"] = str(exc)
     out["errors"] = errors
 
-    sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            beta0 = np.array(json.load(fh)["beta0"])
-        if len(beta0) != data.p:
-            raise ValueError(f"{sidecar}: beta0 has length {len(beta0)}, "
-                             f"but {args.data} has p = {data.p}")
+    if beta0 is not None:
         w_n, v_n = true_overlaps(fit.beta_hat, beta0)
         out["true_overlaps"] = {"w": w_n, "v": v_n}
     with open(args.output, "w", encoding="utf-8") as fh:

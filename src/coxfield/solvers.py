@@ -14,6 +14,7 @@ step sizes (tau, tau_hat) needed for order-parameter estimation.
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -151,49 +152,58 @@ def _err(*norms):
     return top * math.sqrt(sum((x / top) ** 2 for x in norms))
 
 
-def _fit_result(pen, beta, grad, hazard, epochs, err, stop_reason, t0,
-                diagnostics, **amp_state):
+def _fit_result(point, hazard, epochs, err, stop_reason, t0, diagnostics,
+                **amp_state):
     # every finished fit: converged iff it stopped on tol or had no events
     # (the origin with a vanishing hazard is then an exact fixed point of
-    # both iterations); the KKT residual at beta (grad: the loss gradient
-    # the solver formed there), stop reason and wall time follow the
-    # solver's keys
-    return FitResult(beta_hat=beta, hazard=hazard,
+    # both iterations); beta_hat and its KKT residual from the `_Iterate`
+    # point, stop reason and wall time after the solver's keys
+    return FitResult(beta_hat=point.beta, hazard=hazard,
                      converged=stop_reason in ("tol", "all_censored"),
                      epochs=epochs, final_err=float(err), **amp_state,
                      diagnostics={**diagnostics, "stop_reason": stop_reason,
-                                  "kkt_residual": _kkt_residual(grad, beta, pen),
+                                  "kkt_residual": point.kkt,
                                   "seconds": perf_counter() - t0})
 
 
-def _breslow(X, D, rs, lp):
-    """At linear predictor lp: the Nelson-Aalen hazard Lambda(T) at each
-    time, the weights w = Lambda(T) e^lp, the gradient X'(w - Delta) of
-    the partial likelihood with the hazard profiled out, and its
-    Hessian-vector product in linear-predictor space
-    (`RiskSets.breslow`)."""
-    lamT, w, hess = rs.breslow(lp)
-    return lamT, w, X.T @ (w - D), hess
+class _Iterate:
+    """The loss terms at coefficients beta from one `RiskSets.breslow` pass
+    at lp = X beta: the Nelson-Aalen hazard lamT = Lambda(T) at each time,
+    the weights w = Lambda(T) e^lp, the gradient grad = X'(w - Delta) of
+    the partial likelihood with the hazard profiled out, and hess, its
+    Hessian-vector product in linear-predictor space.  The penalized loss
+    and the KKT residual are formed once each, on first read."""
 
+    def __init__(self, X, D, rs, pen, beta):
+        self.beta, self.lp = beta, X @ beta
+        self.lamT, self.w, self.hess = rs.breslow(self.lp)
+        self.grad = X.T @ (self.w - D)
+        self._rs, self._pen = rs, pen
 
-def _kkt_residual(grad, beta, pen):
-    """The largest violation of the subgradient optimality conditions of
-    the penalized loss at beta, grad the gradient of the unpenalized loss:
-    |grad_k + eta beta_k + alpha sign(beta_k)| where beta_k != 0, and
-    max(|grad_k| - alpha, 0) where beta_k = 0.  NaN where grad is."""
-    g = grad + pen.eta * beta
-    viol = np.where(beta != 0, np.abs(g + pen.alpha * np.sign(beta)),
-                    np.maximum(np.abs(g) - pen.alpha, 0.0))
-    return float(np.max(viol, initial=0.0))
+    @cached_property
+    def loss(self):
+        """The penalized partial likelihood (`RiskSets.penalized_loss`)."""
+        return self._rs.penalized_loss(self.lp, self.beta, self._pen)
+
+    @cached_property
+    def kkt(self):
+        """The largest subgradient violation of the penalized loss, with
+        g = grad + eta beta: |g_k + alpha sign(beta_k)| where beta_k != 0,
+        max(|g_k| - alpha, 0) where beta_k = 0; NaN where grad is."""
+        pen, beta = self._pen, self.beta
+        g = self.grad + pen.eta * beta
+        viol = np.where(beta != 0, np.abs(g + pen.alpha * np.sign(beta)),
+                        np.maximum(np.abs(g) - pen.alpha, 0.0))
+        return float(np.max(viol, initial=0.0))
 
 
 def _newton_step(X, hess, beta, grad, pen):
     """The Newton step of the penalized loss on the support A of beta with
     its signs fixed: conjugate gradients on (X_A' H X_A + eta I) s =
     grad_A + alpha sign(beta_A) + eta beta_A, with hess the product u -> H u
-    by the Hessian of the loss at X beta (from `_breslow`, as grad); a
-    coordinate of beta_A - s whose sign flips is set to zero.  Returns the
-    candidate and the CG iterations."""
+    by the Hessian of the loss at X beta (hess and grad from the `_Iterate`
+    at beta); a coordinate of beta_A - s whose sign flips is set to zero.
+    Returns the candidate and the CG iterations."""
     A = np.flatnonzero(beta)
     sign = np.sign(beta[A])
     XA = X[:, A]
@@ -287,12 +297,12 @@ def fit_amp(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     zeta = p / n
 
+    rs = data.risk_sets
     if not np.any(D == 1.0):
-        return _fit_result(pen, np.zeros(p), np.zeros(p),
+        return _fit_result(_Iterate(X, D, rs, pen, np.zeros(p)),
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
-    rs = data.risk_sets
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -414,10 +424,9 @@ def fit_amp(data, pen, init=None, cfg=None):
         # certificate's gradient is taken there
         mdot = moreau_dot_g(xi, lamT, D, tau)
         beta = prox_enet(beta - tau_hat * (X.T @ mdot), tau_hat, pen)
-        grad = _breslow(X, D, rs, X @ beta)[2]
+        cert = _Iterate(X, D, rs, pen, beta)
 
-    return _fit_result(pen, beta, grad, rs.step_hazard(lamT), epoch, err,
-                       stop_reason, t0,
+    return _fit_result(cert, rs.step_hazard(lamT), epoch, err, stop_reason, t0,
                        {"err_history": err_history,
                         "damping_cuts": damping_cuts, "frozen": frozen},
                        xi=xi, tau=float(tau), tau_hat=float(tau_hat))
@@ -462,8 +471,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     sweep is bit for bit that without it.  A non-finite iterate ends the
     fit as diverged (see `FitResult`).  A warm start `init` needs a
     finite beta_hat of length p, else ValueError; its hazard is not read.
-    The times are sorted once per dataset (`SurvivalDataset.risk_sets`),
-    for every hazard, gradient and Hessian product of every fit of it.
+    The iterate is one `_Iterate`, each of its terms formed once, on risk
+    sets sorted once per dataset (`SurvivalDataset.risk_sets`).
     """
     t0 = perf_counter()
     _check_start(init, data, amp=False)
@@ -473,14 +482,13 @@ def fit_cd(data, pen, init=None, cfg=None):
     n, p = data.n, data.p
     alpha, eta = pen.alpha, pen.eta
 
+    rs = data.risk_sets
     if not np.any(D == 1.0):
-        return _fit_result(pen, np.zeros(p), np.zeros(p),
+        return _fit_result(_Iterate(X, D, rs, pen, np.zeros(p)),
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {})
-    rs = data.risk_sets
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
-    lp = X @ beta
-    lamT, wdiag, grad, hess = _breslow(X, D, rs, lp)
+    it = _Iterate(X, D, rs, pen, beta)
     X2 = X * X
     cols = list(X.T)
     # the r update's product, formed in place
@@ -496,43 +504,37 @@ def fit_cd(data, pen, init=None, cfg=None):
     # the Newton schedule of the docstring; from the previous point's
     # optimum the step's right-hand side is the change in penalty
     newton_gap = 1
-    next_newton = 0 if beta.any() and _kkt_residual(grad, beta, pen) > cfg.tol else 1
+    next_newton = 0 if beta.any() and it.kkt > cfg.tol else 1
     while epoch < max_epochs:
         if epoch >= next_newton:
-            chain = True
-            while chain:
-                # the guarded Newton step: a kept candidate carries its own
-                # Breslow terms into the next step or the next sweep
+            while True:
+                # the guarded Newton step: a kept candidate is the iterate,
+                # its terms read by the next step or the next sweep
                 tried += 1
-                cand, its = _newton_step(X, hess, beta, grad, pen)
+                beta_c, its = _newton_step(X, it.hess, it.beta, it.grad, pen)
                 cg_iterations += its
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    lp_c = X @ cand
-                    lamT_c, wdiag_c, grad_c, hess_c = _breslow(X, D, rs, lp_c)
-                    loss, loss_c = (rs.penalized_loss(lp, beta, pen),
-                                    rs.penalized_loss(lp_c, cand, pen))
-                # the KKT residual decides, as the loss alone would tie on
-                # rounding near the optimum; the loss may not rise beyond
-                # rounding
-                kkt, kkt_c = (_kkt_residual(grad, beta, pen),
-                              _kkt_residual(grad_c, cand, pen))
-                keep = kkt_c < kkt and loss_c <= loss + 1e-12 * abs(loss)
+                    cand = _Iterate(X, D, rs, pen, beta_c)
+                    # the KKT residual decides, as the loss alone would tie
+                    # on rounding near the optimum; the loss may not rise
+                    # beyond rounding
+                    keep = (cand.kkt < it.kkt
+                            and cand.loss <= it.loss + 1e-12 * abs(it.loss))
+                newton_gap = 1 if keep else 2 * newton_gap
+                if not keep:
+                    break
+                kept += 1
+                it, prev = cand, it
                 # the chain: the next step at once, while the support holds
                 # and a step gains well over its CG tolerance
-                chain = (keep and cfg.tol < kkt_c < 10 * CD_CG_TOL * kkt
-                         and np.array_equal(cand != 0.0, beta != 0.0))
-                if keep:
-                    kept += 1
-                    beta, lp, lamT, wdiag, grad, hess = (
-                        cand, lp_c, lamT_c, wdiag_c, grad_c, hess_c)
-                    newton_gap = 1
-                else:
-                    newton_gap *= 2
+                if not (cfg.tol < it.kkt < 10 * CD_CG_TOL * prev.kkt
+                        and np.array_equal(it.beta != 0.0, prev.beta != 0.0)):
+                    break
             next_newton = epoch + newton_gap
         epoch += 1
         # the sweep runs on Python floats: numpy scalar arithmetic would
         # dominate it
-        score = grad.tolist()
+        score, wdiag = it.grad.tolist(), it.w
         mkks = X2.T @ wdiag
         # each coordinate's step 1/mkk, threshold and shrink, the divisions
         # and products of the per-coordinate prox on floats, as vectors
@@ -542,7 +544,7 @@ def fit_cd(data, pen, init=None, cfg=None):
             threshs = (alpha * tauhats).tolist()
             shrinks = (1.0 + eta * tauhats).tolist()
         curv = mkks.tolist()
-        phi = beta.tolist()
+        phi = it.beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero.  S tracks its
         # squared norm sum_i r_i^2 / wdiag_i, A the sum of |terms| of S,
         # SA the screen's S + slack A (NaN where slack is inf and A = 0)
@@ -610,25 +612,21 @@ def fit_cd(data, pen, init=None, cfg=None):
                 A += t1 + abs(t2)
                 SA = S + slack * A
                 phi[k] = new
-        beta_new = np.array(phi)
-        lp = X @ beta_new
-        lamT_new, wdiag, grad, hess = _breslow(X, D, rs, lp)
-        err = _err(np.maximum.reduce(np.abs(beta_new - beta)),
-                   np.maximum.reduce(np.abs(lamT_new - lamT)))
-        beta, lamT = beta_new, lamT_new
+        it, prev = _Iterate(X, D, rs, pen, np.array(phi)), it
+        err = _err(np.maximum.reduce(np.abs(it.beta - prev.beta)),
+                   np.maximum.reduce(np.abs(it.lamT - prev.lamT)))
         if not math.isfinite(err):
-            return _diverged(p, epoch, t0, beta=beta, err=err)
+            return _diverged(p, epoch, t0, beta=it.beta, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
             break
 
-    # grad is the last sweep's, at the returned beta
-    return _fit_result(pen, beta, grad, rs.step_hazard(lamT), epoch, err,
-                       stop_reason, t0,
-                       {"skipped_coordinates": skipped,
-                        "screened_coordinates": screened,
-                        "newton_tried": tried, "newton_kept": kept,
-                        "cg_iterations": cg_iterations})
+    # the last sweep's iterate: the returned beta, certified by its gradient
+    return _fit_result(it, rs.step_hazard(it.lamT), epoch, err, stop_reason,
+                       t0, {"skipped_coordinates": skipped,
+                            "screened_coordinates": screened,
+                            "newton_tried": tried, "newton_kept": kept,
+                            "cg_iterations": cg_iterations})
 
 
 _SOLVERS = {"amp": fit_amp, "cd": fit_cd}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from time import perf_counter
 
@@ -1046,8 +1047,9 @@ def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
 
 
 def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
-    # a path list, a diverged record, or a record whose penalty is not the
-    # four weights, is a usage error, not a traceback
+    # a path list, a diverged record, a record whose penalty is not the
+    # four weights, or a number read back that is not finite, is a usage
+    # error naming the file, not a traceback, a failed estimate or a null
     data_csv = tmp_path / "d.csv"
     main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
           "--output", str(data_csv)])
@@ -1094,22 +1096,50 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
                                       "beta_hat": first["beta_hat"][:-1]}))
     cases.append((short_json, f"{short_json}: beta_hat has length 99, but "
                               f"{data_csv} has p = 100"))
+    # beta_hat with a null (NaN once read) or +-Infinity in it, and tau or
+    # tau_hat of an AMP record that is a string or not finite
+    amp_json = tmp_path / "amp.json"
+    assert main(["fit", "--input", str(data_csv), "--solver", "amp",
+                 "--alpha", "0.5", "--output", str(amp_json)]) == 0
+    amp = json.loads(amp_json.read_text())
+    bad = [(first, "beta_hat", first["beta_hat"][:-1] + [value],
+            "a list of finite numbers") for value in (None, np.inf, -np.inf)]
+    bad += [(amp, key, value, "a finite number") for key in ("tau", "tau_hat")
+            for value in ("1.0e0x", np.inf, [amp[key]])]
+    for i, (rec, key, value, kind) in enumerate(bad):
+        bad_json = tmp_path / f"bad{i}.json"
+        bad_json.write_text(json.dumps({**rec, key: value}))
+        cases.append((bad_json, f"{bad_json}: {key} must be {kind}"))
+    # a sidecar whose beta0 is of another length, or holds a null
     side = json.loads((tmp_path / "d.json").read_text())
     short_side = tmp_path / "short_side.json"
     short_side.write_text(json.dumps({**side, "beta0": side["beta0"][:-1]}))
+    null_side = tmp_path / "null_side.json"
+    null_side.write_text(json.dumps({**side,
+                                     "beta0": [None] + side["beta0"][1:]}))
     capsys.readouterr()
-    for fit_json, match in cases:
-        rc = main(["estimate", "--fit", str(fit_json), "--data",
-                   str(data_csv), "--output", str(tmp_path / "e.json")])
-        assert rc == 1
-        assert match in capsys.readouterr().err
-    rc = main(["estimate", "--fit", str(good_json), "--data", str(data_csv),
-               "--sidecar", str(short_side),
-               "--output", str(tmp_path / "e.json")])
-    assert rc == 1
-    assert (f"{short_side}: beta0 has length 99, but {data_csv} has p = 100"
-            in capsys.readouterr().err)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit_json, match in cases:
+            rc = main(["estimate", "--fit", str(fit_json), "--data",
+                       str(data_csv), "--output", str(tmp_path / "e.json")])
+            assert rc == 1
+            assert match in capsys.readouterr().err
+        for side_json, match in (
+                (short_side, f"{short_side}: beta0 has length 99, but "
+                             f"{data_csv} has p = 100"),
+                (null_side, f"{null_side}: beta0 must be a list of finite "
+                            "numbers")):
+            rc = main(["estimate", "--fit", str(good_json), "--data",
+                       str(data_csv), "--sidecar", str(side_json),
+                       "--output", str(tmp_path / "e.json")])
+            assert rc == 1
+            assert match in capsys.readouterr().err
     assert not (tmp_path / "e.json").exists()
+    # the AMP record itself reads back, and estimates on both routes
+    assert main(["estimate", "--fit", str(amp_json), "--data", str(data_csv),
+                 "--output", str(tmp_path / "e.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["routes"] == ["amp", "cd"]
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):

@@ -665,6 +665,27 @@ def test_cd_newton_steps_chain_while_the_support_holds(monkeypatch):
         assert rel <= 1e-7
 
 
+def test_cd_forms_each_loss_once(monkeypatch):
+    # a kept candidate is the next iterate with its loss: where Newton
+    # steps chain, the guard forms fewer than two penalized losses per
+    # step tried, and never a second at one iterate
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.5, 0.4, 0.3, 0.22, 0.16)]
+    seen = []
+    loss = RiskSets.penalized_loss
+
+    def counted(self, lin_pred, beta, pen):
+        seen.append(beta)
+        return loss(self, lin_pred, beta, pen)
+    monkeypatch.setattr(RiskSets, "penalized_loss", counted)
+    fits = reg_path(data, pens, "cd")
+    tried = sum(f.diagnostics["newton_tried"] for f in fits)
+    assert any(f.diagnostics["newton_tried"] > f.epochs for f in fits)
+    assert tried <= len(seen) < 2 * tried
+    assert len({id(beta) for beta in seen}) == len(seen)
+
+
 @pytest.mark.parametrize("fit", [fit_amp, fit_cd])
 def test_a_diverged_start_is_rejected(fit):
     # a diverged fit (NaN beta_hat, no hazard) is no start: the solver
@@ -783,11 +804,10 @@ def test_kkt_residual_is_at_the_returned_beta():
         with pytest.warns(UserWarning, match="no events"):
             cases.append((cens, PEN, fit(cens, PEN)))
         for d, pen, res in cases:
-            X, beta = d.design, res.beta_hat
-            grad = solvers._breslow(X, d.events, RiskSets(d.times, d.events),
-                                    X @ beta)[2]
-            assert (res.diagnostics["kkt_residual"]
-                    == solvers._kkt_residual(grad, beta, pen))
+            fresh = solvers._Iterate(d.design, d.events,
+                                     RiskSets(d.times, d.events), pen,
+                                     res.beta_hat)
+            assert res.diagnostics["kkt_residual"] == fresh.kkt
 
 
 def test_cd_certifies_a_converged_amp_fit_in_one_sweep():
