@@ -129,8 +129,22 @@ def _load_fit(path):
     if not isinstance(rec, dict) or rec.get("hazard") is None:
         raise ValueError(f"{path}: estimate needs a single record from "
                          "`coxfield fit`")
-    knots = np.array(rec["hazard"]["knots"], dtype=float)
-    values = np.cumsum(np.array(rec["hazard"]["jumps"], dtype=float))
+    for key in ("hazard", "diagnostics"):
+        if not isinstance(rec.get(key), dict):
+            raise ValueError(f"{path}: {key} must be an object")
+    diag = rec["diagnostics"]
+    if not isinstance(diag.get("converged"), bool):
+        raise ValueError(f"{path}: converged must be true or false")
+    # a null or Infinity reads as NaN or inf, and the hazard is then not
+    # finite; a value that is no number at all is named by its key
+    arrays = []
+    for key in ("knots", "jumps"):
+        try:
+            arrays.append(np.array(rec["hazard"][key], dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: hazard {key} must be a list of "
+                             "numbers") from None
+    knots, values = arrays[0], np.cumsum(arrays[1])
     if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
         raise ValueError(f"{path}: the fit's hazard is not finite")
     hazard = StepHazard(knots, values)
@@ -143,9 +157,8 @@ def _load_fit(path):
     tau, tau_hat = (None if rec.get(k) is None else _finite(path, k, rec[k], 0)
                     for k in ("tau", "tau_hat"))
     fit = FitResult(beta_hat=_finite(path, "beta_hat", rec["beta_hat"], 1),
-                    hazard=hazard, converged=rec["diagnostics"]["converged"],
-                    epochs=rec["diagnostics"]["epochs"],
-                    final_err=rec["diagnostics"]["final_err"],
+                    hazard=hazard, converged=diag["converged"],
+                    epochs=diag["epochs"], final_err=diag["final_err"],
                     tau=tau, tau_hat=tau_hat)
     return fit, pen
 

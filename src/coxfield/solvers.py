@@ -45,6 +45,18 @@ CD_MAX_EPOCHS = 100
 # relative residual CD_CG_TOL or after CD_CG_MAX_ITER products
 CD_CG_TOL = 1e-3
 CD_CG_MAX_ITER = 50
+# Above F32_MIN_SIZE = n p the products with the design in AMP's early
+# epochs and in CD's Newton CG run in float32 (`_design_t32`).  X @ b and
+# X' @ m together, in float64 against float32 with the casts (best of 7,
+# one BLAS thread, a 2-core Xeon): 2.1 against 2.8 us at n p = 3200,
+# 5.3-6.9 against 4.7-4.9 at 20000, 10.4 against 6.6 at 2^15, 33.7 against
+# 17.6 at 125000, 1162 against 576 at 2e6.  Below 2^15 float32 gains a
+# few us per epoch at most, and fits there stay bit for bit float64.
+F32_MIN_SIZE = 2**15
+# AMP's products run in float32 while the previous epoch's err is above
+# AMP_F32_ERR.  Not lower: at 1e-6 the float32 noise (about 3e-7 relative
+# per product) stalled AMP, doubling the epochs of paper-scale paths
+AMP_F32_ERR = 1e-5
 
 
 @dataclass
@@ -197,16 +209,36 @@ class _Iterate:
         return float(np.max(viol, initial=0.0))
 
 
+def _design_t32(data):
+    """The dataset's float32 layout of X' where n p > F32_MIN_SIZE, else
+    None (and None where the design does not fit float32)."""
+    return data.design_t32 if data.n * data.p > F32_MIN_SIZE else None
+
+
 def _newton_step(X, hess, beta, grad, pen):
     """The Newton step of the penalized loss on the support A of beta with
     its signs fixed: conjugate gradients on (X_A' H X_A + eta I) s =
     grad_A + alpha sign(beta_A) + eta beta_A, with hess the product u -> H u
     by the Hessian of the loss at X beta (hess and grad from the `_Iterate`
     at beta); a coordinate of beta_A - s whose sign flips is set to zero.
-    Returns the candidate and the CG iterations."""
+    X is the design, or its float32 transpose (`_design_t32`): the
+    products with X_A then run in float32, hess in float64, an inexact
+    Newton step well inside CD_CG_TOL (Dembo, Eisenstat & Steihaug, SIAM
+    J. Numer. Anal. 19, 1982).  Returns the candidate and the CG
+    iterations."""
     A = np.flatnonzero(beta)
     sign = np.sign(beta[A])
-    XA = X[:, A]
+    if X.dtype == np.float32:
+        XtA = X[A]
+
+        def product(u):
+            h = hess(XtA.T @ u.astype(np.float32))
+            return XtA @ h.astype(np.float32)
+    else:
+        XA = X[:, A]
+
+        def product(u):
+            return XA.T @ hess(XA @ u)
     r = grad[A] + pen.alpha * sign + pen.eta * beta[A]
     s = np.zeros(A.size)
     d = r.copy()
@@ -215,7 +247,7 @@ def _newton_step(X, hess, beta, grad, pen):
     it = 0
     while it < CD_CG_MAX_ITER and rr > stop:
         it += 1
-        q = XA.T @ hess(XA @ d) + pen.eta * d
+        q = product(d) + pen.eta * d
         dq = d @ q
         if not dq > 0.0:
             break
@@ -277,6 +309,15 @@ def fit_amp(data, pen, init=None, cfg=None):
     (`SurvivalDataset.risk_sets`): every epoch's hazard, every fit of the
     dataset and the returned hazard share that one sort.
 
+    Precision: where n p > F32_MIN_SIZE, an epoch forms X beta and X' mdot
+    in float32 (`SurvivalDataset.design_t32`) while the previous epoch's
+    err is above AMP_F32_ERR = 1e-5, and in float64 after that; the first
+    epoch of a warm start runs in float64.  Everything else, the stop
+    rule, the holds, the final prox and the certificate stay float64, so
+    a converged fit is still a fixed point of float64 AMP to tol: it
+    matches the all-float64 fit within the tolerance, not bit for bit.
+    Below the size rule every epoch is float64.
+
     Parameters
     ----------
     data : SurvivalDataset
@@ -303,6 +344,10 @@ def fit_amp(data, pen, init=None, cfg=None):
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
+    Xt32 = _design_t32(data)
+    # the epoch's products in float32: never the first epoch of a warm
+    # start, which may already be converged
+    low = Xt32 is not None and init is None
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -351,7 +396,8 @@ def fit_amp(data, pen, init=None, cfg=None):
             # field update (Onsager-corrected) under the refreshed hazard
             log_tl = np.log(tau * lamT)
             mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
-            xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
+            xb = Xt32.T @ beta.astype(np.float32) if low else X @ beta
+            xi_new = (1 - d) * xi + d * (xb + tau * mdot)
             dxi = np.maximum.reduce(np.abs(xi_new - xi))
             xi = xi_new
 
@@ -363,7 +409,8 @@ def fit_amp(data, pen, init=None, cfg=None):
             dtau_hat = tau_hat_new - tau_hat
             tau_hat = tau_hat_new
 
-            psi = beta - tau_hat * (X.T @ mdot)
+            xm = Xt32 @ mdot.astype(np.float32) if low else X.T @ mdot
+            psi = beta - tau_hat * xm
             # |psi| serves the prox, its derivative and the holds
             abs_psi = np.abs(psi)
             recent.append((abs_psi, tau_hat))
@@ -384,6 +431,7 @@ def fit_amp(data, pen, init=None, cfg=None):
             if not math.isfinite(err):
                 return _diverged(p, epoch, t0, hazard=lamT, xi=xi,
                                  tau_hat=tau_hat, beta=beta, tau=tau, err=err)
+            low = Xt32 is not None and err > AMP_F32_ERR
             if err < cfg.tol:
                 # converged only where every held side is the true one, so the
                 # last update is the unheld one; a contradicted side is
@@ -472,7 +520,13 @@ def fit_cd(data, pen, init=None, cfg=None):
     fit as diverged (see `FitResult`).  A warm start `init` needs a
     finite beta_hat of length p, else ValueError; its hazard is not read.
     The iterate is one `_Iterate`, each of its terms formed once, on risk
-    sets sorted once per dataset (`SurvivalDataset.risk_sets`).
+    sets sorted once per dataset (`SurvivalDataset.risk_sets`); the
+    curvatures use the dataset's X * X (`SurvivalDataset.design_sq`).
+    Where n p > F32_MIN_SIZE, the Newton step's CG products with the
+    design run in float32 (`SurvivalDataset.design_t32`).  The guard, the
+    sweeps and the certificate stay float64, so a fit matches the
+    all-float64 fit within the tolerance, not bit for bit; below the size
+    rule it is float64 throughout.
     """
     t0 = perf_counter()
     _check_start(init, data, amp=False)
@@ -489,7 +543,10 @@ def fit_cd(data, pen, init=None, cfg=None):
                            "all_censored", t0, {})
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     it = _Iterate(X, D, rs, pen, beta)
-    X2 = X * X
+    X2 = data.design_sq
+    # the Newton steps' design: its float32 transpose above the size rule
+    Xt32 = _design_t32(data)
+    X_newton = X if Xt32 is None else Xt32
     cols = list(X.T)
     # the r update's product, formed in place
     buf = np.empty(n)
@@ -511,7 +568,8 @@ def fit_cd(data, pen, init=None, cfg=None):
                 # the guarded Newton step: a kept candidate is the iterate,
                 # its terms read by the next step or the next sweep
                 tried += 1
-                beta_c, its = _newton_step(X, it.hess, it.beta, it.grad, pen)
+                beta_c, its = _newton_step(X_newton, it.hess, it.beta, it.grad,
+                                           pen)
                 cg_iterations += its
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     cand = _Iterate(X, D, rs, pen, beta_c)

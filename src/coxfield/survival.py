@@ -16,7 +16,14 @@ from .prox import g_dot
 
 @dataclass(frozen=True)
 class SurvivalDataset:
-    """Right-censored survival data: times T, event flags Delta, design X."""
+    """Right-censored survival data: times T, event flags Delta, design X.
+
+    Beside the sorted risk sets, two read-only layouts of X are built
+    once per dataset, on first use, and kept with it: `design_t32`, a
+    float32 copy of X' (4 n p bytes), and `design_sq`, X * X (8 n p
+    bytes).  `fit_cd` reads the square at every size; both solvers read
+    the float32 copy only where n p > `solvers.F32_MIN_SIZE` = 2^15 (see
+    `fit_amp` and `fit_cd`)."""
 
     times: np.ndarray
     events: np.ndarray
@@ -57,6 +64,21 @@ class SurvivalDataset:
         by every fit and loss evaluated on it (the fields are read-only)."""
         return RiskSets(self.times, self.events)
 
+    @cached_property
+    def design_t32(self):
+        """X' in float32, C-contiguous, so that the columns of a support
+        are a row gather; None where an entry of X lies outside
+        [-2^32, 2^32], as products in float32 could then overflow."""
+        lo, hi = self.design.min(initial=0.0), self.design.max(initial=0.0)
+        if not (-2.0**32 <= lo and hi <= 2.0**32):
+            return None
+        return _read_only(self.design.T.astype(np.float32, order="C"))
+
+    @cached_property
+    def design_sq(self):
+        """X * X, CD's curvatures' factor."""
+        return _read_only(self.design * self.design)
+
     def to_csv(self, path):
         """Write the dataset as CSV with header time,event,x1,...,xp."""
         header = "time,event," + ",".join(f"x{j + 1}" for j in range(self.p))
@@ -75,6 +97,11 @@ class SurvivalDataset:
         if body.shape[1] != len(header):
             raise ValueError("row width does not match header")
         return SurvivalDataset(body[:, 0], body[:, 1], body[:, 2:])
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

@@ -1110,6 +1110,20 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
         bad_json = tmp_path / f"bad{i}.json"
         bad_json.write_text(json.dumps({**rec, key: value}))
         cases.append((bad_json, f"{bad_json}: {key} must be {kind}"))
+    # a record of the wrong shape: null diagnostics, a list as the hazard,
+    # a string as converged (truthy, so it once passed as a converged fit)
+    # or among the hazard's jumps
+    shapes = [({**first, "diagnostics": None}, "diagnostics must be an object"),
+              ({**first, "hazard": [first["hazard"]]}, "hazard must be an object"),
+              ({**first, "diagnostics": {**first["diagnostics"],
+                                         "converged": "false"}},
+               "converged must be true or false"),
+              ({**first, "hazard": {**first["hazard"], "jumps": ["0.1x"]}},
+               "hazard jumps must be a list of numbers")]
+    for i, (rec, message) in enumerate(shapes):
+        bad_json = tmp_path / f"shape{i}.json"
+        bad_json.write_text(json.dumps(rec))
+        cases.append((bad_json, f"{bad_json}: {message}"))
     # a sidecar whose beta0 is of another length, or holds a null
     side = json.loads((tmp_path / "d.json").read_text())
     short_side = tmp_path / "short_side.json"

@@ -993,3 +993,68 @@ def test_steady_amp_fit_holds_nothing():
                       (fit.tau, ref.tau), (fit.tau_hat, ref.tau_hat),
                       (fit.hazard.values, ref.hazard.values)]:
         assert np.array_equal(got, want)
+
+
+def _above_size_rule():
+    data, _ = _instance(p=300, zeta=2.0, nu=0.05, seed=13)
+    assert data.n * data.p > solvers.F32_MIN_SIZE
+    return data
+
+
+def test_float32_products_keep_the_float64_fixed_points(monkeypatch):
+    # above the size rule AMP's early epochs and CD's Newton CG form their
+    # products with the design in float32, without a floating-point
+    # warning.  Every point converges, as do the float64 reference loops,
+    # to the same coefficients within the tolerance: each side stops at a
+    # step below tol = 1e-8, and these paths contract fast (at most 40
+    # epochs to tol), so betas agree well inside 10 tol relative L2, the
+    # bound of the Newton tests above.  Measured: 1.6e-10 for AMP, 1.7e-9
+    # for CD (its reference runs plain sweeps, which stop elsewhere
+    # within tol); against the solvers with the size rule raised, 1.6e-10
+    # and 2.5e-13
+    data = _above_size_rule()
+    pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
+            for a in (0.42, 0.37, 0.32)]
+    seen = set()
+    step = solvers._newton_step
+
+    def spied(X, *args):
+        seen.add(X.dtype)
+        return step(X, *args)
+    monkeypatch.setattr(solvers, "_newton_step", spied)
+    for solver, reference, ref_kw in (
+            ("amp", reference_amp, {"d": SolverConfig().damping}),
+            ("cd", reference_cd, {})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fits = reg_path(data, pens, solver)
+        init = None
+        for pen, fit in zip(pens, fits):
+            ref = reference(data, pen, init=init, **ref_kw)
+            init = ref
+            assert fit.converged and ref.converged
+            rel = (np.linalg.norm(fit.beta_hat - ref.beta_hat)
+                   / np.linalg.norm(ref.beta_hat))
+            assert 0.0 < rel <= 10 * SolverConfig().tol
+    assert seen == {np.dtype(np.float32)}
+
+
+def test_float32_amp_restart_and_divergence():
+    # a warm start's first epoch runs in float64: restarted at its own
+    # converged fit, AMP stops after that epoch.  An undamped fit whose
+    # err grows, and so whose epochs run in float32, is still reported as
+    # diverged, naming the field, with no floating-point warning
+    data = _above_size_rule()
+    fit = fit_amp(data, PEN)
+    again = fit_amp(data, PEN, init=fit)
+    assert fit.converged and again.converged and again.epochs == 1
+    sig = SignalSpec(p=520, nu=0.1, theta0=1.0, seed=3)
+    wide, _ = generate_dataset(sig, GeneratorSpec(zeta=8.0), seed=3)
+    assert wide.n * wide.p > solvers.F32_MIN_SIZE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        diverged = fit_amp(wide, ElasticNetPenalty.from_strength(0.2 / 0.75, 0.75),
+                           cfg=SolverConfig(damping=1.0))
+    assert diverged.diagnostics["stop_reason"] == "diverged"
+    assert re.match(r"^non-finite \w+ at epoch \d+; the penalty",
+                    diverged.diagnostics["error"])

@@ -388,6 +388,27 @@ def test_harrell_no_comparable_pairs():
                   np.array([1.0, 2.0]))
 
 
+def test_design_layouts_are_cached_and_read_only():
+    # each layout is built once per dataset, on first read, and cannot be
+    # written: the float32 copy of X' is X'.astype(float32), the square
+    # X * X, bit for bit
+    data = _toy_dataset(seed=18, n=30, p=7)
+    want = {"design_t32": data.design.T.astype(np.float32),
+            "design_sq": data.design * data.design}
+    for name, expected in want.items():
+        layout = getattr(data, name)
+        assert getattr(data, name) is layout
+        assert layout.dtype == expected.dtype and layout.flags.c_contiguous
+        assert np.array_equal(layout, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            layout[0, 0] = 1.0
+    # a design with an entry beyond 2^32 either way has no float32 copy
+    for sign in (1.0, -1.0):
+        design = data.design.copy()
+        design[3, 2] = sign * 2.0**33
+        assert SurvivalDataset(data.times, data.events, design).design_t32 is None
+
+
 def test_rscv_predictors_trivials():
     data = _toy_dataset(seed=15)
     beta = np.array([0.5, -0.2, 0.1])
