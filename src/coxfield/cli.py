@@ -21,8 +21,8 @@ from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty, check_path_order
 from .rs import OrderParameters, solve_rs_path
-from .solvers import FitResult, SolverConfig, reg_path, _SOLVERS
-from .survival import StepHazard, SurvivalDataset
+from .solvers import FitResult, SolverConfig, reg_path, _SOLVERS, _read_field
+from .survival import SurvivalDataset
 from .synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 
@@ -93,76 +93,6 @@ def _check_output(path):
         os.remove(path)
 
 
-def _fit_record(fit, pen):
-    # a diverged fit: null, not NaN, for beta_hat and final_err
-    diverged = fit.hazard is None
-    return {
-        "penalty": asdict(pen),
-        "beta_hat": None if diverged else list(map(float, fit.beta_hat)),
-        "hazard": None if diverged else {
-            "knots": list(map(float, fit.hazard.knots)),
-            "jumps": list(map(float, fit.hazard.jumps))},
-        "tau": fit.tau,
-        "tau_hat": fit.tau_hat,
-        "diagnostics": {"converged": fit.converged, "epochs": fit.epochs,
-                        "final_err": None if diverged else fit.final_err,
-                        **fit.diagnostics},
-    }
-
-
-def _finite(path, name, value, ndim):
-    # value read as floats, a number (ndim 0) or a list (1), all finite;
-    # anything else is a usage error naming the file and the key
-    try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim or not np.all(np.isfinite(arr)):
-        kind = "a list of finite numbers" if ndim else "a finite number"
-        raise ValueError(f"{path}: {name} must be {kind}")
-    return arr if ndim else float(arr)
-
-
-def _load_fit(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
-    if not isinstance(rec, dict) or rec.get("hazard") is None:
-        raise ValueError(f"{path}: estimate needs a single record from "
-                         "`coxfield fit`")
-    for key in ("hazard", "diagnostics"):
-        if not isinstance(rec.get(key), dict):
-            raise ValueError(f"{path}: {key} must be an object")
-    diag = rec["diagnostics"]
-    if not isinstance(diag.get("converged"), bool):
-        raise ValueError(f"{path}: converged must be true or false")
-    # a null or Infinity reads as NaN or inf, and the hazard is then not
-    # finite; a value that is no number at all is named by its key
-    arrays = []
-    for key in ("knots", "jumps"):
-        try:
-            arrays.append(np.array(rec["hazard"][key], dtype=float))
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: hazard {key} must be a list of "
-                             "numbers") from None
-    knots, values = arrays[0], np.cumsum(arrays[1])
-    if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-        raise ValueError(f"{path}: the fit's hazard is not finite")
-    hazard = StepHazard(knots, values)
-    try:
-        pen = ElasticNetPenalty(**rec["penalty"])
-    except TypeError:
-        raise ValueError(f"{path}: penalty must be an object with keys "
-                         "alpha, eta, rho, l1_ratio") from None
-    # tau and tau_hat: an AMP fit's, null for CD
-    tau, tau_hat = (None if rec.get(k) is None else _finite(path, k, rec[k], 0)
-                    for k in ("tau", "tau_hat"))
-    fit = FitResult(beta_hat=_finite(path, "beta_hat", rec["beta_hat"], 1),
-                    hazard=hazard, converged=diag["converged"],
-                    epochs=diag["epochs"], final_err=diag["final_err"],
-                    tau=tau, tau_hat=tau_hat)
-    return fit, pen
-
-
 def _cmd_generate(args):
     sig = SignalSpec(p=args.p, nu=args.nu, theta0=args.theta0, seed=args.seed)
     gen = _gen_spec(args)
@@ -187,9 +117,8 @@ def _cmd_fit(args):
     pen = _penalty(args.alpha, args.l1_ratio)
     _check_output(args.output)
     fit = _SOLVERS[args.solver](data, pen, cfg=_solver_cfg(args))
-    rec = _fit_record(fit, pen)
     with open(args.output, "w", encoding="utf-8") as fh:
-        write_json(fh, rec)
+        write_json(fh, fit.to_record(pen))
     _emit({"command": "fit", "solver": args.solver, "output": args.output,
            "converged": fit.converged,
            "stop_reason": fit.diagnostics["stop_reason"],
@@ -204,9 +133,8 @@ def _cmd_path(args):
     alphas, pens = _penalty_grid(args)
     _check_output(args.output)
     fits = reg_path(data, pens, args.solver, cfg=_solver_cfg(args))
-    records = [_fit_record(fit, pen) for fit, pen in zip(fits, pens)]
     with open(args.output, "w", encoding="utf-8") as fh:
-        write_json(fh, records)
+        write_json(fh, [fit.to_record(pen) for fit, pen in zip(fits, pens)])
     _emit({"command": "path", "solver": args.solver, "output": args.output,
            "alphas": alphas,
            "converged": [fit.converged for fit in fits]})
@@ -235,18 +163,16 @@ def _cmd_rs_solve(args):
 
 def _cmd_estimate(args):
     data = SurvivalDataset.from_csv(args.data)
-    fit, pen = _load_fit(args.fit)
-    if len(fit.beta_hat) != data.p:
-        raise ValueError(f"{args.fit}: beta_hat has length {len(fit.beta_hat)}"
-                         f", but {args.data} has p = {data.p}")
+    with open(args.fit, "r", encoding="utf-8") as fh:
+        fit, pen = FitResult.from_record(json.load(fh), args.fit)
     sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
-    beta0 = None
-    if sidecar.exists():
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            beta0 = _finite(sidecar, "beta0", json.load(fh)["beta0"], 1)
-        if len(beta0) != data.p:
-            raise ValueError(f"{sidecar}: beta0 has length {len(beta0)}, "
-                             f"but {args.data} has p = {data.p}")
+    beta0 = _read_field(sidecar, "beta0", json.loads(sidecar.read_text(
+        encoding="utf-8")), np.ndarray) if sidecar.exists() else None
+    for where, key, arr in ((args.fit, "beta_hat", fit.beta_hat),
+                            (sidecar, "beta0", beta0)):
+        if arr is not None and len(arr) != data.p:
+            raise ValueError(f"{where}: {key} has length {len(arr)}, but "
+                             f"{args.data} has p = {data.p}")
     zeta = data.p / data.n
     out = {"zeta": zeta, "estimates": {}}
     summary = {"command": "estimate", "output": args.output, "routes": []}

@@ -13,7 +13,7 @@ step sizes (tau, tau_hat) needed for order-parameter estimation.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from time import perf_counter
 
@@ -21,10 +21,10 @@ import numpy as np
 
 # cox_prox_bundle and prox_g are unused here but stay bound: perfbench's
 # tracer wraps them as names of this module
-from .prox import (check_fields, check_path_order, cox_prox_bundle, cox_w,
-                   moreau_ddot_w, moreau_dot_g, moreau_dot_w, prox_enet,
-                   prox_enet_dot, prox_g, prox_g_w)
-from .survival import nelson_aalen
+from .prox import (ElasticNetPenalty, _holds, check_fields, check_path_order,
+                   cox_prox_bundle, cox_w, moreau_ddot_w, moreau_dot_g,
+                   moreau_dot_w, prox_enet, prox_enet_dot, prox_g, prox_g_w)
+from .survival import StepHazard, nelson_aalen
 
 AMP_MAX_EPOCHS = 1000
 # AMP stall handling: a stall is an err that has not fallen to
@@ -93,10 +93,10 @@ class FitResult:
     holds "stop_reason" ("tol", "max_epochs", "stalled" (AMP),
     "all_censored" or "diverged": NaN beta_hat and final_err, no hazard,
     AMP scalars or "kkt_residual", and an "error" naming the first
-    non-finite field and the epoch), "kkt_residual" (the largest
-    subgradient violation of the penalized loss at beta_hat, a
-    certificate and no stop rule) and the wall time "seconds" of the fit.
-    AMP adds "err_history" (err after each epoch), "damping_cuts"
+    non-finite field, the epoch and the likely cause), "kkt_residual"
+    (the largest subgradient violation of the penalized loss at beta_hat,
+    a certificate and no stop rule) and the wall time "seconds" of the
+    fit.  AMP adds "err_history" (err after each epoch), "damping_cuts"
     ([epoch, damping] after each cut) and "frozen" ([epoch, index, side]
     for each coordinate held in tau's divergence term, side +1 active or
     -1 inactive; a later entry for the same index records a switch to
@@ -106,10 +106,19 @@ class FitResult:
     "newton_kept" and "cg_iterations" (summed over the Newton steps).
     A fit from `reg_path` also holds "start" ("given", "previous" or
     "cold"), the start that the path chose for it.
+
+    A fit record (`to_record`; `coxfield fit` writes one, `path` a list) is
+    a JSON object: "penalty" (alpha, eta, rho, l1_ratio), "beta_hat" and
+    the "hazard" object's "knots" and "jumps" (lists of finite numbers, a
+    StepHazard's), "tau" and "tau_hat" (finite numbers, null for CD) and
+    "diagnostics" (an object: "converged" true or false, "epochs" an
+    integer, "final_err" a finite number, then the fit's diagnostics).  A
+    diverged fit's beta_hat, hazard and final_err are null; `from_record`
+    reads none, and any other shape raises ValueError naming file and key.
     """
 
     beta_hat: np.ndarray
-    hazard: object
+    hazard: StepHazard | None
     converged: bool
     epochs: int
     final_err: float
@@ -118,12 +127,75 @@ class FitResult:
     tau_hat: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
+    def to_record(self, pen):
+        """This fit's record at the penalty pen (see the class doc)."""
+        ok = self.hazard is not None
+        return {"penalty": asdict(pen),
+                "beta_hat": list(map(float, self.beta_hat)) if ok else None,
+                "hazard": {key: list(map(float, getattr(self.hazard, key)))
+                           for key in ("knots", "jumps")} if ok else None,
+                "tau": self.tau, "tau_hat": self.tau_hat,
+                "diagnostics": {"converged": self.converged,
+                                "epochs": self.epochs,
+                                "final_err": self.final_err if ok else None,
+                                **self.diagnostics}}
 
-def _diverged(p, epoch, t0, **fields):
-    # every fit whose err turned non-finite; fields in update order, err last
-    name = next(k for k, v in fields.items() if not np.all(np.isfinite(v)))
-    error = (f"non-finite {name} at epoch {epoch}; the penalty is likely "
-             "too weak for a minimizer to exist")
+    @classmethod
+    def from_record(cls, rec, where):
+        """The fit (xi None) and penalty of a record read from JSON."""
+        if not isinstance(rec, dict) or rec.get("hazard") is None:
+            raise ValueError(f"{where}: must be a single record from "
+                             "`coxfield fit` that did not diverge")
+        diag = _read_field(where, "diagnostics", rec, dict)
+        try:
+            pen = ElasticNetPenalty(**rec.get("penalty"))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: penalty must be an object with keys "
+                             f"alpha, eta, rho, l1_ratio ({exc})") from None
+        kw = {f.name: _read_field(where, f.name, diag if f.name in (
+            "converged", "epochs", "final_err") else rec, f.type)
+              for f in fields(cls) if f.name not in ("xi", "diagnostics")}
+        return cls(**kw, diagnostics={k: v for k, v in diag.items()
+                                      if k not in kw}), pen
+
+
+# each annotation's JSON form, as `_holds` reads it, and its name
+_FORMS = {np.ndarray: (list[float], "a list of finite numbers"),
+          float: (float, "a finite number"), int: (int, "an integer"),
+          float | None: (float | None, "a finite number or null"),
+          bool: (bool, "true or false"), dict: (dict, "an object"),
+          StepHazard | None: (dict, "an object of knots and finite-sum jumps")}
+
+
+def _read_field(where, key, src, ftype, of=""):
+    # src[key] read from JSON as the annotation ftype, numbers finite; a
+    # missing key, or a src no object, reads as ..., which no form holds
+    form, kind = _FORMS[ftype]
+    value = src.get(key, ...) if isinstance(src, dict) else ...
+    if _holds(value, form) and (not isinstance(value, (float, list))
+                                or np.all(np.isfinite(value))):
+        if form is not dict or ftype is dict:
+            return value if ftype is not np.ndarray else np.array(value, float)
+        knots, jumps = (_read_field(where, k, value, np.ndarray, "hazard ")
+                        for k in ("knots", "jumps"))
+        try:
+            with np.errstate(over="ignore"):
+                hazard = StepHazard(knots, np.cumsum(jumps))
+        except ValueError as exc:
+            raise ValueError(f"{where}: hazard must be a StepHazard: "
+                             f"{exc}") from None
+        if np.all(np.isfinite(hazard.values)):
+            return hazard
+    raise ValueError(f"{where}: {of}{key} must be {kind}")
+
+
+def _diverged(p, epoch, t0, eta=0.0, remedy=None, **iterates):
+    # every fit whose err turned non-finite; iterates in update order, err
+    # last.  With eta > 0 the loss is strictly convex: a minimizer exists
+    name = next(k for k, v in iterates.items() if not np.all(np.isfinite(v)))
+    error = (f"non-finite {name} at epoch {epoch}; the penalty " + (
+        "has a minimizer (eta > 0)" if eta > 0 else "is likely too weak for "
+        "a minimizer to exist") + (f"; try {remedy}" if remedy else ""))
     return FitResult(beta_hat=np.full(p, np.nan), hazard=None,
                      converged=False, epochs=epoch, final_err=np.nan,
                      diagnostics={"stop_reason": "diverged", "error": error,
@@ -429,7 +501,8 @@ def fit_amp(data, pen, init=None, cfg=None):
             err = _err(dlam, dxi, dtau_hat, dbeta, dtau)
             err_history.append(err)
             if not math.isfinite(err):
-                return _diverged(p, epoch, t0, hazard=lamT, xi=xi,
+                return _diverged(p, epoch, t0, pen.eta,
+                                 f"a damping below {d}", hazard=lamT, xi=xi,
                                  tau_hat=tau_hat, beta=beta, tau=tau, err=err)
             low = Xt32 is not None and err > AMP_F32_ERR
             if err < cfg.tol:
@@ -674,7 +747,7 @@ def fit_cd(data, pen, init=None, cfg=None):
         err = _err(np.maximum.reduce(np.abs(it.beta - prev.beta)),
                    np.maximum.reduce(np.abs(it.lamT - prev.lamT)))
         if not math.isfinite(err):
-            return _diverged(p, epoch, t0, beta=it.beta, err=err)
+            return _diverged(p, epoch, t0, pen.eta, beta=it.beta, err=err)
         if err < cfg.tol:
             stop_reason = "tol"
             break

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from coxfield import cli, experiment
-from coxfield.cli import _fit_record, _load_fit, main
+from coxfield.cli import main
 from coxfield.experiment import ExperimentConfig, run_experiment, write_json
 from coxfield.observables import EstimationError, estimate_from_amp
 from coxfield.prox import ElasticNetPenalty
 from coxfield.rs import OrderParameters
-from coxfield.solvers import SolverConfig, fit_cd, reg_path
+from coxfield.solvers import FitResult, SolverConfig, fit_cd, reg_path
 from coxfield.survival import StepHazard, SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
@@ -1039,7 +1039,7 @@ def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
     # the converged point's record is that of a plain fit
     data = SurvivalDataset.from_csv(data_csv)
     pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
-    want = _fit_record(fit_cd(data, pen), pen)
+    want = fit_cd(data, pen).to_record(pen)
     for rec in (good, want):
         del rec["diagnostics"]["seconds"]
     assert good["diagnostics"].pop("start") == "cold"
@@ -1076,8 +1076,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     fit = fit_cd(SurvivalDataset.from_csv(data_csv), pen)
     values = fit.hazard.values.copy()
     values[-2:] = np.inf
-    rec = _fit_record(replace(fit, hazard=StepHazard(fit.hazard.knots,
-                                                     values)), pen)
+    rec = replace(fit, hazard=StepHazard(fit.hazard.knots,
+                                         values)).to_record(pen)
     assert rec["hazard"]["jumps"][-2:] == [np.inf, 0.0]
     null_json, inf_json = tmp_path / "null.json", tmp_path / "inf.json"
     with open(null_json, "w", encoding="utf-8") as fh:
@@ -1086,7 +1086,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
         None, 0.0]
     inf_json.write_text(json.dumps(rec))  # the Infinity token json reads
     for bad_json in (null_json, inf_json):
-        cases.append((bad_json, f"{bad_json}: the fit's hazard is not finite"))
+        cases.append((bad_json, f"{bad_json}: hazard jumps must be a list of "
+                                "finite numbers"))
     # a fit of another dataset: beta_hat of another length than the data's
     # p, and so a sidecar whose beta0 is of another length
     first = json.loads(path_json.read_text())[0]
@@ -1113,13 +1114,34 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     # a record of the wrong shape: null diagnostics, a list as the hazard,
     # a string as converged (truthy, so it once passed as a converged fit)
     # or among the hazard's jumps
+    diag, hazard = first["diagnostics"], first["hazard"]
     shapes = [({**first, "diagnostics": None}, "diagnostics must be an object"),
-              ({**first, "hazard": [first["hazard"]]}, "hazard must be an object"),
-              ({**first, "diagnostics": {**first["diagnostics"],
-                                         "converged": "false"}},
+              ({**first, "hazard": [hazard]}, "hazard must be an object"),
+              ({**first, "diagnostics": {**diag, "converged": "false"}},
                "converged must be true or false"),
-              ({**first, "hazard": {**first["hazard"], "jumps": ["0.1x"]}},
-               "hazard jumps must be a list of numbers")]
+              ({**first, "hazard": {**hazard, "jumps": ["0.1x"]}},
+               "hazard jumps must be a list of finite numbers")]
+    # a missing key; epochs or final_err a string; a bool as tau (a bool is
+    # no number); a scalar knots and jumps pair, lists of two lengths, or
+    # finite jumps whose sum overflows
+    shapes += [({k: v for k, v in first.items() if k != key},
+                f"{key} must be {kind}") for key, kind in (
+        ("beta_hat", "a list of finite numbers"),
+        ("penalty", "an object with keys alpha, eta, rho, l1_ratio"))]
+    shapes += [({**first, "hazard": {"knots": hazard["knots"]}},
+                "hazard jumps must be a list of finite numbers"),
+               ({**first, "diagnostics": {**diag, "epochs": "x"}},
+                "epochs must be an integer"),
+               ({**first, "diagnostics": {**diag, "final_err": "x"}},
+                "final_err must be a finite number"),
+               ({**amp, "tau": True}, "tau must be a finite number or null"),
+               ({**first, "hazard": {"knots": 1.0, "jumps": 1.0}},
+                "hazard knots must be a list of finite numbers"),
+               ({**first, "hazard": {**hazard, "jumps": hazard["jumps"][1:]}},
+                "hazard must be a StepHazard: knots and values must be 1-d"),
+               ({**first, "hazard": {**hazard, "jumps": hazard["jumps"][:-2]
+                                     + [1.7e308, 1.7e308]}},
+                "hazard must be an object of knots and finite-sum jumps")]
     for i, (rec, message) in enumerate(shapes):
         bad_json = tmp_path / f"shape{i}.json"
         bad_json.write_text(json.dumps(rec))
@@ -1131,6 +1153,11 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     null_side = tmp_path / "null_side.json"
     null_side.write_text(json.dumps({**side,
                                      "beta0": [None] + side["beta0"][1:]}))
+    # a sidecar that is no object, or has no beta0
+    list_side, no_beta0 = tmp_path / "list_side.json", tmp_path / "no_beta0.json"
+    list_side.write_text(json.dumps([side]))
+    no_beta0.write_text(json.dumps({k: v for k, v in side.items()
+                                    if k != "beta0"}))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1142,8 +1169,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
         for side_json, match in (
                 (short_side, f"{short_side}: beta0 has length 99, but "
                              f"{data_csv} has p = 100"),
-                (null_side, f"{null_side}: beta0 must be a list of finite "
-                            "numbers")):
+                *((bad, f"{bad}: beta0 must be a list of finite numbers")
+                  for bad in (null_side, list_side, no_beta0))):
             rc = main(["estimate", "--fit", str(good_json), "--data",
                        str(data_csv), "--sidecar", str(side_json),
                        "--output", str(tmp_path / "e.json")])
@@ -1170,7 +1197,8 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
     fit_json = tmp_path / "fit.json"
     assert main(["fit", "--input", str(data_csv), "--alpha", "0.4",
                  "--output", str(fit_json)]) == 0
-    back, pen = _load_fit(fit_json)
+    back, pen = FitResult.from_record(json.loads(fit_json.read_text()),
+                                      fit_json)
     want = fit_cd(SurvivalDataset.from_csv(data_csv), pen)
     assert np.array_equal(back.beta_hat, want.beta_hat)
     assert np.array_equal(back.hazard.values, want.hazard.values)
@@ -1214,8 +1242,9 @@ def test_fit_record_roundtrip_keeps_hazard(tmp_path, solver):
             for a in (0.45, 0.35, 0.3)]
     for pen, fit in zip(pens, reg_path(data, pens, solver)):
         path = tmp_path / f"{solver}.json"
-        path.write_text(json.dumps(_fit_record(fit, pen)))
-        back, back_pen = _load_fit(path)
+        path.write_text(json.dumps(fit.to_record(pen)))
+        back, back_pen = FitResult.from_record(json.loads(path.read_text()),
+                                               path)
         assert back_pen == pen
         assert np.array_equal(back.beta_hat, fit.beta_hat)
         assert np.array_equal(back.hazard.knots, fit.hazard.knots)

@@ -338,6 +338,36 @@ def test_divergence_names_the_field(fit, scale):
                     res.diagnostics["error"])
 
 
+def test_divergence_names_its_likely_cause():
+    # with eta > 0 the loss is strictly convex and has a minimizer: at zeta
+    # 16 undamped AMP diverges where CD and AMP at the default damping
+    # converge, so its message names the damping, and only at eta = 0 does
+    # it doubt that a minimizer exists, for CD from a far start too
+    sig = SignalSpec(p=800, nu=0.1, theta0=1.0, seed=1)
+    data, _ = generate_dataset(sig, GeneratorSpec(zeta=16.0), seed=1)
+    for l1_ratio, cause in ((0.75, "has a minimizer (eta > 0)"),
+                            (1.0, "is likely too weak for a minimizer to "
+                                  "exist")):
+        pen = ElasticNetPenalty.from_strength(0.5 / l1_ratio, l1_ratio)
+        res = fit_amp(data, pen, cfg=SolverConfig(damping=1.0))
+        assert res.diagnostics["error"] == (
+            f"non-finite xi at epoch 3; the penalty {cause}; try a damping "
+            "below 1.0")
+        cd = fit_cd(data, pen)
+        assert cd.converged and cd.epochs == 2
+        assert cd.diagnostics["kkt_residual"] < 1e-10
+        assert fit_amp(data, pen).converged
+    data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
+    init = FitResult(beta_hat=np.full(data.p, 1e3),
+                     hazard=fit_cd(data, PEN).hazard, converged=True,
+                     epochs=1, final_err=0.0)
+    with np.errstate(all="ignore"):
+        res = fit_cd(data, PEN, init=init)
+    assert res.diagnostics["error"] == (
+        f"non-finite beta at epoch {res.epochs}; the penalty has a minimizer "
+        "(eta > 0)")
+
+
 def test_err_is_finite_while_every_norm_is():
     # the summed squares, in order, bit for bit; rescaled where a square
     # overflows, so only a non-finite norm makes err non-finite
