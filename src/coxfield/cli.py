@@ -7,7 +7,6 @@ success, 1 usage error, 2 numerical failure (no converged result).
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -15,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import (PAPER_SCALE, ExperimentConfig, run_experiment,
-                         write_json, write_table_csv)
+from .experiment import (PAPER_SCALE, ExperimentConfig, _read_json,
+                         run_experiment, write_json, write_table_csv)
 from .observables import (EstimationError, estimate_from_amp,
                           estimate_from_cd, true_overlaps)
 from .prox import ElasticNetPenalty, check_path_order
@@ -163,11 +162,10 @@ def _cmd_rs_solve(args):
 
 def _cmd_estimate(args):
     data = SurvivalDataset.from_csv(args.data)
-    with open(args.fit, "r", encoding="utf-8") as fh:
-        fit, pen = FitResult.from_record(json.load(fh), args.fit)
+    fit, pen = FitResult.from_record(_read_json(args.fit), args.fit)
     sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
-    beta0 = _read_field(sidecar, "beta0", json.loads(sidecar.read_text(
-        encoding="utf-8")), np.ndarray) if sidecar.exists() else None
+    beta0 = (_read_field(sidecar, "beta0", _read_json(sidecar), np.ndarray)
+             if sidecar.exists() else None)
     for where, key, arr in ((args.fit, "beta_hat", fit.beta_hat),
                             (sidecar, "beta0", beta0)):
         if arr is not None and len(arr) != data.p:

@@ -93,8 +93,7 @@ class ExperimentConfig:
     def from_json(path):
         """Read a config written by `to_jsonable`; a key unknown at the top
         level or in gen or solver_cfg raises ValueError naming it."""
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = _known_keys(ExperimentConfig, json.load(fh), "config")
+        raw = _known_keys(ExperimentConfig, _read_json(path), "config")
         if raw.get("gen") is not None:
             gen = _known_keys(GeneratorSpec, raw["gen"], "gen")
             raw["gen"] = GeneratorSpec(
@@ -428,6 +427,15 @@ def _plain(obj):
         return [_plain(value) for value in obj]
     obj = obj.item() if isinstance(obj, np.generic) else obj
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
+
+
+def _read_json(path):
+    # the JSON value in the file at path, or ValueError naming the file
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
 def write_json(fh, obj):

@@ -24,7 +24,8 @@ class ElasticNetPenalty:
     Carries both parametrizations: the weights (alpha, eta) and the
     (strength, mixing) pair (rho, l1_ratio) with alpha = rho * l1_ratio,
     eta = rho * (1 - l1_ratio).  Construct through `from_weights` or
-    `from_strength` so whichever pair you supplied is stored exactly.
+    `from_strength` so whichever pair you supplied is stored exactly; the
+    two pairs must agree to 1e-12 rho, else ValueError.
     """
 
     alpha: float
@@ -37,6 +38,10 @@ class ElasticNetPenalty:
         # written so that NaN fails it
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.eta < np.inf):
             raise ValueError("penalty weights must be finite and nonnegative")
+        slack = 1e-12 * self.rho
+        if not (abs(self.alpha - self.rho * self.l1_ratio) <= slack and abs(
+                self.eta - self.rho * (1.0 - self.l1_ratio)) <= slack):
+            raise ValueError("(alpha, eta) and (rho, l1_ratio) disagree")
 
     @staticmethod
     def from_weights(alpha, eta):
@@ -54,6 +59,8 @@ class ElasticNetPenalty:
 
 def _holds(value, ftype):
     # whether value may fill a field annotated ftype (see check_fields)
+    if isinstance(value, numbers.Integral) and not -2**1023 <= value <= 2**1023:
+        return False  # past float range: no int or float field takes it
     if isinstance(ftype, types.UnionType):
         return any(_holds(value, t) for t in ftype.__args__)
     if isinstance(ftype, types.GenericAlias):
@@ -76,10 +83,11 @@ def _type_name(ftype):
 
 def check_fields(obj):
     """Raise ValueError naming the first field of the dataclass obj not of
-    its annotated type: int takes any integer (numpy's too), float any
-    real number, neither a bool; `T | None` also None; `list[T]` and
-    `tuple[T, U]` a list or tuple, as JSON has no tuples.  Every config
-    class runs it first in __post_init__, so it fails when it is built."""
+    its annotated type: int takes an integer (numpy's too), float a real
+    number, neither a bool nor an integer beyond +-2^1023; `T | None` also
+    None; `list[T]` and `tuple[T, U]` a list or tuple, as JSON has no
+    tuples.  Every config class runs it first in __post_init__, so it
+    fails when it is built."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not _holds(value, f.type):

@@ -45,15 +45,15 @@ CD_MAX_EPOCHS = 100
 # relative residual CD_CG_TOL or after CD_CG_MAX_ITER products
 CD_CG_TOL = 1e-3
 CD_CG_MAX_ITER = 50
-# Above F32_MIN_SIZE = n p the products with the design in AMP's early
-# epochs and in CD's Newton CG run in float32 (`_design_t32`).  X @ b and
-# X' @ m together, in float64 against float32 with the casts (best of 7,
-# one BLAS thread, a 2-core Xeon): 2.1 against 2.8 us at n p = 3200,
-# 5.3-6.9 against 4.7-4.9 at 20000, 10.4 against 6.6 at 2^15, 33.7 against
-# 17.6 at 125000, 1162 against 576 at 2e6.  Below 2^15 float32 gains a
-# few us per epoch at most, and fits there stay bit for bit float64.
+# The float32 rule: above F32_MIN_SIZE = n p the products that tolerate
+# float32 run on a float32 layout of X' (`_product_layout`).  X @ b and
+# X' @ m together, float64 against float32 with the casts (best of 7, one
+# BLAS thread, a 2-core Xeon): 2.1 against 2.8 us at n p = 3200, 5.3-6.9
+# against 4.7-4.9 at 20000, 10.4 against 6.6 at 2^15, 33.7 against 17.6 at
+# 125000, 1162 against 576 at 2e6.  Below 2^15 float32 gains a few us per
+# epoch at most, and fits there stay bit for bit float64.
 F32_MIN_SIZE = 2**15
-# AMP's products run in float32 while the previous epoch's err is above
+# AMP's epochs read that layout while the previous err is above
 # AMP_F32_ERR.  Not lower: at 1e-6 the float32 noise (about 3e-7 relative
 # per product) stalled AMP, doubling the epochs of paper-scale paths
 AMP_F32_ERR = 1e-5
@@ -281,10 +281,14 @@ class _Iterate:
         return float(np.max(viol, initial=0.0))
 
 
-def _design_t32(data):
-    """The dataset's float32 layout of X' where n p > F32_MIN_SIZE, else
-    None (and None where the design does not fit float32)."""
-    return data.design_t32 if data.n * data.p > F32_MIN_SIZE else None
+def _product_layout(data):
+    """X' for the products that tolerate float32, written Xt.T @ v and
+    Xt @ v with v cast to Xt's dtype: the float32 copy `design_t32` above
+    F32_MIN_SIZE where the design fits float32 (a fit within its tolerance
+    of the float64 one), else the view data.design.T, on which these and
+    the row gather Xt[A] are X's own products, bit for bit."""
+    Xt32 = data.design_t32 if data.n * data.p > F32_MIN_SIZE else None
+    return data.design.T if Xt32 is None else Xt32
 
 
 def _newton_step(X, hess, beta, grad, pen):
@@ -293,24 +297,17 @@ def _newton_step(X, hess, beta, grad, pen):
     grad_A + alpha sign(beta_A) + eta beta_A, with hess the product u -> H u
     by the Hessian of the loss at X beta (hess and grad from the `_Iterate`
     at beta); a coordinate of beta_A - s whose sign flips is set to zero.
-    X is the design, or its float32 transpose (`_design_t32`): the
-    products with X_A then run in float32, hess in float64, an inexact
-    Newton step well inside CD_CG_TOL (Dembo, Eisenstat & Steihaug, SIAM
-    J. Numer. Anal. 19, 1982).  Returns the candidate and the CG
-    iterations."""
+    X is a layout of X' (`_product_layout`), hess float64: in float32 an
+    inexact Newton step well inside CD_CG_TOL (Dembo, Eisenstat &
+    Steihaug, SIAM J. Numer. Anal. 19, 1982).  Returns the candidate and
+    the CG iterations."""
     A = np.flatnonzero(beta)
     sign = np.sign(beta[A])
-    if X.dtype == np.float32:
-        XtA = X[A]
+    XtA = X[A]
 
-        def product(u):
-            h = hess(XtA.T @ u.astype(np.float32))
-            return XtA @ h.astype(np.float32)
-    else:
-        XA = X[:, A]
-
-        def product(u):
-            return XA.T @ hess(XA @ u)
+    def product(u):
+        h = hess(XtA.T @ u.astype(XtA.dtype, copy=False))
+        return XtA @ h.astype(XtA.dtype, copy=False)
     r = grad[A] + pen.alpha * sign + pen.eta * beta[A]
     s = np.zeros(A.size)
     d = r.copy()
@@ -380,15 +377,10 @@ def fit_amp(data, pen, init=None, cfg=None):
     and stop_reason.  The times are sorted once per dataset
     (`SurvivalDataset.risk_sets`): every epoch's hazard, every fit of the
     dataset and the returned hazard share that one sort.
-
-    Precision: where n p > F32_MIN_SIZE, an epoch forms X beta and X' mdot
-    in float32 (`SurvivalDataset.design_t32`) while the previous epoch's
-    err is above AMP_F32_ERR = 1e-5, and in float64 after that; the first
-    epoch of a warm start runs in float64.  Everything else, the stop
-    rule, the holds, the final prox and the certificate stay float64, so
-    a converged fit is still a fixed point of float64 AMP to tol: it
-    matches the all-float64 fit within the tolerance, not bit for bit.
-    Below the size rule every epoch is float64.
+    Precision: X beta and X' mdot run on `_product_layout` while the
+    previous err is above AMP_F32_ERR, else, as in a warm start's first
+    epoch, on X' in float64; the rest is float64, so a converged fit is a
+    fixed point of float64 AMP to tol.
 
     Parameters
     ----------
@@ -416,10 +408,9 @@ def fit_amp(data, pen, init=None, cfg=None):
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
-    Xt32 = _design_t32(data)
-    # the epoch's products in float32: never the first epoch of a warm
-    # start, which may already be converged
-    low = Xt32 is not None and init is None
+    # X' for the epoch: float64 in a warm start's first, maybe converged
+    layout = _product_layout(data)
+    Xt = layout if init is None else X.T
     if init is not None:
         beta = np.array(init.beta_hat, dtype=float)
         xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
@@ -468,7 +459,7 @@ def fit_amp(data, pen, init=None, cfg=None):
             # field update (Onsager-corrected) under the refreshed hazard
             log_tl = np.log(tau * lamT)
             mdot = moreau_dot_w(cox_w(xi, tau_delta, log_tl), D, tau)
-            xb = Xt32.T @ beta.astype(np.float32) if low else X @ beta
+            xb = Xt.T @ beta.astype(Xt.dtype, copy=False)
             xi_new = (1 - d) * xi + d * (xb + tau * mdot)
             dxi = np.maximum.reduce(np.abs(xi_new - xi))
             xi = xi_new
@@ -481,7 +472,7 @@ def fit_amp(data, pen, init=None, cfg=None):
             dtau_hat = tau_hat_new - tau_hat
             tau_hat = tau_hat_new
 
-            xm = Xt32 @ mdot.astype(np.float32) if low else X.T @ mdot
+            xm = Xt @ mdot.astype(Xt.dtype, copy=False)
             psi = beta - tau_hat * xm
             # |psi| serves the prox, its derivative and the holds
             abs_psi = np.abs(psi)
@@ -504,7 +495,7 @@ def fit_amp(data, pen, init=None, cfg=None):
                 return _diverged(p, epoch, t0, pen.eta,
                                  f"a damping below {d}", hazard=lamT, xi=xi,
                                  tau_hat=tau_hat, beta=beta, tau=tau, err=err)
-            low = Xt32 is not None and err > AMP_F32_ERR
+            Xt = layout if err > AMP_F32_ERR else X.T
             if err < cfg.tol:
                 # converged only where every held side is the true one, so the
                 # last update is the unheld one; a contradicted side is
@@ -594,12 +585,8 @@ def fit_cd(data, pen, init=None, cfg=None):
     finite beta_hat of length p, else ValueError; its hazard is not read.
     The iterate is one `_Iterate`, each of its terms formed once, on risk
     sets sorted once per dataset (`SurvivalDataset.risk_sets`); the
-    curvatures use the dataset's X * X (`SurvivalDataset.design_sq`).
-    Where n p > F32_MIN_SIZE, the Newton step's CG products with the
-    design run in float32 (`SurvivalDataset.design_t32`).  The guard, the
-    sweeps and the certificate stay float64, so a fit matches the
-    all-float64 fit within the tolerance, not bit for bit; below the size
-    rule it is float64 throughout.
+    curvatures use the dataset's X * X (`SurvivalDataset.design_sq`),
+    and the Newton CG products `_product_layout`, all else float64.
     """
     t0 = perf_counter()
     _check_start(init, data, amp=False)
@@ -617,9 +604,7 @@ def fit_cd(data, pen, init=None, cfg=None):
     beta = np.array(init.beta_hat, dtype=float) if init is not None else np.zeros(p)
     it = _Iterate(X, D, rs, pen, beta)
     X2 = data.design_sq
-    # the Newton steps' design: its float32 transpose above the size rule
-    Xt32 = _design_t32(data)
-    X_newton = X if Xt32 is None else Xt32
+    Xt = _product_layout(data)
     cols = list(X.T)
     # the r update's product, formed in place
     buf = np.empty(n)
@@ -641,8 +626,7 @@ def fit_cd(data, pen, init=None, cfg=None):
                 # the guarded Newton step: a kept candidate is the iterate,
                 # its terms read by the next step or the next sweep
                 tried += 1
-                beta_c, its = _newton_step(X_newton, it.hess, it.beta, it.grad,
-                                           pen)
+                beta_c, its = _newton_step(Xt, it.hess, it.beta, it.grad, pen)
                 cg_iterations += its
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     cand = _Iterate(X, D, rs, pen, beta_c)

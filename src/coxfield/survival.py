@@ -19,11 +19,9 @@ class SurvivalDataset:
     """Right-censored survival data: times T, event flags Delta, design X.
 
     Beside the sorted risk sets, two read-only layouts of X are built
-    once per dataset, on first use, and kept with it: `design_t32`, a
-    float32 copy of X' (4 n p bytes), and `design_sq`, X * X (8 n p
-    bytes).  `fit_cd` reads the square at every size; both solvers read
-    the float32 copy only where n p > `solvers.F32_MIN_SIZE` = 2^15 (see
-    `fit_amp` and `fit_cd`)."""
+    once per dataset, on first use: `design_t32`, a float32 copy of X'
+    (4 n p bytes) read under the rule at `solvers.F32_MIN_SIZE`, and
+    `design_sq`, X * X (8 n p bytes), read by `fit_cd` at every size."""
 
     times: np.ndarray
     events: np.ndarray
@@ -89,14 +87,17 @@ class SurvivalDataset:
     @staticmethod
     def from_csv(path):
         """Load a dataset from the CSV schema written by `to_csv`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        if header[:2] != ["time", "event"]:
-            raise ValueError("expected header time,event,x1,...,xp")
-        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if body.shape[1] != len(header):
-            raise ValueError("row width does not match header")
-        return SurvivalDataset(body[:, 0], body[:, 1], body[:, 2:])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+            if header[:2] != ["time", "event"]:
+                raise ValueError("expected header time,event,x1,...,xp")
+            body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if body.shape[1] != len(header):
+                raise ValueError("row width does not match header")
+            return SurvivalDataset(body[:, 0], body[:, 1], body[:, 2:])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_only(arr):

@@ -157,6 +157,10 @@ def test_cli_experiment_misspelled_key(tmp_path, capsys):
     path.write_text(json.dumps({"gen": [2.0]}))
     assert main(["experiment", "--config", str(path)]) == 1
     assert "gen must be a JSON object" in capsys.readouterr().err
+    # a file that is no JSON at all is named with the decoder's message
+    path.write_text("repetitions = 3\n")
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert f"error: {path}: not JSON (Expecting value" in capsys.readouterr().err
 
 
 def test_run_experiment_failures_match_records(tmp_path):
@@ -388,7 +392,8 @@ def test_failures_carry_the_stage_that_raised(tmp_path, monkeypatch, name,
     ({"p": "500"}, "p"), ({"nu": "0.1"}, "nu"), ({"keep_raw": "yes"}, "keep_raw"),
     ({"repetitions": True}, "repetitions"),
     ({"solver_cfg": {"max_epochs": 2.5}}, "max_epochs"),
-    ({"gen": {"phi0": "x"}}, "phi0"), ({"pen_grid": [["0.5", 0.75]]}, "pen_grid")])
+    ({"gen": {"phi0": "x"}}, "phi0"), ({"pen_grid": [["0.5", 0.75]]}, "pen_grid"),
+    ({"p": int("9" * 400)}, "p")])
 def test_cli_experiment_rejects_wrong_value_types(tmp_path, capsys, bad, key):
     # a usage error (exit 1) naming the key, not a traceback
     path = tmp_path / "cfg.json"
@@ -848,18 +853,20 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "f.json")])
     assert rc == 1
     capsys.readouterr()
-    # usage error: a CSV whose header is not the schema, or is wider than
-    # its rows
+    # usage error naming the file: a CSV whose header is not the schema,
+    # is wider than its rows, or holds a non-number
     for lines, match in (
             (["t,e,x1,x2", "1.0,1,0.1,0.2"], "expected header"),
             (["time,event,x1,x2,x3", "1.0,1,0.1,0.2", "2.0,0,0.3,0.4"],
-             "row width does not match header")):
+             "row width does not match header"),
+            (["time,event,x1,x2", "1.0,1,0.1,abc"],
+             "could not convert string 'abc' to float64")):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("\n".join(lines) + "\n")
         rc = main(["fit", "--input", str(bad_csv), "--alpha", "0.4",
                    "--output", str(tmp_path / "f.json")])
         assert rc == 1
-        assert match in capsys.readouterr().err
+        assert f"error: {bad_csv}: {match}" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
     # usage error: a zeta that leaves no sample, before anything is written
     rc = main(["generate", "--p", "1", "--zeta", "3", "--nu", "1", "--seed",
@@ -1048,8 +1055,10 @@ def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
 
 def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     # a path list, a diverged record, a record whose penalty is not the
-    # four weights, or a number read back that is not finite, is a usage
-    # error naming the file, not a traceback, a failed estimate or a null
+    # four weights, or four weights that disagree, a number read back that
+    # is not finite, or an integer beyond float range, or a file that is no
+    # JSON, is a usage error naming the file, not a traceback, a failed
+    # estimate or a null
     data_csv = tmp_path / "d.csv"
     main(["generate", "--p", "100", "--nu", "0.05", "--seed", "6",
           "--output", str(data_csv)])
@@ -1097,16 +1106,30 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
                                       "beta_hat": first["beta_hat"][:-1]}))
     cases.append((short_json, f"{short_json}: beta_hat has length 99, but "
                               f"{data_csv} has p = 100"))
-    # beta_hat with a null (NaN once read) or +-Infinity in it, and tau or
-    # tau_hat of an AMP record that is a string or not finite
+    # beta_hat with a null (NaN once read), +-Infinity or an integer past
+    # float range in it, and tau or tau_hat of an AMP record that is a
+    # string, not finite or such an integer
     amp_json = tmp_path / "amp.json"
     assert main(["fit", "--input", str(data_csv), "--solver", "amp",
                  "--alpha", "0.5", "--output", str(amp_json)]) == 0
     amp = json.loads(amp_json.read_text())
+    huge = int("9" * 400)
     bad = [(first, "beta_hat", first["beta_hat"][:-1] + [value],
-            "a list of finite numbers") for value in (None, np.inf, -np.inf)]
+            "a list of finite numbers")
+           for value in (None, np.inf, -np.inf, huge)]
     bad += [(amp, key, value, "a finite number") for key in ("tau", "tau_hat")
-            for value in ("1.0e0x", np.inf, [amp[key]])]
+            for value in ("1.0e0x", np.inf, [amp[key]], huge)]
+    # an AMP record whose eta was edited, so that (alpha, eta) and (rho,
+    # l1_ratio) disagree
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**amp, "penalty": {**amp["penalty"],
+                                                     "eta": 5.0}}))
+    cases.append((edited, f"{edited}: penalty must be an object with keys "
+                          "alpha, eta, rho, l1_ratio"))
+    # a fit record, or a sidecar, that is no JSON
+    text = tmp_path / "text.json"
+    text.write_text("beta_hat = 0\n")
+    cases.append((text, f"{text}: not JSON"))
     for i, (rec, key, value, kind) in enumerate(bad):
         bad_json = tmp_path / f"bad{i}.json"
         bad_json.write_text(json.dumps({**rec, key: value}))
@@ -1170,7 +1193,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
                 (short_side, f"{short_side}: beta0 has length 99, but "
                              f"{data_csv} has p = 100"),
                 *((bad, f"{bad}: beta0 must be a list of finite numbers")
-                  for bad in (null_side, list_side, no_beta0))):
+                  for bad in (null_side, list_side, no_beta0)),
+                (text, f"{text}: not JSON")):
             rc = main(["estimate", "--fit", str(good_json), "--data",
                        str(data_csv), "--sidecar", str(side_json),
                        "--output", str(tmp_path / "e.json")])

@@ -146,6 +146,13 @@ def test_penalty_roundtrip_and_validation():
         ElasticNetPenalty.from_strength(1.0, np.nan)
     with pytest.raises(ValueError, match="'alpha'"):
         ElasticNetPenalty(alpha="0.3", eta=0.1, rho=0.4, l1_ratio=0.75)
+    # the two pairs must agree, to 1e-12 rho: eta 5.0 is not rho (1 -
+    # l1_ratio), nor is an alpha 1e-11 rho off, while the constructors'
+    # pairs pass
+    for alpha, eta in ((0.3, 5.0), (0.3 + 4e-12, 0.1)):
+        with pytest.raises(ValueError, match="rho"):
+            ElasticNetPenalty(alpha=alpha, eta=eta, rho=0.4, l1_ratio=0.75)
+    ElasticNetPenalty(alpha=0.3 + 1e-13, eta=0.1, rho=0.4, l1_ratio=0.75)
 
 
 def test_prox_enet_values():

@@ -1041,7 +1041,8 @@ def test_float32_products_keep_the_float64_fixed_points(monkeypatch):
     # bound of the Newton tests above.  Measured: 1.6e-10 for AMP, 1.7e-9
     # for CD (its reference runs plain sweeps, which stop elsewhere
     # within tol); against the solvers with the size rule raised, 1.6e-10
-    # and 2.5e-13
+    # and 2.5e-13.  Below the rule the Newton step gets the float64 view
+    # of X', data.design.T: no copy of the design
     data = _above_size_rule()
     pens = [ElasticNetPenalty.from_strength(a / 0.75, 0.75)
             for a in (0.42, 0.37, 0.32)]
@@ -1049,9 +1050,14 @@ def test_float32_products_keep_the_float64_fixed_points(monkeypatch):
     step = solvers._newton_step
 
     def spied(X, *args):
-        seen.add(X.dtype)
+        seen.add((X.dtype, X.base is small.design))
         return step(X, *args)
     monkeypatch.setattr(solvers, "_newton_step", spied)
+    small, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    assert small.n * small.p <= solvers.F32_MIN_SIZE
+    assert all(fit.converged for fit in reg_path(small, pens, "cd"))
+    assert seen == {(np.dtype(np.float64), True)}
+    seen.clear()
     for solver, reference, ref_kw in (
             ("amp", reference_amp, {"d": SolverConfig().damping}),
             ("cd", reference_cd, {})):
@@ -1066,7 +1072,7 @@ def test_float32_products_keep_the_float64_fixed_points(monkeypatch):
             rel = (np.linalg.norm(fit.beta_hat - ref.beta_hat)
                    / np.linalg.norm(ref.beta_hat))
             assert 0.0 < rel <= 10 * SolverConfig().tol
-    assert seen == {np.dtype(np.float32)}
+    assert seen == {(np.dtype(np.float32), False)}
 
 
 def test_float32_amp_restart_and_divergence():
