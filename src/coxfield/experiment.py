@@ -91,17 +91,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        """Read a config written by `to_jsonable`; a key unknown at the top
-        level or in gen or solver_cfg raises ValueError naming it."""
-        raw = _known_keys(ExperimentConfig, _read_json(path), "config")
-        if raw.get("gen") is not None:
-            gen = _known_keys(GeneratorSpec, raw["gen"], "gen")
-            raw["gen"] = GeneratorSpec(
-                **{"zeta": raw.get("zeta", ExperimentConfig.zeta), **gen})
-        if raw.get("solver_cfg") is not None:
-            raw["solver_cfg"] = SolverConfig(
-                **_known_keys(SolverConfig, raw["solver_cfg"], "solver_cfg"))
-        return ExperimentConfig(**raw)
+        """Read a config written by `to_jsonable`; an unknown or bad key, also
+        in gen or solver_cfg, raises ValueError naming the file and the key."""
+        raw = _read_json(path)
+        try:
+            raw = _known_keys(ExperimentConfig, raw, "config")
+            if raw.get("gen") is not None:
+                gen = _known_keys(GeneratorSpec, raw["gen"], "gen")
+                raw["gen"] = GeneratorSpec(
+                    **{"zeta": raw.get("zeta", ExperimentConfig.zeta), **gen})
+            if raw.get("solver_cfg") is not None:
+                raw["solver_cfg"] = SolverConfig(
+                    **_known_keys(SolverConfig, raw["solver_cfg"], "solver_cfg"))
+            return ExperimentConfig(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_jsonable(self):
         return asdict(self)

@@ -9,6 +9,7 @@ All maps are elementwise and accept scalars or numpy arrays.
 """
 
 import numbers
+import reprlib
 import types
 from dataclasses import dataclass, fields
 
@@ -92,7 +93,8 @@ def check_fields(obj):
         value = getattr(obj, f.name)
         if not _holds(value, f.type):
             raise ValueError(f"{f.name} must be {_type_name(f.type)}, not "
-                             f"{value!r} ({type(obj).__name__} field {f.name!r})")
+                             f"{reprlib.repr(value)} ({type(obj).__name__} "
+                             f"field {f.name!r})")
 
 
 def check_path_order(pen_grid, inits=None):

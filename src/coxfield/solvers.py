@@ -408,23 +408,19 @@ def fit_amp(data, pen, init=None, cfg=None):
                            nelson_aalen(T, D, np.zeros(n)), 1, 0.0,
                            "all_censored", t0, {}, xi=np.zeros(n), tau=1.0,
                            tau_hat=1.0)
-    # X' for the epoch: float64 in a warm start's first, maybe converged
+    # a cold start is the origin's fit: beta 0, the hazard at xi = X beta
+    start = init or FitResult(np.zeros(p), rs.step_hazard(rs.hazard(
+        np.zeros(n))), False, 0, np.inf)
+    beta = np.array(start.beta_hat, dtype=float)
+    xi = X @ beta if start.xi is None else np.array(start.xi, dtype=float)
+    tau = 1.0 if start.tau is None else float(start.tau)
+    tau_hat = 1.0 if start.tau_hat is None else float(start.tau_hat)
+    lamT = start.hazard.evaluate(T)
     layout = _product_layout(data)
-    Xt = layout if init is None else X.T
-    if init is not None:
-        beta = np.array(init.beta_hat, dtype=float)
-        xi = np.array(init.xi, dtype=float) if init.xi is not None else X @ beta
-        tau = float(init.tau) if init.tau is not None else 1.0
-        tau_hat = float(init.tau_hat) if init.tau_hat is not None else 1.0
-        lamT = init.hazard.evaluate(T)
-    else:
-        beta = np.zeros(p)
-        xi = np.zeros(n)
-        tau = tau_hat = 1.0
-        lamT = rs.hazard(np.zeros(n))
 
     stop_reason = "max_epochs"
-    err = np.inf
+    # the previous err picks each epoch's X'; a warm start may be converged
+    err = np.inf if init is None else 0.0
     err_history = []
     damping_cuts = []
     # the last epochs' (|psi|, tau_hat), read when a stall fires
@@ -438,14 +434,13 @@ def fit_amp(data, pen, init=None, cfg=None):
     frozen = []
     # stalls are judged against the errs from this epoch on
     window_start = 1
-    epoch = 0
     # floating-point warnings stay silent: from finite iterates a
     # non-finite one makes err non-finite, which ends the fit as diverged,
     # naming it.  Under them log(tau*Lambda) is formed as `log_tau_lam`
     # forms it: -inf where Lambda = 0, so that W0 = 0 there exactly
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while epoch < max_epochs:
-            epoch += 1
+        for epoch in range(1, max_epochs + 1):
+            Xt = layout if err > AMP_F32_ERR else X.T
             # the epoch's three Cox-prox evaluations share tau*Delta, the last
             # two also log(tau*Lambda); each forms only the outputs it uses
             tau_delta = tau * D
@@ -495,40 +490,37 @@ def fit_amp(data, pen, init=None, cfg=None):
                 return _diverged(p, epoch, t0, pen.eta,
                                  f"a damping below {d}", hazard=lamT, xi=xi,
                                  tau_hat=tau_hat, beta=beta, tau=tau, err=err)
-            Xt = layout if err > AMP_F32_ERR else X.T
             if err < cfg.tol:
                 # converged only where every held side is the true one, so the
                 # last update is the unheld one; a contradicted side is
                 # switched once, then released for good
-                wrong = held[(abs_psi[held] > pen.alpha * tau_hat)
+                moved = held[(abs_psi[held] > pen.alpha * tau_hat)
                              != (side[held] > 0)]
-                if not wrong.size:
+                if not moved.size:
                     stop_reason = "tol"
                     break
-                side[wrong] = np.where(holds[wrong] == 1, -side[wrong], 0)
-                holds[wrong] += 1
-                frozen += [[epoch, int(k), int(side[k])] for k in wrong]
-                held = np.flatnonzero(side)
-                window_start = epoch
-                continue
-            stalled = (epoch - window_start >= AMP_STALL_WINDOW and err
-                       > AMP_STALL_DROP * err_history[epoch - 1 - AMP_STALL_WINDOW])
-            if stalled or (epoch - window_start >= AMP_FLIP_WINDOW
-                           and _flat(err_history[-AMP_FLIP_WINDOW:])):
-                new, new_side = _flipping(recent, pen.alpha, holds == 0)
-                if new.size:
-                    side[new] = new_side
-                    holds[new] = 1
-                    frozen += [[epoch, int(k), int(s)] for k, s in zip(new, new_side)]
-                    held = np.flatnonzero(side)
-                    window_start = epoch
-                elif stalled:
+                to = np.where(holds[moved] == 1, -side[moved], 0)
+            else:
+                stalled = (epoch - window_start >= AMP_STALL_WINDOW and err
+                           > AMP_STALL_DROP * err_history[epoch - 1 - AMP_STALL_WINDOW])
+                if not (stalled or (epoch - window_start >= AMP_FLIP_WINDOW
+                                    and _flat(err_history[-AMP_FLIP_WINDOW:]))):
+                    continue
+                moved, to = _flipping(recent, pen.alpha, holds == 0)
+                if not moved.size:
+                    if not stalled:
+                        continue
                     if d * AMP_DAMPING_CUT < AMP_DAMPING_FLOOR:
                         stop_reason = "stalled"
                         break
                     d *= AMP_DAMPING_CUT
                     damping_cuts.append([epoch, d])
-                    window_start = epoch
+            # each hold, switch, release or damping cut restarts the window
+            side[moved] = to
+            holds[moved] += 1
+            frozen += [[epoch, int(k), int(s)] for k, s in zip(moved, to)]
+            held = np.flatnonzero(side)
+            window_start = epoch
 
         # one undamped prox application so the reported coefficients carry
         # the exact zeros of the soft threshold (the damped iterate only

@@ -149,11 +149,13 @@ def test_experiment_config_rejects_unknown_keys(tmp_path, where):
 
 
 def test_cli_experiment_misspelled_key(tmp_path, capsys):
-    # a usage error (exit 1) naming the key, not a TypeError traceback
+    # a usage error (exit 1) naming the file and the key, not a TypeError
+    # traceback
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"repetitons": 3}))
     assert main(["experiment", "--config", str(path)]) == 1
-    assert "repetitons" in capsys.readouterr().err
+    assert (f"error: {path}: unknown config key(s): repetitons"
+            in capsys.readouterr().err)
     path.write_text(json.dumps({"gen": [2.0]}))
     assert main(["experiment", "--config", str(path)]) == 1
     assert "gen must be a JSON object" in capsys.readouterr().err
@@ -395,11 +397,14 @@ def test_failures_carry_the_stage_that_raised(tmp_path, monkeypatch, name,
     ({"gen": {"phi0": "x"}}, "phi0"), ({"pen_grid": [["0.5", 0.75]]}, "pen_grid"),
     ({"p": int("9" * 400)}, "p")])
 def test_cli_experiment_rejects_wrong_value_types(tmp_path, capsys, bad, key):
-    # a usage error (exit 1) naming the key, not a traceback
+    # a usage error (exit 1) naming the file and the key, not a traceback;
+    # a 400-digit p is shortened, not echoed in full
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     assert main(["experiment", "--config", str(path)]) == 1
-    assert f"'{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and f"error: {path}: " in err
+    assert len(err) < 300
 
 
 def test_experiment_config_int_loads_as_float(tmp_path):

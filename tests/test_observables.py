@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from coxfield import observables
 from coxfield.observables import (EstimationError, estimate_from_amp,
                                   estimate_from_cd, estimate_tau_cd,
                                   true_overlaps)
@@ -78,6 +79,7 @@ def test_estimate_from_amp_internal_identity():
         local_field(data, fa.beta_hat, fa.hazard, fa.tau_hat), est)
     assert est.provenance == "amp"
     assert est.w_valid and est.v_valid
+    assert est.failing_step() is None
     assert est.w ** 2 + est.v ** 2 == pytest.approx(est.diagnostics["A"],
                                                     rel=1e-12)
     # the curvature-based variant is a different estimator (the score/
@@ -162,7 +164,7 @@ def test_estimate_tau_cd_scalar_equation_residuals():
     assert abs(r2) <= 1e-8
 
 
-def test_estimate_tau_cd_lasso_bracket_and_errors():
+def test_estimate_tau_cd_lasso_bracket_and_errors(monkeypatch):
     data, _, _, fc = _fit_pair(p=200, seed=7)
     lasso = ElasticNetPenalty.from_strength(0.35, 1.0)
     fl = fit_cd(data, lasso, cfg=SolverConfig(max_epochs=400))
@@ -183,6 +185,11 @@ def test_estimate_tau_cd_lasso_bracket_and_errors():
                       converged=True, epochs=1, final_err=0.0)
     with pytest.raises(EstimationError, match="no sign change"):
         estimate_tau_cd(data, dense, lasso, zeta=2.0)
+
+    # Newton steps cut short of the root
+    monkeypatch.setattr(observables, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(EstimationError, match="did not settle in 1 steps"):
+        estimate_tau_cd(data, fl, lasso, 2.0)
 
 
 @pytest.mark.parametrize("p, seed, l1_ratio", [(200, 6, 0.75), (200, 7, 1.0),

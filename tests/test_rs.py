@@ -133,13 +133,20 @@ def test_rhs_shrinkage_limits():
     assert prop2.tau == pytest.approx(op.tau_hat, rel=1e-12)
 
 
-def test_rhs_error_paths():
+def test_rhs_error_paths(monkeypatch):
     pop = sample_population(GEN, 1.0, 1500, seed=8)
     op = OrderParameters(w=0.5, v=0.6, tau=1.0, w_hat=1.0, v_hat=0.0,
                          tau_hat=1.0)
     lam = solve_lambda(pop, op.w, op.v, op.tau)
     with pytest.raises(RsInconsistencyError):
         rs_rhs_enet(op, pop, lam, PEN, nu=0.05, zeta=2.0)
+    # prior moments whose second moment is below the squared overlap
+    # propose a negative v^2: solve_rs names it, and the path drops the point
+    monkeypatch.setattr(rs, "enet_prior_moments", lambda *args: (1.0, 0.5, 0.5))
+    with pytest.raises(RsInconsistencyError, match="negative proposed v\\^2"):
+        solve_rs(PEN, nu=0.05, zeta=2.0, pop=pop)
+    assert solve_rs_path([PEN], nu=0.05, theta0=1.0, zeta=2.0, gen=GEN,
+                         n_pop=400) == [None]
 
 
 def test_solve_rs_residual_bootstrap():

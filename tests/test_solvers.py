@@ -253,12 +253,26 @@ def test_weak_regularization_flags_not_hangs():
 
 
 def test_amp_warm_start_uses_init():
-    data, _ = _instance(p=80, zeta=2.0, nu=0.05, seed=12)
-    cold = fit_amp(data, PEN)
-    warm = fit_amp(data, PEN, init=cold)
-    assert warm.converged
-    assert warm.epochs <= cold.epochs
-    assert np.linalg.norm(warm.beta_hat - cold.beta_hat) <= 1e-6
+    # a cold start is the start from the origin's fit: beta 0 and the
+    # Nelson-Aalen hazard at X beta = 0, no xi, tau or tau_hat; bit for
+    # bit below the float32 size rule
+    for p, seed in ((60, 5), (80, 12), (120, 3)):
+        data, _ = _instance(p=p, zeta=2.0, nu=0.05, seed=seed)
+        assert data.n * data.p <= solvers.F32_MIN_SIZE
+        cold = fit_amp(data, PEN)
+        origin = FitResult(
+            beta_hat=np.zeros(p), converged=False, epochs=0, final_err=np.inf,
+            hazard=nelson_aalen(data.times, data.events, np.zeros(data.n)))
+        same = fit_amp(data, PEN, init=origin)
+        for key in ("beta_hat", "xi", "tau", "tau_hat", "epochs", "final_err"):
+            assert np.array_equal(getattr(same, key), getattr(cold, key)), key
+        assert np.array_equal(same.hazard.values, cold.hazard.values)
+        assert (same.diagnostics["err_history"]
+                == cold.diagnostics["err_history"])
+        warm = fit_amp(data, PEN, init=cold)
+        assert warm.converged
+        assert warm.epochs <= cold.epochs
+        assert np.linalg.norm(warm.beta_hat - cold.beta_hat) <= 1e-6
 
 
 def test_solver_config_validation():
