@@ -72,7 +72,11 @@ def _penalty(alpha, l1_ratio):
 
 def _penalty_grid(args):
     # --alpha-grid at one --l1-ratio, held to reg_path's order rule
-    alphas = [float(a) for a in args.alpha_grid.split(",")]
+    try:
+        alphas = [float(a) for a in args.alpha_grid.split(",")]
+    except ValueError:
+        raise ValueError("--alpha-grid must be comma-separated numbers, "
+                         f"not {args.alpha_grid!r}") from None
     pens = [_penalty(a, args.l1_ratio) for a in alphas]
     try:
         check_path_order(pens)
@@ -164,8 +168,9 @@ def _cmd_estimate(args):
     data = SurvivalDataset.from_csv(args.data)
     fit, pen = FitResult.from_record(_read_json(args.fit), args.fit)
     sidecar = Path(args.sidecar or Path(args.data).with_suffix(".json"))
+    # a sidecar named on the command line must exist; the default may not
     beta0 = (_read_field(sidecar, "beta0", _read_json(sidecar), np.ndarray)
-             if sidecar.exists() else None)
+             if args.sidecar or sidecar.exists() else None)
     for where, key, arr in ((args.fit, "beta_hat", fit.beta_hat),
                             (sidecar, "beta0", beta0)):
         if arr is not None and len(arr) != data.p:

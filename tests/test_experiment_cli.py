@@ -20,6 +20,14 @@ from coxfield.survival import StepHazard, SurvivalDataset
 from coxfield.synthgen import GeneratorSpec, SignalSpec, generate_dataset
 
 
+# every JSON file and stdout summary the program writes is read through
+# this: standard JSON, with no NaN or Infinity token
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _tiny_config(tmp_path, **overrides):
     kwargs = dict(zeta=2.0, p=60, nu=0.1, theta0=1.0,
                   pen_grid=[(0.5, 0.75), (0.35, 0.75)], solver="both",
@@ -132,8 +140,7 @@ def test_report_json_takes_numpy_scalars(tmp_path):
     cfg = _tiny_config(tmp_path, p=np.int64(60), repetitions=np.int64(2),
                        solver="cd", pen_grid=[(0.5, 0.75)])
     run_experiment(cfg, workers=1)
-    with open(tmp_path / "out" / "report.json") as fh:
-        report = json.load(fh)
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["p"] == 60
     assert report["config"]["repetitions"] == 2
 
@@ -562,7 +569,7 @@ def test_default_workers_capped_at_tasks(tmp_path, monkeypatch):
     assert len(timing["repetition_s"]) == 2
     assert all(s > 0.0 for s in timing["repetition_s"])
     assert 0.0 < timing["rs_s"] and 0.0 < timing["wall_s"]
-    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    on_disk = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert on_disk["timing"] == timing
 
 
@@ -583,7 +590,7 @@ def test_report_times_repetition_stages(tmp_path, workers):
             for solver in ("amp", "cd")]
         assert all(s >= 0.0 for s in stages)
         assert sum(stages) <= total
-    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    on_disk = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert on_disk["timing"] == timing
 
 
@@ -633,7 +640,7 @@ def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
     rc = main(["generate", "--p", "240", "--zeta", "2", "--nu", "0.05",
                "--seed", "5", "--output", str(data_csv)])
     assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
+    summary = _strict_json(capsys.readouterr().out)
     assert summary["n"] == 120 and summary["p"] == 240
     assert (tmp_path / "d.json").exists()
 
@@ -642,9 +649,9 @@ def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
                "--alpha", "0.4", "--l1-ratio", "0.75",
                "--output", str(fit_json)])
     assert rc == 0
-    fit_summary = json.loads(capsys.readouterr().out)
+    fit_summary = _strict_json(capsys.readouterr().out)
     assert fit_summary["converged"]
-    rec = json.loads(fit_json.read_text())
+    rec = _strict_json(fit_json.read_text())
     assert {"beta_hat", "hazard", "tau", "tau_hat", "diagnostics"} <= set(rec)
     assert rec["diagnostics"]["stop_reason"] == "tol"
     assert rec["diagnostics"]["seconds"] > 0.0
@@ -654,7 +661,7 @@ def test_cli_generate_fit_estimate_roundtrip(tmp_path, capsys):
     rc = main(["estimate", "--fit", str(fit_json), "--data", str(data_csv),
                "--output", str(est_json)])
     assert rc == 0
-    est = json.loads(est_json.read_text())
+    est = _strict_json(est_json.read_text())
     assert set(est["estimates"]) == {"amp", "cd"}
     assert "true_overlaps" in est           # sidecar picked up implicitly
     amp_est = est["estimates"]["amp"]
@@ -683,8 +690,8 @@ def test_cli_estimate_on_an_unconverged_fit(tmp_path, capsys):
     assert rc == 2
     errors = {"amp": "AMP fit did not converge",
               "cd": "CD fit did not converge"}
-    assert json.loads(capsys.readouterr().out)["errors"] == errors
-    est = json.loads(est_json.read_text())
+    assert _strict_json(capsys.readouterr().out)["errors"] == errors
+    est = _strict_json(est_json.read_text())
     assert est["estimates"] == {} and est["errors"] == errors
 
 
@@ -717,24 +724,46 @@ def test_cli_path_and_rs_solve(tmp_path, capsys):
                "--alpha-grid", "0.5,0.4,0.3", "--max-epochs", "300",
                "--output", str(out)])
     assert rc == 0
-    records = json.loads(out.read_text())
+    records = _strict_json(out.read_text())
     assert len(records) == 3
     assert all(r["diagnostics"]["stop_reason"] == "tol" for r in records)
     assert all(0.0 < r["diagnostics"]["kkt_residual"] <= 1e-6 for r in records)
+    # each path starts cold, then from its previous fit
+    amp_out = tmp_path / "path_amp.json"
+    assert main(["path", "--input", str(data_csv), "--solver", "amp",
+                 "--alpha-grid", "0.5,0.4,0.3", "--output", str(amp_out)]) == 0
+    for path_json in (out, amp_out):
+        assert [r["diagnostics"]["start"]
+                for r in _strict_json(path_json.read_text())] == [
+            "cold", "previous", "previous"]
+    # above the float32 size rule (n p = 80000), every point of either
+    # solver's path converges, float32 products included
+    big_csv = tmp_path / "big.csv"
+    assert main(["generate", "--p", "400", "--nu", "0.05", "--seed", "6",
+                 "--output", str(big_csv)]) == 0
+    for solver in ("amp", "cd"):
+        big_out = tmp_path / f"big_{solver}.json"
+        assert main(["path", "--input", str(big_csv), "--solver", solver,
+                     "--alpha-grid", "0.5,0.4,0.3",
+                     "--output", str(big_out)]) == 0
+        assert all(r["diagnostics"]["converged"]
+                   for r in _strict_json(big_out.read_text()))
     capsys.readouterr()
 
+    # every point converges at pop 800, from the default seed and from 2
     rs_csv = tmp_path / "rs.csv"
-    rc = main(["rs-solve", "--zeta", "2", "--nu", "0.05", "--alpha-grid",
-               "0.5,0.4", "--pop-size", "800", "--seed", "2",
-               "--output", str(rs_csv)])
-    assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
-    lines = rs_csv.read_text().splitlines()
-    assert lines[0] == "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged"
-    assert len(lines) == 3
-    converged = [line.endswith(",1") for line in lines[1:]]
-    assert [it is not None for it in summary["iterations"]] == converged
-    assert all(it >= 1 for it in summary["iterations"] if it is not None)
+    for seed in ([], ["--seed", "2"]):
+        rc = main(["rs-solve", "--zeta", "2", "--nu", "0.05", "--alpha-grid",
+                   "0.5,0.4", "--pop-size", "800", *seed,
+                   "--output", str(rs_csv)])
+        assert rc == 0
+        summary = _strict_json(capsys.readouterr().out)
+        lines = rs_csv.read_text().splitlines()
+        assert lines[0] == "alpha,w,v,tau,w_hat,v_hat,tau_hat,converged"
+        assert len(lines) == 3
+        assert all(line.endswith(",1") for line in lines[1:])
+        assert summary["converged_points"] == 2
+        assert all(it >= 1 for it in summary["iterations"])
 
 
 def test_cli_path_reports_amp_freezes(tmp_path, capsys):
@@ -748,7 +777,7 @@ def test_cli_path_reports_amp_freezes(tmp_path, capsys):
     rc = main(["path", "--input", str(data_csv), "--solver", "amp",
                "--alpha-grid", "0.5,0.4,0.3", "--output", str(out)])
     assert rc == 0
-    records = json.loads(out.read_text())
+    records = _strict_json(out.read_text())
     assert all(r["diagnostics"]["stop_reason"] == "tol" for r in records)
     frozen = [r["diagnostics"]["frozen"] for r in records]
     assert frozen[:2] == [[], []]
@@ -812,11 +841,15 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
         json.dump(cfg.to_jsonable(), fh)
     rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
     assert rc == 0
-    summary = json.loads(capsys.readouterr().out)
+    summary = _strict_json(capsys.readouterr().out)
     assert summary["grid_points"] == 2
     assert summary["workers"] == 1 and summary["wall_s"] > 0.0
     assert (tmp_path / "expdir" / "table.csv").exists()
-    assert (tmp_path / "expdir" / "report.json").exists()
+    # the config report.json records reloads to the one given
+    report = _strict_json((tmp_path / "expdir" / "report.json").read_text())
+    reloaded = tmp_path / "reloaded.json"
+    reloaded.write_text(json.dumps(report["config"]))
+    assert ExperimentConfig.from_json(reloaded) == cfg
 
 
 def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
@@ -844,7 +877,7 @@ def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
     want = cfg.to_jsonable()
     want.update(p=2000, repetitions=20, nu=0.005, output_dir=out)
     assert seen[-1].to_jsonable() == want
-    assert json.loads(capsys.readouterr().out)["repetitions"] == 20
+    assert _strict_json(capsys.readouterr().out)["repetitions"] == 20
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -899,15 +932,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     rng = np.random.default_rng(0)
     SurvivalDataset(rng.uniform(0.5, 1.0, 30), np.zeros(30),
                     rng.normal(0, 0.3, (30, 10))).to_csv(data_csv)
-    # usage error: a penalty that no fit can take, on a readable dataset
-    for argv in (["fit", "--alpha", "nan"], ["fit", "--alpha", "0.4",
-                                             "--l1-ratio", "0"],
-                 ["path", "--alpha-grid", "nan,0.3"]):
-        rc = main([*argv, "--input", str(data_csv),
-                   "--output", str(tmp_path / "bad_fit.json")])
+    # usage error: a penalty that no fit can take, on a readable dataset,
+    # or an --alpha-grid entry that is no number, named with the flag
+    fit_on = ["--input", str(data_csv)]
+    for argv, match in (
+            (["fit", *fit_on, "--alpha", "nan"], "penalty weights must be"),
+            (["fit", *fit_on, "--alpha", "0.4", "--l1-ratio", "0"],
+             "--l1-ratio must be positive"),
+            (["path", *fit_on, "--alpha-grid", "nan,0.3"],
+             "penalty weights must be"),
+            *(([*head, "--alpha-grid", grid], "--alpha-grid must be "
+               f"comma-separated numbers, not '{grid}'")
+              for head in (["path", *fit_on],
+                           ["rs-solve", "--zeta", "2", "--nu", "0.1"])
+              for grid in ("0.5,,0.3", "0.5,abc"))):
+        rc = main([*argv, "--output", str(tmp_path / "bad_fit.json")])
         assert rc == 1
+        assert match in capsys.readouterr().err
         assert not (tmp_path / "bad_fit.json").exists()
-    capsys.readouterr()
     fit_json = tmp_path / "cens_fit.json"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1027,12 +1069,6 @@ def _flaky_cd(monkeypatch, bad_alpha):
     monkeypatch.setitem(solvers._SOLVERS, "cd", fit)
 
 
-def _strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-    return json.loads(text, parse_constant=reject)
-
-
 def test_cli_path_writes_null_for_a_diverged_point(tmp_path, capsys,
                                                    monkeypatch):
     data_csv = tmp_path / "d.csv"
@@ -1074,14 +1110,14 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     diverged_json = tmp_path / "diverged.json"
     main(["path", "--input", str(data_csv), "--alpha-grid", "0.4",
           "--output", str(diverged_json)])
-    diverged_json.write_text(json.dumps(json.loads(
+    diverged_json.write_text(json.dumps(_strict_json(
         diverged_json.read_text())[0]))
     cases = [(path_json, "single record from `coxfield fit`"),
              (diverged_json, "single record from `coxfield fit`")]
     for i, penalty in enumerate(({"alpha": 0.3}, [1, 2])):
         bad_json = tmp_path / f"pen{i}.json"
         bad_json.write_text(json.dumps(
-            {**json.loads(path_json.read_text())[0], "penalty": penalty}))
+            {**_strict_json(path_json.read_text())[0], "penalty": penalty}))
         cases.append((bad_json, "penalty must be an object with keys "
                                 "alpha, eta, rho, l1_ratio"))
     # where the latest risk sets underflow the hazard's levels are +inf: the
@@ -1104,7 +1140,7 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
                                 "finite numbers"))
     # a fit of another dataset: beta_hat of another length than the data's
     # p, and so a sidecar whose beta0 is of another length
-    first = json.loads(path_json.read_text())[0]
+    first = _strict_json(path_json.read_text())[0]
     good_json, short_json = tmp_path / "good.json", tmp_path / "short.json"
     good_json.write_text(json.dumps(first))
     short_json.write_text(json.dumps({**first,
@@ -1117,7 +1153,7 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     amp_json = tmp_path / "amp.json"
     assert main(["fit", "--input", str(data_csv), "--solver", "amp",
                  "--alpha", "0.5", "--output", str(amp_json)]) == 0
-    amp = json.loads(amp_json.read_text())
+    amp = _strict_json(amp_json.read_text())
     huge = int("9" * 400)
     bad = [(first, "beta_hat", first["beta_hat"][:-1] + [value],
             "a list of finite numbers")
@@ -1175,7 +1211,7 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
         bad_json.write_text(json.dumps(rec))
         cases.append((bad_json, f"{bad_json}: {message}"))
     # a sidecar whose beta0 is of another length, or holds a null
-    side = json.loads((tmp_path / "d.json").read_text())
+    side = _strict_json((tmp_path / "d.json").read_text())
     short_side = tmp_path / "short_side.json"
     short_side.write_text(json.dumps({**side, "beta0": side["beta0"][:-1]}))
     null_side = tmp_path / "null_side.json"
@@ -1186,6 +1222,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     list_side.write_text(json.dumps([side]))
     no_beta0.write_text(json.dumps({k: v for k, v in side.items()
                                     if k != "beta0"}))
+    # a sidecar named on the command line that does not exist
+    no_side = tmp_path / "no_side.json"
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1199,7 +1237,8 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
                              f"{data_csv} has p = 100"),
                 *((bad, f"{bad}: beta0 must be a list of finite numbers")
                   for bad in (null_side, list_side, no_beta0)),
-                (text, f"{text}: not JSON")):
+                (text, f"{text}: not JSON"),
+                (no_side, f"No such file or directory: '{no_side}'")):
             rc = main(["estimate", "--fit", str(good_json), "--data",
                        str(data_csv), "--sidecar", str(side_json),
                        "--output", str(tmp_path / "e.json")])
@@ -1209,7 +1248,7 @@ def test_cli_estimate_needs_one_fit_record(tmp_path, capsys, monkeypatch):
     # the AMP record itself reads back, and estimates on both routes
     assert main(["estimate", "--fit", str(amp_json), "--data", str(data_csv),
                  "--output", str(tmp_path / "e.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["routes"] == ["amp", "cd"]
+    assert _strict_json(capsys.readouterr().out)["routes"] == ["amp", "cd"]
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
@@ -1220,13 +1259,13 @@ def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
     data_csv = tmp_path / "d.csv"
     assert main(["generate", "--p", "80", "--nu", "0.05", "--seed", "4",
                  "--output", str(data_csv)]) == 0
-    sidecar = json.loads((tmp_path / "d.json").read_text())
+    sidecar = _strict_json((tmp_path / "d.json").read_text())
     assert sidecar["generator"] == asdict(GeneratorSpec(zeta=2.0))
 
     fit_json = tmp_path / "fit.json"
     assert main(["fit", "--input", str(data_csv), "--alpha", "0.4",
                  "--output", str(fit_json)]) == 0
-    back, pen = FitResult.from_record(json.loads(fit_json.read_text()),
+    back, pen = FitResult.from_record(_strict_json(fit_json.read_text()),
                                       fit_json)
     want = fit_cd(SurvivalDataset.from_csv(data_csv), pen)
     assert np.array_equal(back.beta_hat, want.beta_hat)

@@ -650,6 +650,26 @@ def test_cd_newton_step_is_guarded(monkeypatch):
     assert np.array_equal(last.beta_hat, plain_short.beta_hat)
 
 
+def test_cd_newton_step_stops_at_zero_curvature():
+    # conjugate gradients stop at a direction without positive curvature:
+    # under the lasso, a zero Hessian gives none, and neither does a NaN
+    # one; the first iteration breaks, without a warning, and the
+    # candidate is beta itself
+    data, _ = _instance(p=120, zeta=2.0, nu=0.05, seed=3)
+    lasso = ElasticNetPenalty.from_strength(0.3, 1.0)
+    rng = np.random.default_rng(0)
+    beta = np.where(rng.random(data.p) < 0.2, rng.normal(size=data.p), 0.0)
+    grad = rng.normal(size=data.p)
+    for fill in (0.0, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cand, its = solvers._newton_step(
+                data.design.T, lambda u: np.full_like(u, fill), beta, grad,
+                lasso)
+        assert its == 1
+        assert np.array_equal(cand, beta)
+
+
 def test_cd_predictor_at_each_warm_start(monkeypatch):
     # a warm start from a nonzero beta tries a Newton step before its
     # first sweep, a predictor along the path; a cold fit first tries one
