@@ -225,7 +225,9 @@ def _cmd_experiment(args):
            "failures": len(report["failures"]),
            "workers": report["timing"]["workers"],
            "wall_s": report["timing"]["wall_s"]})
-    return 0
+    # a result: a solved RS point or a converged fit of any solver
+    keys = ["rs_converged"] + [f"{s}_n_converged" for s in cfg.solvers]
+    return 0 if any(row[k] for row in report["rows"] for k in keys) else 2
 
 
 def build_parser():

@@ -102,8 +102,8 @@ class FitResult:
     -1 inactive; a later entry for the same index records a switch to
     the other side, or with side 0 its release); CD adds
     "skipped_coordinates" (visits to a zero-curvature coordinate),
-    "screened_coordinates" (visits the screen skipped), "newton_tried",
-    "newton_kept" and "cg_iterations" (summed over the Newton steps).
+    "newton_tried", "newton_kept" and "cg_iterations" (summed over the
+    Newton steps).
     A fit from `reg_path` also holds "start" ("given", "previous" or
     "cold"), the start that the path chose for it.
 
@@ -569,12 +569,11 @@ def fit_cd(data, pen, init=None, cfg=None):
     within the tolerance, is that of the plain sweeps, and the
     coefficients returned are those of a sweep.  Newton steps are not
     counted as epochs.  Coordinates with zero curvature are skipped
-    (counted in diagnostics["skipped_coordinates"]), and so is a zero
-    coordinate whose update a Cauchy-Schwarz bound shows to be zero
-    (diagnostics["screened_coordinates"]): the screen is exact, every
-    sweep is bit for bit that without it.  A non-finite iterate ends the
-    fit as diverged (see `FitResult`).  A warm start `init` needs a
-    finite beta_hat of length p, else ValueError; its hazard is not read.
+    (counted in diagnostics["skipped_coordinates"]); each sweep is
+    otherwise the plain cycle of `prox_enet` updates, on Python floats.
+    A non-finite iterate ends the fit as diverged (see `FitResult`).  A
+    warm start `init` needs a finite beta_hat of length p, else
+    ValueError; its hazard is not read.
     The iterate is one `_Iterate`, each of its terms formed once, on risk
     sets sorted once per dataset (`SurvivalDataset.risk_sets`); the
     curvatures use the dataset's X * X (`SurvivalDataset.design_sq`),
@@ -600,14 +599,10 @@ def fit_cd(data, pen, init=None, cfg=None):
     cols = list(X.T)
     # the r update's product, formed in place
     buf = np.empty(n)
-    # the screen's relative slack on S; see the screen below
-    slack = (n + 8) * (p + 1) * 2.0**-51 if (n + 8) * (p + 1) <= 2**33 else math.inf
 
     stop_reason = "max_epochs"
     err = np.inf
-    epoch = 0
-    skipped = screened = 0
-    tried = kept = cg_iterations = 0
+    epoch = skipped = tried = kept = cg_iterations = 0
     # the Newton schedule of the docstring; from the previous point's
     # optimum the step's right-hand side is the change in penalty
     newton_gap = 1
@@ -652,12 +647,8 @@ def fit_cd(data, pen, init=None, cfg=None):
             shrinks = (1.0 + eta * tauhats).tolist()
         curv = mkks.tolist()
         phi = it.beta.tolist()
-        # r tracks wdiag * (X beta - X phi); starts at zero.  S tracks its
-        # squared norm sum_i r_i^2 / wdiag_i, A the sum of |terms| of S,
-        # SA the screen's S + slack A (NaN where slack is inf and A = 0)
+        # r tracks wdiag * (X beta - X phi); starts at zero
         r = np.zeros(n)
-        S = A = 0.0
-        SA = S + slack * A
         for k in range(p):
             mkk = curv[k]
             if mkk <= 0.0:
@@ -665,41 +656,9 @@ def fit_cd(data, pen, init=None, cfg=None):
                 continue
             thresh = threshs[k]
             phik = phi[k]
-            # Screen: skip a zero coordinate whose update is provably zero,
-            # before its dot product; the plain update would leave phi and
-            # r as they are.  By Cauchy-Schwarz in the wdiag inner product,
-            # |x_k . r| <= sqrt(m Q), with m = sum_i wdiag_i x_ik^2 and
-            # Q = sum_i r_i^2 / wdiag_i (r_i = 0 where wdiag_i = 0).  In the
-            # standard model of rounding, without underflow (Higham,
-            # "Accuracy and Stability of Numerical Algorithms", 2002,
-            # ch. 2-3), with u = 2^-53 and g_j = j u / (1 - j u):
-            # - dot: in any summation order, |dot - x_k . r| <= g_n
-            #   sum_i |x_ik r_i| <= g_n sqrt(m Q), and |mkk - m| <= g_(n+1) m;
-            # - S: exactly, an update takes delta wdiag x_k from r and adds
-            #   t1 - t2 = delta^2 mkk - 2 delta dot to Q.  With the roundings
-            #   of r, dot, mkk, t1, t2, S and A, and |S| <= A, it turns
-            #   Q <= S + l A into Q <= S + l' A with l' <= (1 + (n + 7) u) l
-            #   + (2n + 12) u.  From l = 0 at the sweep's start, l <= 2 (n + 6)
-            #   p u (1 + 2^-19) while (n + 8)(p + 1) u <= 2^-20; slack, twice
-            #   that and more, also covers g_n, g_(n+1) and the roundings of
-            #   bound and sqrt, so sqrt(bound) >= |dot| (and bound >= 0; the
-            #   check keeps sqrt defined outside the model).  A design with
-            #   (n + 8)(p + 1) > 2^33 gets no screen: slack is inf and bound
-            #   inf or NaN;
-            # - divisions: with phik = 0 the update forms psi_k =
-            #   fl(fl(dot - score[k]) / mkk), and rounding is monotone, so
-            #   |psi_k| <= fl(fl(sqrt(bound) + |score[k]|) / mkk) < thresh:
-            #   psi_k is finite and the update takes the zero branch, a
-            #   signed zero equal to phik.  NaN fails every comparison.
-            if phik == 0.0:
-                bound = mkk * SA
-                if bound >= 0.0 and (abs(score[k]) + math.sqrt(bound)) / mkk < thresh:
-                    screened += 1
-                    continue
             xk = cols[k]
-            # the ddot of xk @ r, without the matmul dispatch
-            dot = float(xk.dot(r))
-            psi_k = (dot + mkk * phik - score[k]) / mkk
+            # xk @ r as a ddot, without the matmul dispatch
+            psi_k = (float(xk.dot(r)) + mkk * phik - score[k]) / mkk
             # prox_enet(psi_k, 1 / mkk, pen), the same operations on floats
             if psi_k > thresh:
                 new = (psi_k - thresh) / shrinks[k]
@@ -709,15 +668,9 @@ def fit_cd(data, pen, init=None, cfg=None):
                 # a signed zero, or NaN that the divergence check reports
                 new = psi_k * 0.0
             if new != phik:
-                delta = new - phik
                 np.multiply(wdiag, xk, out=buf)
-                buf *= delta
+                buf *= new - phik
                 r -= buf
-                t1 = delta * delta * mkk
-                t2 = 2.0 * delta * dot
-                S += t1 - t2
-                A += t1 + abs(t2)
-                SA = S + slack * A
                 phi[k] = new
         it, prev = _Iterate(X, D, rs, pen, np.array(phi)), it
         err = _err(np.maximum.reduce(np.abs(it.beta - prev.beta)),
@@ -731,7 +684,6 @@ def fit_cd(data, pen, init=None, cfg=None):
     # the last sweep's iterate: the returned beta, certified by its gradient
     return _fit_result(it, rs.step_hazard(it.lamT), epoch, err, stop_reason,
                        t0, {"skipped_coordinates": skipped,
-                            "screened_coordinates": screened,
                             "newton_tried": tried, "newton_kept": kept,
                             "cg_iterations": cg_iterations})
 

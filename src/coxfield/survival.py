@@ -90,9 +90,12 @@ class SurvivalDataset:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip().split(",")
+                rows = fh.readlines()
             if header[:2] != ["time", "event"]:
                 raise ValueError("expected header time,event,x1,...,xp")
-            body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if not any(map(str.strip, rows)):
+                raise ValueError("no data rows")
+            body = np.loadtxt(rows, delimiter=",", ndmin=2)
             if body.shape[1] != len(header):
                 raise ValueError("row width does not match header")
             return SurvivalDataset(body[:, 0], body[:, 1], body[:, 2:])
@@ -303,11 +306,14 @@ def harrell_c(times, events, scores):
     Raises
     ------
     ValueError
-        If no comparable pair exists.
+        If times or scores holds a NaN (+-inf passes), or no pair is comparable.
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=float)
     scores = np.asarray(scores, dtype=float)
+    for name, arr in (("times", times), ("scores", scores)):
+        if np.isnan(arr).any():
+            raise ValueError(f"{name} holds NaN, which has no order")
     num = 0.0
     den = 0
     # blocks of events against all times; the sums are of integers and

@@ -852,6 +852,26 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     assert ExperimentConfig.from_json(reloaded) == cfg
 
 
+@pytest.mark.parametrize("alpha, rs_solved", [(0.05, 0), (0.5, 1)])
+def test_cli_experiment_without_a_result_exits_2(tmp_path, capsys, alpha,
+                                                 rs_solved):
+    # one epoch converges no fit; the run is a numerical failure only where
+    # the RS point did not solve either (no minimizer at the weak penalty)
+    cfg = ExperimentConfig(p=40, nu=0.05, pen_grid=[(alpha, 0.75)],
+                           repetitions=2, pop_size=100,
+                           solver_cfg=SolverConfig(max_epochs=1),
+                           output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_jsonable()))
+    rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
+    assert rc == (0 if rs_solved else 2)
+    assert _strict_json(capsys.readouterr().out)["failures"] == 4
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    row, = report["rows"]
+    assert row["amp_n_converged"] == row["cd_n_converged"] == 0
+    assert row["rs_converged"] == rs_solved
+
+
 def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
     # the preset replaces p, repetitions and nu and keeps every other
     # field, with and without --config; the experiment itself is not run
@@ -859,7 +879,8 @@ def test_cli_experiment_paper_scale(tmp_path, capsys, monkeypatch):
 
     def fake_run(cfg, workers=None):
         seen.append(cfg)
-        return {"failures": [], "timing": {"workers": 1, "wall_s": 0.0}}
+        return {"rows": [{"rs_converged": 1}], "failures": [],
+                "timing": {"workers": 1, "wall_s": 0.0}}
 
     monkeypatch.setattr("coxfield.cli.run_experiment", fake_run)
     out = str(tmp_path / "paper")
@@ -891,18 +912,22 @@ def test_cli_exit_codes(tmp_path, capsys):
                "--output", str(tmp_path / "f.json")])
     assert rc == 1
     capsys.readouterr()
-    # usage error naming the file: a CSV whose header is not the schema,
-    # is wider than its rows, or holds a non-number
+    # usage error naming the file, with no warning: a CSV whose header is
+    # not the schema, that has no data rows, is wider than its rows, or
+    # holds a non-number
     for lines, match in (
             (["t,e,x1,x2", "1.0,1,0.1,0.2"], "expected header"),
+            (["time,event,x1,x2"], "no data rows"),
             (["time,event,x1,x2,x3", "1.0,1,0.1,0.2", "2.0,0,0.3,0.4"],
              "row width does not match header"),
             (["time,event,x1,x2", "1.0,1,0.1,abc"],
              "could not convert string 'abc' to float64")):
         bad_csv = tmp_path / "bad.csv"
         bad_csv.write_text("\n".join(lines) + "\n")
-        rc = main(["fit", "--input", str(bad_csv), "--alpha", "0.4",
-                   "--output", str(tmp_path / "f.json")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--input", str(bad_csv), "--alpha", "0.4",
+                       "--output", str(tmp_path / "f.json")])
         assert rc == 1
         assert f"error: {bad_csv}: {match}" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
@@ -928,7 +953,6 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not (tmp_path / "bad").exists()
     # numerical failure: estimation undefined on an all-censored dataset
     data_csv = tmp_path / "cens.csv"
-    import warnings
     rng = np.random.default_rng(0)
     SurvivalDataset(rng.uniform(0.5, 1.0, 30), np.zeros(30),
                     rng.normal(0, 0.3, (30, 10))).to_csv(data_csv)
@@ -1317,12 +1341,12 @@ def test_fit_record_roundtrip_keeps_hazard(tmp_path, solver):
         assert np.array_equal(back.beta_hat, fit.beta_hat)
         assert np.array_equal(back.hazard.knots, fit.hazard.knots)
         assert np.array_equal(back.hazard.values, fit.hazard.values)
-        # the record carries the fit's diagnostics, CD's screen count too
+        # the record carries the fit's diagnostics, CD's Newton count too
         diag = json.loads(path.read_text())["diagnostics"]
         assert diag["stop_reason"] == fit.diagnostics["stop_reason"]
         if solver == "cd":
-            assert diag["screened_coordinates"] == fit.diagnostics[
-                "screened_coordinates"] > 0
+            assert diag["newton_tried"] == fit.diagnostics[
+                "newton_tried"] > 0
 
 
 def test_console_script_installed():

@@ -344,6 +344,19 @@ def test_harrell_trivials_and_oracle():
     assert harrell_c(t3, e3, s3) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
+def test_harrell_rejects_nan():
+    # a NaN has no order: it would count its pairs as comparable and
+    # discordant (0.4 here); +-inf orders, and passes
+    times, events = [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 0.0, 1.0]
+    for bad_times, scores, name in (
+            (times, [3.0, np.nan, 1.0, 0.0], "scores"),
+            ([1.0, np.nan, 3.0, 4.0], [3.0, 2.0, 1.0, 0.0], "times")):
+        with pytest.raises(ValueError, match=f"{name} holds NaN"):
+            harrell_c(bad_times, events, scores)
+    assert harrell_c(times, events, [np.inf, 2.0, 1.0, -np.inf]) == 1.0
+    assert harrell_c([1.0, 2.0, np.inf, 4.0], events, [3.0, 2.0, 0.0, 1.0]) == 1.0
+
+
 def test_harrell_random_scores_near_half():
     rng = np.random.default_rng(13)
     n = 4000
