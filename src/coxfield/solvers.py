@@ -222,20 +222,6 @@ def _check_start(init, data, amp):
                          "fit with one")
 
 
-def _err(*norms):
-    """The fits' err: the square root of the summed squares of the
-    sup-norm deltas, summed in the order given.  Where a square overflows
-    but every norm is finite, the sum is taken over the norms divided by
-    the largest, so err is finite whenever every norm is."""
-    err2 = 0.0
-    for x in norms:
-        err2 += x ** 2
-    if math.isfinite(err2) or not all(map(math.isfinite, norms)):
-        return math.sqrt(err2)
-    top = max(map(abs, norms))
-    return top * math.sqrt(sum((x / top) ** 2 for x in norms))
-
-
 def _fit_result(point, hazard, epochs, err, stop_reason, t0, diagnostics,
                 **amp_state):
     # every finished fit: converged iff it stopped on tol or had no events
@@ -484,7 +470,7 @@ def fit_amp(data, pen, init=None, cfg=None):
             dtau = tau_new - tau
             tau = tau_new
 
-            err = _err(dlam, dxi, dtau_hat, dbeta, dtau)
+            err = math.hypot(dlam, dxi, dtau_hat, dbeta, dtau)
             err_history.append(err)
             if not math.isfinite(err):
                 return _diverged(p, epoch, t0, pen.eta,
@@ -536,6 +522,9 @@ def fit_amp(data, pen, init=None, cfg=None):
                        xi=xi, tau=float(tau), tau_hat=float(tau_hat))
 
 
+# no floating-point warning leaves the fit: a non-finite iterate ends it
+# as diverged, naming it, and a Newton candidate's inf loss rejects it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_cd(data, pen, init=None, cfg=None):
     """Coordinate-wise descent for the penalized Cox model.
 
@@ -615,13 +604,12 @@ def fit_cd(data, pen, init=None, cfg=None):
                 tried += 1
                 beta_c, its = _newton_step(Xt, it.hess, it.beta, it.grad, pen)
                 cg_iterations += its
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    cand = _Iterate(X, D, rs, pen, beta_c)
-                    # the KKT residual decides, as the loss alone would tie
-                    # on rounding near the optimum; the loss may not rise
-                    # beyond rounding
-                    keep = (cand.kkt < it.kkt
-                            and cand.loss <= it.loss + 1e-12 * abs(it.loss))
+                cand = _Iterate(X, D, rs, pen, beta_c)
+                # the KKT residual decides, as the loss alone would tie on
+                # rounding near the optimum; the loss may not rise beyond
+                # rounding
+                keep = (cand.kkt < it.kkt
+                        and cand.loss <= it.loss + 1e-12 * abs(it.loss))
                 newton_gap = 1 if keep else 2 * newton_gap
                 if not keep:
                     break
@@ -641,10 +629,9 @@ def fit_cd(data, pen, init=None, cfg=None):
         # each coordinate's step 1/mkk, threshold and shrink, the divisions
         # and products of the per-coordinate prox on floats, as vectors
         # (a zero curvature's inf and NaN are never read)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            tauhats = 1.0 / mkks
-            threshs = (alpha * tauhats).tolist()
-            shrinks = (1.0 + eta * tauhats).tolist()
+        tauhats = 1.0 / mkks
+        threshs = (alpha * tauhats).tolist()
+        shrinks = (1.0 + eta * tauhats).tolist()
         curv = mkks.tolist()
         phi = it.beta.tolist()
         # r tracks wdiag * (X beta - X phi); starts at zero
@@ -673,8 +660,8 @@ def fit_cd(data, pen, init=None, cfg=None):
                 r -= buf
                 phi[k] = new
         it, prev = _Iterate(X, D, rs, pen, np.array(phi)), it
-        err = _err(np.maximum.reduce(np.abs(it.beta - prev.beta)),
-                   np.maximum.reduce(np.abs(it.lamT - prev.lamT)))
+        err = math.hypot(np.maximum.reduce(np.abs(it.beta - prev.beta)),
+                         np.maximum.reduce(np.abs(it.lamT - prev.lamT)))
         if not math.isfinite(err):
             return _diverged(p, epoch, t0, pen.eta, beta=it.beta, err=err)
         if err < cfg.tol:

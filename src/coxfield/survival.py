@@ -262,7 +262,8 @@ def nelson_aalen(times, events, lin_pred):
 
     Lambda(t) = sum_i Delta_i Theta(t - T_i) / sum_j Theta(T_j - T_i) e^{lp_j},
     one knot per distinct event time.  No events give an empty StepHazard
-    and a warning; an underflowed risk set gives +inf levels, silently.
+    and a warning; an underflowed risk set gives +inf levels and an
+    overflowed weight zero steps, silently.
 
     Parameters
     ----------
@@ -276,7 +277,7 @@ def nelson_aalen(times, events, lin_pred):
         warnings.warn("no events: returning identically-zero hazard")
         return StepHazard(np.empty(0), np.empty(0))
     rs = RiskSets(times, events)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return rs.step_hazard(rs.hazard(np.asarray(lin_pred, dtype=float)))
 
 
@@ -306,7 +307,8 @@ def harrell_c(times, events, scores):
     Raises
     ------
     ValueError
-        If times or scores holds a NaN (+-inf passes), or no pair is comparable.
+        If events are not 0/1 (as `SurvivalDataset` requires), times or
+        scores holds a NaN (+-inf passes), or no pair is comparable.
     """
     times = np.asarray(times, dtype=float)
     events = np.asarray(events, dtype=float)
@@ -314,6 +316,8 @@ def harrell_c(times, events, scores):
     for name, arr in (("times", times), ("scores", scores)):
         if np.isnan(arr).any():
             raise ValueError(f"{name} holds NaN, which has no order")
+    if not np.all((events == 0.0) | (events == 1.0)):
+        raise ValueError("events must be 0/1")
     num = 0.0
     den = 0
     # blocks of events against all times; the sums are of integers and

@@ -85,6 +85,25 @@ MUTANTS = {
         "if phik == 0.0 and abs(score[k]) < thresh * mkk: continue\n"
         "            xk = cols[k]",
         ["tests/test_solvers.py::test_cd_screening_is_exact"]),
+    # the numeric guards: a warning that leaves a fit or a kernel fails
+    # under pytest.ini's filter, and an event other than 0/1 is an error
+    "cd_errstate_dropped": (
+        "solvers.py",
+        '@np.errstate(over="ignore", invalid="ignore", divide="ignore")',
+        "@np.errstate()",
+        ["tests/test_solvers.py::test_divergence_names_the_field",
+         "tests/test_solvers.py::test_divergence_names_its_likely_cause"]),
+    "nelson_aalen_overflow_warns": (
+        "survival.py",
+        'with np.errstate(divide="ignore", over="ignore"):',
+        'with np.errstate(divide="ignore"):',
+        ["tests/test_survival.py::test_nelson_aalen_overflowed_weights"]),
+    "harrell_c_any_event_value": (
+        # the newline and indent tell it from SurvivalDataset's check
+        "survival.py",
+        "\n    if not np.all((events == 0.0) | (events == 1.0)):",
+        "\n    if False:",
+        ["tests/test_survival.py::test_harrell_reads_events_by_the_dataset_rule"]),
 }
 
 

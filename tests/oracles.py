@@ -17,6 +17,8 @@ views, levels through a concatenate), which pins the package's kernel
 bit for bit where the reference loops, running on it, would move along.
 """
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -234,8 +236,8 @@ def reference_cd(data, pen, init=None, tol=1e-8, max_epochs=100):
                 phi[k] = new
         hazard = nelson_aalen(T, D, X @ phi)
         lamT_new = hazard.evaluate(T)
-        err = np.sqrt(np.max(np.abs(phi - beta)) ** 2
-                      + np.max(np.abs(lamT_new - lamT)) ** 2)
+        err = math.hypot(np.max(np.abs(phi - beta)),
+                         np.max(np.abs(lamT_new - lamT)))
         beta, lamT = phi, lamT_new
         if err < tol:
             break
@@ -256,24 +258,24 @@ def reference_amp(data, pen, init=None, tol=1e-8, max_epochs=1000, d=0.5):
     for epoch in range(1, max_epochs + 1):
         hazard = nelson_aalen(T, D, prox_g(xi, lamT, D, tau))
         lamT_new = hazard.evaluate(T)
-        err2 = np.max(np.abs(lamT_new - lamT)) ** 2
+        dlam = np.max(np.abs(lamT_new - lamT))
         lamT = lamT_new
         _, mdot, _ = cox_prox_bundle(xi, lamT, D, tau)
         xi_new = (1 - d) * xi + d * (X @ beta + tau * mdot)
-        err2 += np.max(np.abs(xi_new - xi)) ** 2
+        dxi = np.max(np.abs(xi_new - xi))
         xi = xi_new
         _, mdot, mddot = cox_prox_bundle(xi, lamT, D, tau)
         tau_hat_new = (1 - d) * tau_hat + d * (zeta / np.mean(mddot))
-        err2 += (tau_hat_new - tau_hat) ** 2
+        dtau_hat = tau_hat_new - tau_hat
         tau_hat = tau_hat_new
         psi = beta - tau_hat * (X.T @ mdot)
         beta_new = (1 - d) * beta + d * prox_enet(psi, tau_hat, pen)
-        err2 += np.max(np.abs(beta_new - beta)) ** 2
+        dbeta = np.max(np.abs(beta_new - beta))
         beta = beta_new
         tau_new = (1 - d) * tau + d * (tau_hat * np.mean(prox_enet_dot(psi, tau_hat, pen)))
-        err2 += (tau_new - tau) ** 2
+        dtau = tau_new - tau
         tau = tau_new
-        err = np.sqrt(err2)
+        err = math.hypot(dlam, dxi, dtau_hat, dbeta, dtau)
         if err < tol:
             break
     _, mdot, _ = cox_prox_bundle(xi, lamT, D, tau)

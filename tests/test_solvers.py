@@ -338,15 +338,15 @@ def test_reg_path_records_divergence(monkeypatch):
 
 @pytest.mark.parametrize("fit, scale", [(fit_cd, 1e3), (fit_amp, 1e6)])
 def test_divergence_names_the_field(fit, scale):
-    # a far-off start overflows the at-risk weights; only err is tested
-    # each epoch, the message still names the first non-finite field in
-    # the epoch's update order: CD's beta, AMP's hazard (refreshed first)
+    # a far-off start overflows the at-risk weights, and no warning leaves
+    # the fit; only err is tested each epoch, the message still names the
+    # first non-finite field in the epoch's update order: CD's beta, AMP's
+    # hazard (refreshed first)
     data, _ = _instance(p=60, zeta=2.0, nu=0.1, seed=5)
     init = FitResult(beta_hat=np.full(data.p, scale), hazard=fit_cd(data, PEN).hazard,
                      converged=True, epochs=1, final_err=0.0)
     name = "beta" if fit is fit_cd else "hazard"
-    with np.errstate(all="ignore"):
-        res = fit(data, PEN, init=init)
+    res = fit(data, PEN, init=init)
     assert res.diagnostics["stop_reason"] == "diverged"
     assert re.match(rf"^non-finite {name} at epoch {res.epochs}; the penalty",
                     res.diagnostics["error"])
@@ -375,33 +375,16 @@ def test_divergence_names_its_likely_cause():
     init = FitResult(beta_hat=np.full(data.p, 1e3),
                      hazard=fit_cd(data, PEN).hazard, converged=True,
                      epochs=1, final_err=0.0)
-    with np.errstate(all="ignore"):
-        res = fit_cd(data, PEN, init=init)
+    res = fit_cd(data, PEN, init=init)
     assert res.diagnostics["error"] == (
         f"non-finite beta at epoch {res.epochs}; the penalty has a minimizer "
         "(eta > 0)")
 
 
-def test_err_is_finite_while_every_norm_is():
-    # the summed squares, in order, bit for bit; rescaled where a square
-    # overflows, so only a non-finite norm makes err non-finite
-    norms = [np.float64(x) for x in (3e-3, -2.5e-7, 1.25, 7e-12, -0.4)]
-    err2 = norms[0] ** 2
-    for x in norms[1:]:
-        err2 += x ** 2
-    assert solvers._err(*norms) == math.sqrt(err2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        big = solvers._err(np.float64(3e200), np.float64(-4e200))
-        assert solvers._err(np.float64(1e300), np.float64(np.inf)) == np.inf
-        assert math.isnan(solvers._err(np.float64(1e300), np.float64(np.nan)))
-    assert big == pytest.approx(5e200, rel=1e-15)
-
-
 def test_amp_err_overflow_is_not_divergence():
     # undamped, the two strongest points' hazards grow past 1e154 two
-    # epochs before they overflow: err squares them, yet stays finite
-    # until an iterate is not, and the fit names that one.  No
+    # epochs before they overflow: their squares overflow, yet err, their
+    # hypot, stays finite until an iterate is not, and the fit names it.  No
     # floating-point warning leaves a fit; the path goes on cold
     sig = SignalSpec(p=60, nu=0.1, theta0=1.0, seed=36)
     data, _ = generate_dataset(sig, GeneratorSpec(zeta=2.0), seed=36)
@@ -754,8 +737,7 @@ def test_a_diverged_start_is_rejected(fit):
     data, _ = generate_dataset(SignalSpec(p=60, nu=0.1, theta0=1.0, seed=36),
                                GeneratorSpec(zeta=2.0), seed=36)
     pen = ElasticNetPenalty.from_strength(0.5 / 0.75, 0.75)
-    with np.errstate(all="ignore"):
-        diverged = fit_amp(data, pen, cfg=SolverConfig(damping=1.0))
+    diverged = fit_amp(data, pen, cfg=SolverConfig(damping=1.0))
     assert diverged.diagnostics["stop_reason"] == "diverged"
     with pytest.raises(ValueError, match="start init has a non-finite beta_hat"):
         fit(data, pen, init=diverged)

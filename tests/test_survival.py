@@ -168,6 +168,14 @@ def test_nelson_aalen_underflowed_risk_sets():
     assert hz.jumps[:4].tolist() == np.diff(hz.values[:4], prepend=0.0).tolist()
 
 
+def test_nelson_aalen_overflowed_weights():
+    # the second weight overflows to inf, and so do the risk sums of the
+    # first two events: their steps are 0, without a warning
+    hz = nelson_aalen(np.arange(1.0, 4.0), np.ones(3),
+                      np.array([0.0, 1000.0, 0.0]))
+    assert np.array_equal(hz.values, [0.0, 0.0, 1.0])
+
+
 def test_nelson_aalen_double_sum_oracle_random():
     data = _toy_dataset(seed=9, n=25)
     rng = np.random.default_rng(1)
@@ -355,6 +363,17 @@ def test_harrell_rejects_nan():
             harrell_c(bad_times, events, scores)
     assert harrell_c(times, events, [np.inf, 2.0, 1.0, -np.inf]) == 1.0
     assert harrell_c([1.0, 2.0, np.inf, 4.0], events, [3.0, 2.0, 0.0, 1.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0])
+def test_harrell_reads_events_by_the_dataset_rule(bad):
+    # an event is 0 or 1, as SurvivalDataset requires; any other value
+    # used to count as censored, giving 1.0 here
+    times, events = [1.0, 2.0, 3.0, 4.0], [1.0, bad, 0.0, 1.0]
+    with pytest.raises(ValueError, match="^events must be 0/1$"):
+        harrell_c(times, events, [4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="^events must be 0/1$"):
+        SurvivalDataset(times, events, np.ones((4, 1)))
 
 
 def test_harrell_random_scores_near_half():
